@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ConvergenceError, DomainError, NormDriftError
 from .potentials import PhysicalConstants, _positive_finite
@@ -52,6 +51,17 @@ __all__ = [
     "evolve_tdse",
     "default_t_span",
 ]
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on first use.
+
+    Only the TDSE oracle integrates ODEs; loading scipy.integrate at import
+    time would make every command pay for it.
+    """
+    from scipy.integrate import solve_ivp as _solve_ivp
+
+    return _solve_ivp(*args, **kwargs)
 
 
 class ProfileKind(str, Enum):
@@ -213,9 +223,16 @@ def lz_closed_form(
 def default_t_span(
     profile: CrossingProfile, eps: CouplingSpec, consts: PhysicalConstants
 ) -> tuple[float, float]:
-    """Symmetric span +-20 * max(sweep scale, hbar/eps)."""
-    s = 20.0 * max(profile.scale, consts.hbar / eps.epsilon)
-    return (-s, s)
+    """Symmetric span +-20 * max(sweep scale, hbar/eps, eps * T).
+
+    The last term applies to the linear sweep only: its ends must reach
+    |f| = |t|/T >= 20 eps, which the first two miss once eps > 1 and
+    T eps^2 > hbar.
+    """
+    s = max(profile.scale, consts.hbar / eps.epsilon)
+    if profile.kind is ProfileKind.LINEAR:
+        s = max(s, eps.epsilon * profile.T)
+    return (-20.0 * s, 20.0 * s)
 
 
 def _check_t_span(

@@ -114,8 +114,9 @@ def numerov_reflection(
 
     Integrates psi'' = (2m/hbar^2)(V - E) psi from +x_max (outgoing wave
     e^{ikx}, k the asymptotic wavenumber) down to -x_max with the Numerov
-    three-term recurrence, then solves the two leftmost grid values for the
-    plane-wave amplitudes A e^{ikx} + B e^{-ikx}.  Returns |B/A|^2; the
+    three-term recurrence, run as one ordered product of its 2x2 transfer
+    matrices, then solves the two leftmost grid values for the plane-wave
+    amplitudes A e^{ikx} + B e^{-ikx}.  Returns |B/A|^2; the
     ``err_estimate`` records the unitarity defect |R + T - 1| of the run.
     """
     if model.kind is PotentialKind.INVERSE_HO:
@@ -134,16 +135,32 @@ def numerov_reflection(
     n = grid.n_points
     x = np.linspace(-grid.x_max, grid.x_max, n)
     dx = x[1] - x[0]
-    gsq = (2.0 * consts.mass / consts.hbar**2) * (E - v(model, x))
-    f = 1.0 + (dx * dx / 12.0) * gsq
-    fl = f.tolist()
-    cf = (12.0 - 10.0 * f).tolist()
+    x_launch, x_edge = x[-2], x[-1]
+    # f = 1 + (dx^2/12) (2m/hbar^2) (E - V), built in place: at 1M+ points
+    # the grid-sized temporaries are most of the memory this oracle needs.
+    f = v(model, x)
+    del x
+    np.subtract(E, f, out=f)
+    f *= 2.0 * consts.mass / consts.hbar**2
+    f *= dx * dx / 12.0
+    f += 1.0
 
-    psi_hi = cmath.exp(1j * k * x[-1])
-    psi_mid = cmath.exp(1j * k * x[-2])
-    for i in range(n - 2, 0, -1):
-        psi_hi, psi_mid = psi_mid, (cf[i] * psi_mid - fl[i + 1] * psi_hi) / fl[i - 1]
-    psi0, psi1 = psi_mid, psi_hi
+    # Numerov step psi_{i-1} = ((12 - 10 f_i) psi_i - f_{i+1} psi_{i+1}) / f_{i-1}
+    # as M_i = [[a_i, b_i], [1, 0]] acting on (psi_i, psi_{i+1}); the ordered
+    # product M_1 ... M_{n-2} carries the launch pair at the right edge to
+    # (psi_0, psi_1).
+    b = 1.0 / f[:-2]
+    a = f[1:-1] * -10.0
+    a += 12.0
+    a *= b
+    b *= f[2:]
+    np.negative(b, out=b)
+    del f
+    p00, p01, p10, p11 = map(float, _companion_product(a, b))
+    psi_mid = cmath.exp(1j * k * x_launch)
+    psi_hi = cmath.exp(1j * k * x_edge)
+    psi0 = p00 * psi_mid + p01 * psi_hi
+    psi1 = p10 * psi_mid + p11 * psi_hi
 
     r = cmath.exp(1j * k * dx)
     denom = r - 1.0 / r
@@ -157,6 +174,58 @@ def numerov_reflection(
     refl = min(max(refl, _tiny_prob()), 1.0)
     return ReflectionResult.from_log(
         E, math.log(refl), Method.NUMEROV_ORACLE, unitarity_defect
+    )
+
+
+_IDENTITY = (1.0, 0.0, 0.0, 1.0)
+
+
+def _companion_product(a: np.ndarray, b: np.ndarray):
+    """Ordered product of the matrices [[a_i, b_i], [1, 0]], leftmost first.
+
+    The first pairing level exploits the [1, 0] bottom rows; the rest is
+    ``_ordered_product``.  Returns the four entries (p00, p01, p10, p11).
+    """
+    tail = _IDENTITY
+    if a.size % 2:
+        tail = (a[-1], b[-1], 1.0, 0.0)
+        a, b = a[:-1], b[:-1]
+    if a.size == 0:
+        return tail
+    a1, b1, a2, b2 = a[0::2], b[0::2], a[1::2], b[1::2]
+    return _ordered_product(a1 * a2 + b1, a1 * b2, a2, b2, tail)
+
+
+def _ordered_product(a, b, c, d, tail=_IDENTITY):
+    """Ordered product M_0 M_1 ... M_{m-1} of 2x2 matrices [[a, b], [c, d]].
+
+    The stack is held as four component arrays (real or complex) and
+    halved level by level, pairing [0::2] with [1::2] so the order of the
+    factors is kept.  An odd leftover is always the rightmost factor of its
+    level; it is folded into ``tail``, the product of everything right of
+    the current stack.  Returns the four entries of the product times
+    ``tail``.
+    """
+    while a.size > 1:
+        if a.size % 2:
+            tail = _mul2((a[-1], b[-1], c[-1], d[-1]), tail)
+            a, b, c, d = a[:-1], b[:-1], c[:-1], d[:-1]
+        a, b, c, d = _mul2(
+            (a[0::2], b[0::2], c[0::2], d[0::2]), (a[1::2], b[1::2], c[1::2], d[1::2])
+        )
+    return _mul2((a[0], b[0], c[0], d[0]), tail)
+
+
+def _mul2(left, right):
+    """2x2 product left @ right on entry tuples (a, b, c, d), entrywise over
+    arrays."""
+    a1, b1, c1, d1 = left
+    a2, b2, c2, d2 = right
+    return (
+        a1 * a2 + b1 * c2,
+        a1 * b2 + b1 * d2,
+        c1 * a2 + d1 * c2,
+        c1 * b2 + d1 * d2,
     )
 
 

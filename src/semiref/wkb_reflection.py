@@ -313,7 +313,11 @@ def reflection_contour_ll(
     absorbing the square-root endpoint behaviour.
     """
     _require_positive_energy(E)
-    y0 = imaginary_turning_point(model, E, consts)
+    try:
+        y0 = imaginary_turning_point(model, E, consts)
+    except ConvergenceError as exc:
+        # The bisection's best value is a coordinate, not a log-probability.
+        raise ConvergenceError(str(exc)) from exc
     two_m = 2.0 * consts.mass
 
     def f(phi: np.ndarray) -> np.ndarray:

@@ -210,6 +210,20 @@ class TestFlaggedRows:
         assert code == EXIT_NUMERICAL
         assert out.strip().splitlines()[1].split(",")[2] == "nan"
 
+    def test_unbisected_turning_point_is_not_a_log_prob(self, capsys):
+        # The bisection cannot meet its energy tolerance here; its best
+        # value is a coordinate and must not surface as log_prob.
+        code, out, err = run_cli(
+            [
+                "reflect", "--model", "sech2", "--v0", "1e-8", "--a", "1",
+                "--emin", "1e6", "--n", "1", "--methods", "contour",
+            ],
+            capsys,
+        )
+        assert code == EXIT_NUMERICAL
+        assert "warning: contour failed" in err
+        assert out.strip().splitlines()[1].split(",")[2:] == ["nan", "nan", "nan"]
+
 
 class TestLz:
     def test_linear_closed_form_grid(self, capsys):
@@ -376,3 +390,17 @@ def test_module_entry_point_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out_path.read_text().startswith("energy,method,log_prob")
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, semiref.cli; print('scipy.integrate' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin:/usr/local/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

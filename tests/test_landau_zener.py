@@ -264,6 +264,16 @@ class TestTDSE:
                 t_span=(-2.0, 2.0),
             )
 
+    @pytest.mark.parametrize("T, epsilon", [(2.0, 1.5), (1.0, 2.0)])
+    def test_default_span_fits_fast_strong_sweeps(self, T, epsilon):
+        # eps > 1 with T eps^2 > hbar: the span must reach |f| >= 20 eps.
+        rel_tol = 1e-10
+        eps = CouplingSpec(epsilon)
+        trans, refl = evolve_tdse(CrossingProfile.linear(T), eps, UNIT, rel_tol=rel_tol)
+        closed = lz_closed_form(T, eps, UNIT)
+        assert abs(math.log(refl) - closed.log_prob) / abs(closed.log_prob) <= 0.05
+        assert abs(trans + refl - 1.0) <= 100.0 * rel_tol
+
     def test_default_span_covers_preconditions(self):
         profile = CrossingProfile.tanh(3.0, 1.0)
         eps = CouplingSpec(0.3)

@@ -1,5 +1,8 @@
+import cmath
+import functools
 import math
 
+import numpy as np
 import pytest
 
 from semiref import (
@@ -12,7 +15,9 @@ from semiref import (
     exact_ho_reflection,
     numerov_reflection,
     reflection_closed_form,
+    v,
 )
+from semiref.scattering_oracle import _companion_product, _ordered_product
 
 UNIT = PhysicalConstants()
 
@@ -31,6 +36,81 @@ def sech2_exact_ln_refl(E, v0, a, mass=1.0, hbar=1.0):
     c = math.pi * math.sqrt(2.0 * mass * v0 * a * a / hbar**2 - 0.25)
     x = 2.0 * (b - c)
     return -(x + math.log1p(math.exp(-x)))
+
+
+def sequential_numerov_ln_refl(model, E, consts=UNIT):
+    """The Numerov oracle as a plain step-by-step recurrence on the default grid.
+
+    psi_{i-1} = ((12 - 10 f_i) psi_i - f_{i+1} psi_{i+1}) / f_{i-1}, run from
+    the outgoing wave at the right edge down to the left edge.
+    """
+    grid = default_grid(model, E, consts)
+    n = grid.n_points
+    x = np.linspace(-grid.x_max, grid.x_max, n)
+    dx = x[1] - x[0]
+    k = math.sqrt(2.0 * consts.mass * (E + model.v0)) / consts.hbar
+    gsq = (2.0 * consts.mass / consts.hbar**2) * (E - v(model, x))
+    f = (1.0 + (dx * dx / 12.0) * gsq).tolist()
+    psi_hi = cmath.exp(1j * k * x[-1])
+    psi_mid = cmath.exp(1j * k * x[-2])
+    for i in range(n - 2, 0, -1):
+        psi_new = ((12.0 - 10.0 * f[i]) * psi_mid - f[i + 1] * psi_hi) / f[i - 1]
+        psi_hi, psi_mid = psi_mid, psi_new
+    psi0, psi1 = psi_mid, psi_hi
+    r = cmath.exp(1j * k * dx)
+    a_inc = (psi1 - psi0 / r) / (r - 1.0 / r)
+    b_ref = (psi0 * r - psi1) / (r - 1.0 / r)
+    return math.log(abs(b_ref) ** 2 / abs(a_inc) ** 2)
+
+
+PRODUCT_LENGTHS = sorted(
+    set(range(1, 18)) | {2**j + s for j in range(5, 11) for s in (-1, 1)}
+)
+
+
+def _random_stack(rng, m, dtype):
+    """m non-commuting 2x2 matrices: random rotations plus a random 10% part.
+
+    Like Numerov transfer matrices they neither blow up nor collapse, so the
+    product's rounding error stays at the level of its own magnitude.
+    """
+    theta = rng.uniform(0.0, 2.0 * math.pi, m)
+    c, s = np.cos(theta), np.sin(theta)
+    mats = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    mats = mats + 0.1 * rng.uniform(-1.0, 1.0, (m, 2, 2))
+    if dtype is complex:
+        phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (m, 1, 1)))
+        mats = phase * mats + 0.1j * rng.uniform(-1.0, 1.0, (m, 2, 2))
+    return mats
+
+
+class TestOrderedProduct:
+    @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+    @pytest.mark.parametrize("m", PRODUCT_LENGTHS)
+    def test_matches_sequential_matmul(self, m, dtype):
+        rng = np.random.default_rng(1000 + m)
+        mats = _random_stack(rng, m, dtype)
+        expected = functools.reduce(np.matmul, mats)
+        got = _ordered_product(
+            mats[:, 0, 0].copy(), mats[:, 0, 1].copy(),
+            mats[:, 1, 0].copy(), mats[:, 1, 1].copy(),
+        )
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(np.array(got).reshape(2, 2) - expected)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("m", PRODUCT_LENGTHS)
+    def test_companion_matches_sequential_matmul(self, m):
+        rng = np.random.default_rng(2000 + m)
+        # Numerov-like steps [[2 cos(q dx), -1], [1, 0]] with a jittered
+        # q dx; a wider spread localises the product and it blows up.
+        a = 2.0 * np.cos(rng.uniform(0.9, 1.1, m))
+        b = -1.0 + 0.01 * rng.uniform(-1.0, 1.0, m)
+        mats = np.zeros((m, 2, 2))
+        mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0] = a, b, 1.0
+        expected = functools.reduce(np.matmul, mats)
+        got = np.array(_companion_product(a, b), dtype=float).reshape(2, 2)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(got - expected)) <= 1e-12 * scale
 
 
 class TestExactHO:
@@ -62,6 +142,12 @@ class TestExactHO:
 
 
 class TestNumerov:
+    @pytest.mark.parametrize("model", [SECH2, LOR], ids=["sech2", "lorentzian"])
+    def test_matches_sequential_recurrence(self, model):
+        res = numerov_reflection(model, 1.0, UNIT)
+        reference = sequential_numerov_ln_refl(model, 1.0)
+        assert res.log_prob == pytest.approx(reference, rel=1e-9)
+
     def test_free_particle_does_not_reflect(self):
         model = PotentialModel.sech2(1e-12, 1.0)
         res = numerov_reflection(model, 1.0, UNIT)
