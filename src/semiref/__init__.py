@@ -24,8 +24,6 @@ from .potentials import (
     PotentialKind,
     PotentialModel,
     im_v_inverse,
-    imaginary_turning_point,
-    p_limits,
     v,
     v_on_imaginary_axis,
 )
@@ -63,8 +61,6 @@ __all__ = [
     "v",
     "im_v_inverse",
     "v_on_imaginary_axis",
-    "imaginary_turning_point",
-    "p_limits",
     "elliptic_k",
     "elliptic_e",
     "Method",

@@ -9,6 +9,7 @@ method name, and floats are formatted with a fixed precision.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -455,7 +456,9 @@ def _add_common(parser) -> None:
                         help="quadrature relative tolerance")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once: parsing does not mutate it."""
     parser = argparse.ArgumentParser(
         prog="semiref",
         description="Above-barrier reflection and Landau-Zener sweeps.",

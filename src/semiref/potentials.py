@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "PotentialKind",
@@ -26,8 +26,6 @@ __all__ = [
     "v",
     "im_v_inverse",
     "v_on_imaginary_axis",
-    "imaginary_turning_point",
-    "p_limits",
 ]
 
 ArrayLike = Union[float, np.ndarray]
@@ -97,26 +95,6 @@ class PotentialModel:
     def lorentzian(cls, v0: float, a: float) -> "PotentialModel":
         return cls(PotentialKind.LORENTZIAN, v0=v0, a=a)
 
-    @classmethod
-    def from_config(cls, record: dict) -> "PotentialModel":
-        """Build a model from a flat config record {kind, alpha?, v0?, a?}."""
-        kind = PotentialKind(record["kind"])
-        if kind is PotentialKind.INVERSE_HO:
-            return cls(kind, alpha=record.get("alpha"))
-        return cls(kind, v0=record.get("v0"), a=record.get("a"))
-
-    def to_config(self) -> dict:
-        if self.kind is PotentialKind.INVERSE_HO:
-            return {"kind": self.kind.value, "alpha": self.alpha}
-        return {"kind": self.kind.value, "v0": self.v0, "a": self.a}
-
-    @property
-    def well_depth(self) -> float:
-        """Asymptotic depth -V(inf); infinite for the inverse oscillator."""
-        if self.kind is PotentialKind.INVERSE_HO:
-            return math.inf
-        return self.v0
-
     @property
     def curvature_top(self) -> float:
         """-V''(0), the curvature at the top of the barrier."""
@@ -157,10 +135,14 @@ def v(model: PotentialModel, x: ArrayLike) -> ArrayLike:
             t = np.tanh(xs / model.a)
             out = -model.v0 * t * t
         else:
-            x2 = xs * xs
-            out = np.where(
-                np.isinf(x2), -model.v0, -model.v0 * x2 / (x2 + model.a * model.a)
-            )
+            # -v0 * x^2 / (x^2 + a^2) in place, to spare grid-sized
+            # temporaries on long oracle grids; x^2 = inf saturates to -v0.
+            out = np.multiply(xs, xs, out=np.empty_like(xs))
+            den = out + model.a * model.a
+            overflow = np.isinf(out)
+            out *= -model.v0
+            out /= den
+            out[overflow] = -model.v0
     return _ret(out, x)
 
 
@@ -210,70 +192,3 @@ def v_on_imaginary_axis(model: PotentialModel, y: ArrayLike) -> ArrayLike:
     else:
         out = model.v0 * ys * ys / ((model.a - ys) * (model.a + ys))
     return _ret(out, y)
-
-
-def imaginary_turning_point(
-    model: PotentialModel,
-    E: float,
-    consts: PhysicalConstants,
-    tol: float = 1e-12,
-) -> float:
-    """Solve V(i y0) = E for the turning point y0 > 0 by bracketed bisection.
-
-    The root is where the local momentum sqrt(2m(E - V(iy))) vanishes; it
-    does not depend on ``consts``, which is accepted for interface symmetry
-    with the other energy-domain operations.  ``tol`` is relative on energy:
-    the returned y0 satisfies |V(i y0) - E| <= tol * E.
-    """
-    if not E > 0.0:
-        raise DomainError("E must be positive")
-    _positive_finite("tol", tol)
-    pole = model.imag_axis_pole
-    if math.isfinite(pole):
-        hi = pole * (1.0 - 1e-12)
-        if not v_on_imaginary_axis(model, hi) > E:
-            raise ConvergenceError(
-                "E is not reachable below the imaginary-axis pole "
-                "(pathological parameters)"
-            )
-    else:
-        hi = 1.0
-        for _ in range(2200):
-            if v_on_imaginary_axis(model, hi) > E:
-                break
-            hi *= 2.0
-        else:
-            raise ConvergenceError("failed to bracket the turning point")
-    lo = 0.0
-    mid = 0.5 * hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = v_on_imaginary_axis(model, mid)
-        if abs(val - E) <= tol * E:
-            return mid
-        if val < E:
-            lo = mid
-        else:
-            hi = mid
-    raise ConvergenceError(
-        f"turning-point bisection did not reach tol={tol:g} in 200 steps",
-        best=mid,
-    )
-
-
-def p_limits(
-    model: PotentialModel, E: float, consts: PhysicalConstants
-) -> tuple[float, float]:
-    """Classical momentum bounds (p0, p_max) at energy E > 0.
-
-    p0 = sqrt(2 m E) bounds the forbidden zone; p_max = sqrt(2 m (E + V0))
-    is the asymptotic momentum.  The inverse oscillator has no flat tail,
-    so its p_max is unbounded and reported as ``math.inf``.
-    """
-    if not E > 0.0:
-        raise DomainError("E must be positive")
-    p0 = math.sqrt(2.0 * consts.mass * E)
-    depth = model.well_depth
-    if math.isinf(depth):
-        return p0, math.inf
-    return p0, math.sqrt(2.0 * consts.mass * (E + depth))

@@ -34,7 +34,6 @@ from .potentials import (
     PotentialKind,
     PotentialModel,
     im_v_inverse,
-    imaginary_turning_point,
     v_on_imaginary_axis,
 )
 from .specfun import elliptic_e, elliptic_k
@@ -195,18 +194,6 @@ class ForbiddenIntegrand:
     xi_scale: float
     im_of_xi: Callable[[np.ndarray], np.ndarray]
 
-    def im_x_of_p(self, p):
-        """Im x(p) on |p| <= p0; zero on the rim where xi vanishes."""
-        ps = np.asarray(p, dtype=float)
-        xi = self.xi_scale * np.maximum((self.p0 - ps) * (self.p0 + ps), 0.0)
-        out = np.zeros_like(xi)
-        inside = xi > 0.0
-        if np.any(inside):
-            out[inside] = self.im_of_xi(xi[inside])
-        if np.ndim(p) == 0:
-            return float(out)
-        return out
-
 
 def forbidden_zone_integral(
     integrand: ForbiddenIntegrand, spec: QuadratureSpec
@@ -308,23 +295,20 @@ def reflection_contour_ll(
 ) -> ReflectionResult:
     """Reflection probability from the coordinate-space contour integral.
 
-    Finds the imaginary turning point y0 with V(i y0) = E, then evaluates
+    Takes the imaginary turning point y0 with V(i y0) = E in closed form,
+    y0 = Im V^{-1}(E) (``im_v_inverse`` at xi = E), then evaluates
     -(4/hbar) * integral_0^{y0} dy sqrt(2m(E - V(iy))) with y = y0 sin^2(phi)
     absorbing the square-root endpoint behaviour.
     """
     _require_positive_energy(E)
-    try:
-        y0 = imaginary_turning_point(model, E, consts)
-    except ConvergenceError as exc:
-        # The bisection's best value is a coordinate, not a log-probability.
-        raise ConvergenceError(str(exc)) from exc
+    y0 = im_v_inverse(model, E)
     two_m = 2.0 * consts.mass
 
     def f(phi: np.ndarray) -> np.ndarray:
         s = np.sin(phi)
         c = np.cos(phi)
         y = y0 * s * s
-        # Clip sub-ulp overshoot of the bisected turning point.
+        # Near y0, rounding can put V(iy) a few ulps above E; clip to zero.
         ksq = np.maximum(two_m * (E - v_on_imaginary_axis(model, y)), 0.0)
         return 2.0 * y0 * s * c * np.sqrt(ksq)
 

@@ -211,8 +211,9 @@ class TestFlaggedRows:
         assert out.strip().splitlines()[1].split(",")[2] == "nan"
 
     def test_unbisected_turning_point_is_not_a_log_prob(self, capsys):
-        # The bisection cannot meet its energy tolerance here; its best
-        # value is a coordinate and must not surface as log_prob.
+        # The turning point is taken in closed form, not bisected, so this
+        # row carries a log-probability: flagged because the quadrature did
+        # not converge, yet within its err_estimate of the closed form.
         code, out, err = run_cli(
             [
                 "reflect", "--model", "sech2", "--v0", "1e-8", "--a", "1",
@@ -222,7 +223,15 @@ class TestFlaggedRows:
         )
         assert code == EXIT_NUMERICAL
         assert "warning: contour failed" in err
-        assert out.strip().splitlines()[1].split(",")[2:] == ["nan", "nan", "nan"]
+        assert "quadrature did not reach" in err
+        fields = out.strip().splitlines()[1].split(",")
+        log_prob, err_estimate = float(fields[2]), float(fields[4])
+        # sech2: -(2 pi a / hbar) sqrt(2m) E / (sqrt(E + v0) + sqrt(v0))
+        closed = -2.0 * math.pi * math.sqrt(2.0) * 1e6 / (
+            math.sqrt(1e6 + 1e-8) + math.sqrt(1e-8)
+        )
+        assert closed == pytest.approx(-8885.76498774, abs=1e-8)
+        assert abs(log_prob - closed) <= err_estimate
 
 
 class TestLz:

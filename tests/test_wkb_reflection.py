@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -6,18 +7,20 @@ import pytest
 from semiref import (
     ConvergenceError,
     DomainError,
-    ForbiddenIntegrand,
     Method,
     PhysicalConstants,
+    PotentialKind,
     PotentialModel,
     QuadratureSpec,
     ReflectionResult,
     elliptic_e,
     elliptic_k,
+    im_v_inverse,
     low_energy_effective_omega,
     reflection_closed_form,
     reflection_contour_ll,
     reflection_momentum_space,
+    v_on_imaginary_axis,
 )
 
 UNIT = PhysicalConstants()
@@ -53,24 +56,6 @@ class TestResultAndSpec:
     def test_node_counts_strictly_increase(self):
         counts = QuadratureSpec(nodes=8, refinement_levels=4).node_counts()
         assert counts == (8, 16, 32, 64)
-
-
-class TestForbiddenIntegrand:
-    def test_even_and_vanishing_at_rim(self):
-        E, mass = 1.0, 1.0
-        p0 = math.sqrt(2.0 * mass * E)
-        integrand = ForbiddenIntegrand(
-            p0=p0,
-            xi_scale=0.5 / mass,
-            im_of_xi=lambda xi: np.sqrt(2.0 * xi),
-        )
-        ps = np.linspace(0.0, p0, 9)
-        np.testing.assert_allclose(
-            integrand.im_x_of_p(ps), integrand.im_x_of_p(-ps), rtol=0, atol=0
-        )
-        assert integrand.im_x_of_p(p0) == 0.0
-        assert integrand.im_x_of_p(-p0) == 0.0
-        assert integrand.im_x_of_p(0.5 * p0) > 0.0
 
 
 class TestMomentumSpace:
@@ -174,6 +159,40 @@ class TestContour:
     def test_sech2_value(self):
         res = reflection_contour_ll(SECH2, 1.0, UNIT)
         assert res.log_prob == pytest.approx(-3.680604738, rel=1e-9)
+
+    def test_seeded_draws_agree_across_routes(self):
+        # hbar, m, alpha, v0 and a log-uniform over two decades, E over
+        # 1e-3..1e3 of the family's energy scale (hbar*omega or v0).
+        rng = random.Random(20091023)
+
+        def draw(lo, hi):
+            return lo * (hi / lo) ** rng.random()
+
+        checked = 0
+        for _ in range(1000):
+            kind = rng.choice(list(PotentialKind))
+            consts = PhysicalConstants(hbar=draw(0.1, 10.0), mass=draw(0.1, 10.0))
+            if kind is PotentialKind.INVERSE_HO:
+                model = PotentialModel.inverse_ho(draw(0.1, 10.0))
+                scale = consts.hbar * math.sqrt(model.alpha / consts.mass)
+            else:
+                model = PotentialModel(kind, v0=draw(0.1, 10.0), a=draw(0.1, 10.0))
+                scale = model.v0
+            E = scale * draw(1e-3, 1e3)
+            try:
+                closed = reflection_closed_form(model, E, consts).log_prob
+            except DomainError:  # P underflows double precision
+                continue
+            if abs(closed) > 700.0:
+                continue
+            con = reflection_contour_ll(model, E, consts).log_prob
+            mom = reflection_momentum_space(model, E, consts).log_prob
+            assert con == pytest.approx(mom, rel=1e-9)
+            assert con == pytest.approx(closed, rel=1e-9)
+            y0 = im_v_inverse(model, E)
+            assert v_on_imaginary_axis(model, y0) == pytest.approx(E, rel=1e-11)
+            checked += 1
+        assert checked > 800
 
 
 class TestInvariants:
