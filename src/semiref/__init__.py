@@ -36,7 +36,6 @@ from .scattering_oracle import (
 from .specfun import elliptic_e, elliptic_k
 from .wkb_reflection import (
     DEFAULT_QUADRATURE,
-    ForbiddenIntegrand,
     Method,
     QuadratureSpec,
     ReflectionResult,
@@ -67,7 +66,6 @@ __all__ = [
     "ReflectionResult",
     "QuadratureSpec",
     "DEFAULT_QUADRATURE",
-    "ForbiddenIntegrand",
     "forbidden_zone_integral",
     "gauss_refined",
     "reflection_momentum_space",

@@ -37,19 +37,24 @@ EXIT_USAGE = 2
 REFLECT_COLUMNS = ("energy", "method", "log_prob", "prob", "err_estimate")
 LZ_COLUMNS = ("scale", "epsilon", "method", "log_prob", "prob", "err_estimate")
 
-REFLECT_METHODS = ("closed", "contour", "momentum", "numerov")
-LZ_METHODS = ("adiabatic", "closed", "tdse")
-
 
 class UsageError(SemirefError):
     """Bad flags or config file; maps to exit code 2."""
+
+
+# Values of the flags that neither the command line nor a config file set.
+_DEFAULTS = {
+    "hbar": 1.0, "mass": 1.0, "nodes": DEFAULT_QUADRATURE.nodes,
+    "levels": DEFAULT_QUADRATURE.refinement_levels,
+    "rel_tol": DEFAULT_QUADRATURE.rel_tol, "alpha": 1.0, "v0": 1.0, "a": 1.0, "n": 1, "spacing": "linear",
+    "profile": "linear", "esat": 1.0, "tdse_rtol": 1e-10,
+}
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Normalized run description shared by the three subcommands."""
 
-    command: str
     constants: PhysicalConstants
     quadrature: QuadratureSpec
     methods: tuple[str, ...] = ()
@@ -87,106 +92,82 @@ def _validate_grid(cfg: RunConfig) -> None:
         raise UsageError("grid values must be positive")
 
 
-def _failed_row(exc: Exception) -> tuple[float, float, float]:
-    """(log_prob, prob, err) for a flagged row, using the best estimate if any."""
+def _values(res) -> tuple[float, float, float]:
+    return res.log_prob, res.prob, res.err_estimate
+
+
+def _profile(cfg: RunConfig, scale: float) -> lz.CrossingProfile:
+    if cfg.profile_kind == "linear":
+        return lz.CrossingProfile.linear(scale)
+    return lz.CrossingProfile.tanh(scale, cfg.e_sat)
+
+
+def _tdse(cfg: RunConfig, scale: float, epsilon: float) -> tuple[float, float, float]:
+    trans, refl = lz.evolve_tdse(
+        _profile(cfg, scale), lz.CouplingSpec(epsilon), cfg.constants,
+        rel_tol=cfg.tdse_rel_tol,
+    )
+    refl = max(refl, np.finfo(float).tiny)
+    return math.log(refl), refl, abs(trans + refl - 1.0)
+
+
+# Each command's routes, by method name: (cfg, *point) -> (log_prob, prob,
+# err_estimate).  An entry looks its route up when called (a module global
+# or ``lz.<name>``), so a wrapper bound over that name later is what runs.
+REFLECT_METHODS = {
+    "closed": lambda cfg, E: _values(
+        reflection_closed_form(cfg.model, E, cfg.constants)),
+    "contour": lambda cfg, E: _values(
+        reflection_contour_ll(cfg.model, E, cfg.constants, cfg.quadrature)),
+    "momentum": lambda cfg, E: _values(
+        reflection_momentum_space(cfg.model, E, cfg.constants, cfg.quadrature)),
+    "numerov": lambda cfg, E: _values(numerov_reflection(cfg.model, E, cfg.constants)),
+}
+LZ_METHODS = {
+    "adiabatic": lambda cfg, scale, eps: _values(lz.adiabatic_reflection(
+        _profile(cfg, scale), lz.CouplingSpec(eps), cfg.constants, cfg.quadrature)),
+    "closed": lambda cfg, scale, eps: _values(
+        lz.lz_closed_form(scale, lz.CouplingSpec(eps), cfg.constants)),
+    "tdse": _tdse,
+}
+
+
+def _failed_row(exc: SemirefError) -> tuple[float, float, float]:
+    """(log_prob, prob, err) for a flagged row, using the best estimate if any.
+
+    ``prob`` is nan where exp(best) underflows, as on a converged row that
+    underflows.
+    """
     if isinstance(exc, ConvergenceError) and exc.best is not None:
         err = exc.err_estimate if exc.err_estimate is not None else math.nan
-        return exc.best, math.exp(min(exc.best, 0.0)), err
+        prob = math.exp(min(exc.best, 0.0))
+        return exc.best, prob if prob > 0.0 else math.nan, err
     return math.nan, math.nan, math.nan
 
 
-def run_reflect(cfg: RunConfig) -> tuple[list[dict], int]:
-    """One row per (energy, method); failures are flagged, the run continues."""
+def run_rows(
+    cfg: RunConfig, table: dict, labels: tuple[str, ...], points: list[tuple]
+) -> tuple[list[tuple], int]:
+    """One row (*point, method, log_prob, prob, err_estimate) per point and
+    method, in the order of ``points``, then method name.
+
+    A route that raises gives a flagged row and a warning naming the point
+    by ``labels``; the run continues.  Returns the rows and the number
+    flagged.
+    """
     rows = []
     n_failed = 0
-    for energy in _grid(cfg):
-        energy = float(energy)
+    for point in points:
         for method in cfg.methods:
             try:
-                if method == "closed":
-                    res = reflection_closed_form(cfg.model, energy, cfg.constants)
-                elif method == "momentum":
-                    res = reflection_momentum_space(
-                        cfg.model, energy, cfg.constants, cfg.quadrature
-                    )
-                elif method == "contour":
-                    res = reflection_contour_ll(
-                        cfg.model, energy, cfg.constants, cfg.quadrature
-                    )
-                else:
-                    res = numerov_reflection(cfg.model, energy, cfg.constants)
-                log_prob, prob, err = res.log_prob, res.prob, res.err_estimate
-            except (DomainError, ConvergenceError) as exc:
-                log_prob, prob, err = _failed_row(exc)
+                values = table[method](cfg, *point)
+            except SemirefError as exc:
+                values = _failed_row(exc)
                 n_failed += 1
-                print(
-                    f"warning: {method} failed at E={energy:g}: {exc}",
-                    file=sys.stderr,
-                )
-            rows.append(
-                {
-                    "energy": energy,
-                    "method": method,
-                    "log_prob": log_prob,
-                    "prob": prob,
-                    "err_estimate": err,
-                }
-            )
+                where = ", ".join(f"{k}={v:g}" for k, v in zip(labels, point))
+                print(f"warning: {method} failed at {where}: {exc}", file=sys.stderr)
+            rows.append((*point, method, *values))
     return rows, n_failed
-
-
-def run_lz(cfg: RunConfig) -> tuple[list[dict], int]:
-    """Rows over (scale, epsilon) x methods with the same column contract."""
-    rows = []
-    n_failed = 0
-    for scale in _grid(cfg):
-        scale = float(scale)
-        if cfg.profile_kind == "linear":
-            profile = lz.CrossingProfile.linear(scale)
-        else:
-            profile = lz.CrossingProfile.tanh(scale, cfg.e_sat)
-        for epsilon in cfg.epsilons:
-            eps = lz.CouplingSpec(epsilon)
-            for method in cfg.methods:
-                try:
-                    if method == "adiabatic":
-                        res = lz.adiabatic_reflection(
-                            profile, eps, cfg.constants, cfg.quadrature
-                        )
-                        vals = (res.log_prob, res.prob, res.err_estimate)
-                    elif method == "closed":
-                        res = lz.lz_closed_form(scale, eps, cfg.constants)
-                        vals = (res.log_prob, res.prob, res.err_estimate)
-                    else:
-                        trans, refl = lz.evolve_tdse(
-                            profile, eps, cfg.constants, rel_tol=cfg.tdse_rel_tol
-                        )
-                        refl = max(refl, np.finfo(float).tiny)
-                        vals = (math.log(refl), refl, abs(trans + refl - 1.0))
-                except SemirefError as exc:
-                    vals = _failed_row(exc)
-                    n_failed += 1
-                    print(
-                        f"warning: {method} failed at scale={scale:g}, "
-                        f"eps={epsilon:g}: {exc}",
-                        file=sys.stderr,
-                    )
-                rows.append(
-                    {
-                        "scale": scale,
-                        "epsilon": epsilon,
-                        "method": method,
-                        "log_prob": vals[0],
-                        "prob": vals[1],
-                        "err_estimate": vals[2],
-                    }
-                )
-    return rows, n_failed
-
-
-def run_validate(cfg: RunConfig) -> tuple[list[validate_mod.CheckResult], bool]:
-    results = validate_mod.run_all(consts=cfg.constants, quad=cfg.quadrature)
-    return results, all(r.passed for r in results)
 
 
 def _fmt(value) -> str:
@@ -197,24 +178,18 @@ def _fmt(value) -> str:
     return format(value, ".12g")
 
 
-def rows_to_csv(rows: list[dict], columns: tuple[str, ...]) -> str:
+def rows_to_csv(rows: list[tuple], columns: tuple[str, ...]) -> str:
     lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
+    lines += [",".join(map(_fmt, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def rows_to_json(rows: list[dict], columns: tuple[str, ...]) -> str:
-    payload = []
-    for row in rows:
-        item = {}
-        for c in columns:
-            value = row[c]
-            # Strict JSON has no nan/inf; flagged fields become null.
-            if isinstance(value, float) and not math.isfinite(value):
-                value = None
-            item[c] = value
-        payload.append(item)
+def rows_to_json(rows: list[tuple], columns: tuple[str, ...]) -> str:
+    def cell(value):
+        # Strict JSON has no nan/inf; flagged fields become null.
+        return None if isinstance(value, float) and not math.isfinite(value) else value
+
+    payload = [{c: cell(value) for c, value in zip(columns, row)} for row in rows]
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -260,190 +235,145 @@ def parse_flat_config(text: str) -> dict:
     return record
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return parse_flat_config(handle.read())
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from exc
+@functools.lru_cache(maxsize=None)
+def _config_keys() -> frozenset[str]:
+    """The flag dests of every subcommand: the keys a config file may set."""
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return frozenset(k for p in sub.choices.values() for k in vars(p.parse_args([])))
 
 
-def _pick(args_value, file_cfg: dict, key: str, default):
-    if args_value is not None:
-        return args_value
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
+def _merge_config_file(args) -> None:
+    """Fill each unset flag of ``args`` from the config file, else ``_DEFAULTS``.
+
+    A flag beats the file and the file beats the default.  A file key that
+    names no flag of any subcommand is a usage error, so one file can serve
+    every subcommand but a typo cannot pass silently.
+    """
+    record = {}
+    if args.config is not None:
+        try:
+            with open(args.config, "r", encoding="utf-8") as handle:
+                record = parse_flat_config(handle.read())
+        except OSError as exc:
+            raise UsageError(f"cannot read config file: {exc}") from exc
+        unknown = sorted(set(record) - _config_keys())
+        if unknown:
+            raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
+    for key, value in {**_DEFAULTS, **record}.items():
+        if getattr(args, key, None) is None:
+            setattr(args, key, value)
 
 
-def _parse_methods(raw, allowed: tuple[str, ...]) -> tuple[str, ...]:
-    if raw is None or str(raw).strip() == "":
-        raise UsageError("at least one method must be requested")
-    tokens = [tok.strip() for tok in str(raw).split(",") if tok.strip()]
+def _parse_methods(raw, table: dict) -> tuple[str, ...]:
+    text = "" if raw is None else str(raw)
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not tokens:
         raise UsageError("at least one method must be requested")
     for tok in tokens:
-        if tok not in allowed:
-            raise UsageError(f"unknown method {tok!r}; choose from {allowed}")
+        if tok not in table:
+            raise UsageError(f"unknown method {tok!r}; choose from {tuple(table)}")
     return tuple(sorted(set(tokens)))
 
 
-def _constants(args, file_cfg) -> PhysicalConstants:
-    hbar = float(_pick(getattr(args, "hbar", None), file_cfg, "hbar", 1.0))
-    mass = float(_pick(getattr(args, "mass", None), file_cfg, "mass", 1.0))
+def _run_config(args, **fields) -> RunConfig:
+    """RunConfig of the shared constants and quadrature plus ``fields``.
+
+    ``reflect`` and ``lz`` pass their grid as ``fields`` and also get an
+    output format and a checked grid; ``validate`` writes no rows, so a
+    shared config file's ``format``/``out`` cannot fail it.
+    """
+    if fields:
+        fmt = args.format
+        if fmt is None:
+            fmt = "json" if (args.out or "").endswith(".json") else "csv"
+        if fmt not in ("csv", "json"):
+            raise UsageError(f"unknown output format {fmt!r}")
+        fields.update(out_format=fmt, output_path=args.out)
     try:
-        return PhysicalConstants(hbar=hbar, mass=mass)
+        cfg = RunConfig(
+            constants=PhysicalConstants(hbar=float(args.hbar), mass=float(args.mass)),
+            quadrature=QuadratureSpec(
+                nodes=int(args.nodes),
+                refinement_levels=int(args.levels),
+                rel_tol=float(args.rel_tol),
+            ),
+            **fields,
+        )
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
-
-
-def _quadrature(args, file_cfg) -> QuadratureSpec:
-    nodes = int(_pick(args.nodes, file_cfg, "nodes", DEFAULT_QUADRATURE.nodes))
-    levels = int(
-        _pick(args.levels, file_cfg, "levels", DEFAULT_QUADRATURE.refinement_levels)
-    )
-    rel_tol = float(
-        _pick(args.rel_tol, file_cfg, "rel_tol", DEFAULT_QUADRATURE.rel_tol)
-    )
-    try:
-        return QuadratureSpec(nodes=nodes, refinement_levels=levels, rel_tol=rel_tol)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _out_format(args, file_cfg) -> tuple[str, str | None]:
-    path = _pick(args.out, file_cfg, "out", None)
-    fmt = _pick(args.format, file_cfg, "format", None)
-    if fmt is None:
-        fmt = "json" if (path or "").endswith(".json") else "csv"
-    if fmt not in ("csv", "json"):
-        raise UsageError(f"unknown output format {fmt!r}")
-    return fmt, path
-
-
-def _build_reflect_config(args) -> RunConfig:
-    file_cfg = _load_config_file(args.config)
-    model_name = _pick(args.model, file_cfg, "model", None)
-    if model_name is None:
-        raise UsageError("a model is required (--model or config file)")
-    try:
-        kind = PotentialKind(str(model_name))
-    except ValueError as exc:
-        raise UsageError(f"unknown model {model_name!r}") from exc
-    try:
-        if kind is PotentialKind.INVERSE_HO:
-            model = PotentialModel.inverse_ho(
-                float(_pick(args.alpha, file_cfg, "alpha", 1.0))
-            )
-        else:
-            model = PotentialModel(
-                kind,
-                v0=float(_pick(args.v0, file_cfg, "v0", 1.0)),
-                a=float(_pick(args.a, file_cfg, "a", 1.0)),
-            )
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
-
-    methods = _parse_methods(
-        _pick(args.methods, file_cfg, "methods", None), REFLECT_METHODS
-    )
-    if "numerov" in methods and kind is PotentialKind.INVERSE_HO:
-        raise UsageError("the numerov oracle rejects inverse_ho (no flat tail)")
-
-    emin = _pick(args.emin, file_cfg, "emin", None)
-    if emin is None:
-        raise UsageError("an energy grid is required (--emin)")
-    emin = float(emin)
-    emax = float(_pick(args.emax, file_cfg, "emax", emin))
-    count = int(_pick(args.n, file_cfg, "n", 1))
-    fmt, path = _out_format(args, file_cfg)
-    cfg = RunConfig(
-        command="reflect",
-        constants=_constants(args, file_cfg),
-        quadrature=_quadrature(args, file_cfg),
-        methods=methods,
-        grid_min=emin,
-        grid_max=emax,
-        grid_count=count,
-        spacing=str(_pick(args.spacing, file_cfg, "spacing", "linear")),
-        model=model,
-        out_format=fmt,
-        output_path=path,
-    )
-    _validate_grid(cfg)
+    if fields:
+        _validate_grid(cfg)
     return cfg
 
 
+def _build_reflect_config(args) -> RunConfig:
+    if args.model is None:
+        raise UsageError("a model is required (--model or config file)")
+    try:
+        kind = PotentialKind(str(args.model))
+    except ValueError as exc:
+        raise UsageError(f"unknown model {args.model!r}") from exc
+    try:
+        if kind is PotentialKind.INVERSE_HO:
+            model = PotentialModel.inverse_ho(float(args.alpha))
+        else:
+            model = PotentialModel(kind, v0=float(args.v0), a=float(args.a))
+    except DomainError as exc:
+        raise UsageError(str(exc)) from exc
+
+    methods = _parse_methods(args.methods, REFLECT_METHODS)
+    if "numerov" in methods and kind is PotentialKind.INVERSE_HO:
+        raise UsageError("the numerov oracle rejects inverse_ho (no flat tail)")
+
+    if args.emin is None:
+        raise UsageError("an energy grid is required (--emin)")
+    emin = float(args.emin)
+    emax = float(args.emax if args.emax is not None else emin)
+    return _run_config(args, methods=methods, grid_min=emin, grid_max=emax,
+                       grid_count=int(args.n), spacing=str(args.spacing), model=model)
+
+
 def _build_lz_config(args) -> RunConfig:
-    file_cfg = _load_config_file(args.config)
-    profile_kind = str(_pick(args.profile, file_cfg, "profile", "linear"))
+    profile_kind = str(args.profile)
     if profile_kind not in ("linear", "tanh"):
         raise UsageError(f"unknown profile {profile_kind!r}")
-    methods = _parse_methods(_pick(args.methods, file_cfg, "methods", None), LZ_METHODS)
+    methods = _parse_methods(args.methods, LZ_METHODS)
     if "closed" in methods and profile_kind != "linear":
         raise UsageError("the closed form applies to the linear profile only")
 
-    single = _pick(args.T, file_cfg, "T", None)
-    if single is None:
-        single = _pick(args.tau, file_cfg, "tau", None)
-    smin = _pick(args.scale_min, file_cfg, "scale_min", None)
-    if smin is None:
+    single = args.T if args.T is not None else args.tau
+    if args.scale_min is None:
         if single is None:
             raise UsageError("a sweep scale is required (--T/--tau or --scale-min)")
         smin, smax, count = float(single), float(single), 1
     else:
-        smin = float(smin)
-        smax = float(_pick(args.scale_max, file_cfg, "scale_max", smin))
-        count = int(_pick(args.n, file_cfg, "n", 1))
+        smin = float(args.scale_min)
+        smax = float(args.scale_max if args.scale_max is not None else smin)
+        count = int(args.n)
 
-    eps_raw = _pick(args.eps, file_cfg, "eps", None)
-    if eps_raw is None:
+    if args.eps is None:
         raise UsageError("a coupling is required (--eps)")
     try:
-        epsilons = tuple(float(tok) for tok in str(eps_raw).split(",") if tok.strip())
+        epsilons = tuple(float(tok) for tok in str(args.eps).split(",") if tok.strip())
     except ValueError as exc:
-        raise UsageError(f"bad --eps value {eps_raw!r}") from exc
+        raise UsageError(f"bad --eps value {args.eps!r}") from exc
     if not epsilons or not all(e > 0.0 for e in epsilons):
         raise UsageError("couplings must be positive")
 
     e_sat = None
     if profile_kind == "tanh":
-        e_sat = float(_pick(args.esat, file_cfg, "esat", 1.0))
+        e_sat = float(args.esat)
         if not e_sat > 0.0:
             raise UsageError("esat must be positive")
         if any(e >= e_sat for e in epsilons):
             raise UsageError("tanh profile requires eps < esat for every coupling")
 
-    fmt, path = _out_format(args, file_cfg)
-    cfg = RunConfig(
-        command="lz",
-        constants=_constants(args, file_cfg),
-        quadrature=_quadrature(args, file_cfg),
-        methods=methods,
-        grid_min=smin,
-        grid_max=smax,
-        grid_count=count,
-        spacing=str(_pick(args.spacing, file_cfg, "spacing", "linear")),
-        profile_kind=profile_kind,
-        e_sat=e_sat,
-        epsilons=epsilons,
-        tdse_rel_tol=float(_pick(args.tdse_rtol, file_cfg, "tdse_rtol", 1e-10)),
-        out_format=fmt,
-        output_path=path,
-    )
-    _validate_grid(cfg)
-    return cfg
-
-
-def _build_validate_config(args) -> RunConfig:
-    file_cfg = _load_config_file(args.config)
-    return RunConfig(
-        command="validate",
-        constants=_constants(args, file_cfg),
-        quadrature=_quadrature(args, file_cfg),
-    )
+    return _run_config(args, methods=methods, grid_min=smin, grid_max=smax,
+                       grid_count=count, spacing=str(args.spacing),
+                       profile_kind=profile_kind, e_sat=e_sat, epsilons=epsilons,
+                       tdse_rel_tol=float(args.tdse_rtol))
 
 
 def _add_common(parser) -> None:
@@ -474,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     reflect.add_argument("--emax", type=float, help="highest energy")
     reflect.add_argument("--n", type=int, help="grid point count")
     reflect.add_argument("--spacing", choices=["linear", "log"])
-    reflect.add_argument("--methods", help="comma list: closed,momentum,contour,numerov")
+    reflect.add_argument("--methods", help=f"comma list: {','.join(REFLECT_METHODS)}")
     reflect.add_argument("--out", help="output path (stdout if omitted)")
     reflect.add_argument("--format", choices=["csv", "json"])
     _add_common(reflect)
@@ -489,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     lz_cmd.add_argument("--scale-max", dest="scale_max", type=float)
     lz_cmd.add_argument("--n", type=int, help="scale grid count")
     lz_cmd.add_argument("--spacing", choices=["linear", "log"])
-    lz_cmd.add_argument("--methods", help="comma list: adiabatic,closed,tdse")
+    lz_cmd.add_argument("--methods", help=f"comma list: {','.join(LZ_METHODS)}")
     lz_cmd.add_argument("--tdse-rtol", dest="tdse_rtol", type=float,
                         help="TDSE oracle tolerance (default 1e-10)")
     lz_cmd.add_argument("--out", help="output path (stdout if omitted)")
@@ -508,26 +438,28 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
+        _merge_config_file(args)
+        if args.command == "validate":
+            cfg = _run_config(args)
+            results = validate_mod.run_all(consts=cfg.constants, quad=cfg.quadrature)
+            for res in results:
+                status = "PASS" if res.passed else "FAIL"
+                print(f"{status} {res.name}: {res.detail}")
+            n_failed = sum(not r.passed for r in results)
+            print(f"{len(results) - n_failed}/{len(results)} checks passed")
+            return EXIT_NUMERICAL if n_failed else EXIT_OK
         if args.command == "reflect":
             cfg = _build_reflect_config(args)
-            rows, n_failed = run_reflect(cfg)
-            writer = rows_to_json if cfg.out_format == "json" else rows_to_csv
-            _write_output(writer(rows, REFLECT_COLUMNS), cfg.output_path)
-            return EXIT_NUMERICAL if n_failed else EXIT_OK
-        if args.command == "lz":
+            table, labels, columns = REFLECT_METHODS, ("E",), REFLECT_COLUMNS
+            points = [(float(E),) for E in _grid(cfg)]
+        else:
             cfg = _build_lz_config(args)
-            rows, n_failed = run_lz(cfg)
-            writer = rows_to_json if cfg.out_format == "json" else rows_to_csv
-            _write_output(writer(rows, LZ_COLUMNS), cfg.output_path)
-            return EXIT_NUMERICAL if n_failed else EXIT_OK
-        cfg = _build_validate_config(args)
-        results, all_passed = run_validate(cfg)
-        for res in results:
-            status = "PASS" if res.passed else "FAIL"
-            print(f"{status} {res.name}: {res.detail}")
-        n_failed = sum(not r.passed for r in results)
-        print(f"{len(results) - n_failed}/{len(results)} checks passed")
-        return EXIT_OK if all_passed else EXIT_NUMERICAL
+            table, labels, columns = LZ_METHODS, ("scale", "eps"), LZ_COLUMNS
+            points = [(float(s), eps) for s in _grid(cfg) for eps in cfg.epsilons]
+        rows, n_failed = run_rows(cfg, table, labels, points)
+        writer = rows_to_json if cfg.out_format == "json" else rows_to_csv
+        _write_output(writer(rows, columns), cfg.output_path)
+        return EXIT_NUMERICAL if n_failed else EXIT_OK
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

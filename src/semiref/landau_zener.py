@@ -31,7 +31,6 @@ from .errors import ConvergenceError, DomainError, NormDriftError
 from .potentials import PhysicalConstants, _positive_finite
 from .wkb_reflection import (
     DEFAULT_QUADRATURE,
-    ForbiddenIntegrand,
     Method,
     QuadratureSpec,
     ReflectionResult,
@@ -197,13 +196,11 @@ def adiabatic_reflection(
     """
     _check_tanh_coupling(profile, eps)
     epsilon = eps.epsilon
-    integrand = ForbiddenIntegrand(
-        p0=epsilon,
-        xi_scale=1.0,
-        im_of_xi=lambda xi: profile.im_inverse(np.sqrt(xi)),
-    )
     log_prob, err = _scaled_log_integral(
-        lambda: forbidden_zone_integral(integrand, quad), 2.0 / consts.hbar
+        lambda: forbidden_zone_integral(
+            epsilon, 1.0, lambda xi: profile.im_inverse(np.sqrt(xi)), quad
+        ),
+        2.0 / consts.hbar,
     )
     return ReflectionResult.from_log(
         epsilon * epsilon, log_prob, Method.ADIABATIC, err

@@ -43,7 +43,6 @@ __all__ = [
     "ReflectionResult",
     "QuadratureSpec",
     "DEFAULT_QUADRATURE",
-    "ForbiddenIntegrand",
     "forbidden_zone_integral",
     "gauss_refined",
     "reflection_momentum_space",
@@ -181,36 +180,24 @@ def gauss_refined(
     )
 
 
-@dataclass(frozen=True)
-class ForbiddenIntegrand:
-    """Forbidden-zone integrand data shared by the tunneling integrals.
-
-    ``im_of_xi`` maps the positive forbidden-zone argument
-    xi(p) = xi_scale * (p0^2 - p^2) to Im of the inverse profile there.
-    The resulting Im x(p) is even in p and vanishes at |p| = p0.
-    """
-
-    p0: float
-    xi_scale: float
-    im_of_xi: Callable[[np.ndarray], np.ndarray]
-
-
 def forbidden_zone_integral(
-    integrand: ForbiddenIntegrand, spec: QuadratureSpec
+    p0: float,
+    xi_scale: float,
+    im_of_xi: Callable[[np.ndarray], np.ndarray],
+    spec: QuadratureSpec,
 ) -> tuple[float, float]:
     """integral_{-p0}^{p0} Im x(p) dp via the substitution p = p0 sin(theta).
 
-    The substitution turns the square-root rim behaviour into an analytic
-    function of theta; xi is formed from cos(theta) directly so the rim
-    never suffers cancellation.
+    ``im_of_xi`` maps the positive forbidden-zone argument
+    xi(p) = xi_scale * (p0^2 - p^2) to Im of the inverse profile there, so
+    Im x(p) is even in p and vanishes at |p| = p0.  The substitution turns
+    the square-root rim behaviour into an analytic function of theta; xi is
+    formed from cos(theta) directly so the rim never suffers cancellation.
     """
-    p0 = integrand.p0
-    scale = integrand.xi_scale
-    im_of_xi = integrand.im_of_xi
 
     def f(theta: np.ndarray) -> np.ndarray:
         c = np.cos(theta)
-        xi = scale * (p0 * c) ** 2
+        xi = xi_scale * (p0 * c) ** 2
         return p0 * c * im_of_xi(xi)
 
     return gauss_refined(f, -0.5 * math.pi, 0.5 * math.pi, spec)
@@ -246,13 +233,11 @@ def reflection_momentum_space(
     """
     _require_positive_energy(E)
     p0 = math.sqrt(2.0 * consts.mass * E)
-    integrand = ForbiddenIntegrand(
-        p0=p0,
-        xi_scale=0.5 / consts.mass,
-        im_of_xi=lambda xi: im_v_inverse(model, xi),
-    )
     log_prob, err = _scaled_log_integral(
-        lambda: forbidden_zone_integral(integrand, quad), 2.0 / consts.hbar
+        lambda: forbidden_zone_integral(
+            p0, 0.5 / consts.mass, lambda xi: im_v_inverse(model, xi), quad
+        ),
+        2.0 / consts.hbar,
     )
     return ReflectionResult.from_log(E, log_prob, Method.MOMENTUM_QUADRATURE, err)
 
@@ -282,7 +267,12 @@ def reflection_closed_form(
     else:
         gamma = model.v0 / E
         m_ell = E / (E + model.v0)
-        bracket = (1.0 + gamma) * elliptic_e(m_ell) - gamma * elliptic_k(m_ell)
+        if m_ell == 1.0:
+            # E/V0 past ~2^53 rounds m to 1, where K diverges; there
+            # g < 2^-53, so g K(m) < 3e-15 and the bracket is 1 to rounding.
+            bracket = 1.0
+        else:
+            bracket = (1.0 + gamma) * elliptic_e(m_ell) - gamma * elliptic_k(m_ell)
         log_prob = -(4.0 * model.a / hbar) * math.sqrt(2.0 * mass * E * m_ell) * bracket
     return ReflectionResult.from_log(E, log_prob, Method.CLOSED_FORM)
 

@@ -234,6 +234,42 @@ class TestFlaggedRows:
         assert abs(log_prob - closed) <= err_estimate
 
 
+    def test_underflowed_prob_has_one_spelling(self, tmp_path, capsys):
+        # Both rows underflow exp(log_prob): the converged closed form fails
+        # in ReflectionResult, the contour keeps its best log_prob.
+        args = [
+            "reflect", "--model", "sech2", "--v0", "1e-8", "--a", "1",
+            "--emin", "1e6", "--methods", "closed,contour",
+        ]
+        code, out, _ = run_cli(args, capsys)
+        assert code == EXIT_NUMERICAL
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [row[3] for row in rows] == ["nan", "nan"]
+        assert rows[1][1:3] == ["contour", "-8885.76492477"]
+        out_path = tmp_path / "rows.json"
+        assert main(args + ["--out", str(out_path)]) == EXIT_NUMERICAL
+        capsys.readouterr()
+        rows = json.loads(out_path.read_text())
+        assert [row["prob"] for row in rows] == [None, None]
+        assert rows[1]["log_prob"] == pytest.approx(-8885.76492477, abs=1e-8)
+
+    def test_lorentzian_closed_row_where_elliptic_parameter_is_one(self, capsys):
+        code, out, err = run_cli(
+            [
+                "reflect", "--model", "lorentzian", "--v0", "1e-20", "--a", "1",
+                "--emin", "10", "--methods", "closed,contour,momentum",
+            ],
+            capsys,
+        )
+        assert code == EXIT_OK, err
+        logs = {
+            row[1]: float(row[2])
+            for row in (line.split(",") for line in out.strip().splitlines()[1:])
+        }
+        assert logs["closed"] == pytest.approx(logs["momentum"], rel=1e-12)
+        assert logs["closed"] == pytest.approx(-17.88854382, abs=1e-8)
+
+
 class TestLz:
     def test_linear_closed_form_grid(self, capsys):
         code, out, _ = run_cli(
@@ -293,6 +329,22 @@ class TestLz:
         key = [(float(r[0]), float(r[1]), r[2]) for r in rows]
         assert key == sorted(key)
         assert len(rows) == 8
+
+    def test_flagged_row_keeps_best_estimate(self, capsys):
+        code, out, err = run_cli(
+            [
+                "lz", "--profile", "linear", "--T", "2", "--eps", "1",
+                "--methods", "adiabatic", "--nodes", "8", "--levels", "1",
+            ],
+            capsys,
+        )
+        assert code == EXIT_NUMERICAL
+        assert "warning: adiabatic failed at scale=2, eps=1: quadrature" in err
+        fields = out.strip().splitlines()[1].split(",")
+        assert fields[:3] == ["2", "1", "adiabatic"]
+        # best one-level estimate of the Landau-Zener exponent -pi T eps^2
+        assert float(fields[3]) == pytest.approx(-2.0 * math.pi, abs=1e-6)
+        assert fields[5] == "inf"
 
     def test_tanh_strong_coupling_rejected(self, capsys):
         code, _, err = run_cli(
@@ -362,6 +414,27 @@ class TestConfigFile:
             -2 * math.pi, rel=1e-10
         )
 
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.toml"
+        cfg.write_text('model = "sech2"\nv00 = 5\nemin = 1\nmethods = "closed"\n')
+        code, out, err = run_cli(["reflect", "--config", str(cfg)], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "v00" in err
+
+    def test_readme_config_drives_reflect_and_validate(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```toml\n", 1)[1].split("```", 1)[0]
+        assert "methods" in block
+        cfg = tmp_path / "run.toml"
+        cfg.write_text(block)
+        code, out, _ = run_cli(["reflect", "--config", str(cfg)], capsys)
+        assert code == EXIT_OK
+        assert out.startswith("energy,method,log_prob,prob,err_estimate\n")
+        code, out, _ = run_cli(["validate", "--config", str(cfg)], capsys)
+        assert code == EXIT_OK
+        assert "FAIL" not in out
+
     def test_missing_config_file(self, capsys):
         code, _, _ = run_cli(["reflect", "--config", "/nonexistent.toml"], capsys)
         assert code == EXIT_USAGE
@@ -383,6 +456,45 @@ class TestValidate:
         code, out, _ = run_cli(["validate", "--hbar", "0.5"], capsys)
         assert code == EXIT_OK
         assert "PASS hbar_scaling" in out
+
+
+def test_routes_are_looked_up_when_called(monkeypatch, capsys):
+    # Wrappers bound over a route's module attribute after import (as a
+    # tracer does) must be the ones the method tables call.
+    import semiref.cli
+    import semiref.landau_zener
+
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in (
+        (semiref.cli, "reflection_momentum_space"),
+        (semiref.landau_zener, "evolve_tdse"),
+    ):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    code, _, _ = run_cli(
+        [
+            "reflect", "--model", "sech2", "--emin", "0.5", "--emax", "1",
+            "--n", "2", "--methods", "momentum",
+        ],
+        capsys,
+    )
+    assert code == EXIT_OK
+    code, _, _ = run_cli(
+        [
+            "lz", "--profile", "linear", "--T", "1", "--eps", "1",
+            "--methods", "tdse", "--tdse-rtol", "1e-6",
+        ],
+        capsys,
+    )
+    assert code == EXIT_OK
+    assert calls == {"reflection_momentum_space": 2, "evolve_tdse": 1}
 
 
 def test_module_entry_point_smoke(tmp_path):

@@ -127,6 +127,17 @@ class TestClosedForm:
         assert closed.log_prob == pytest.approx(LOR_UNIT_LOG, rel=1e-12)
         assert quad_res.log_prob == pytest.approx(closed.log_prob, rel=1e-10)
 
+    @pytest.mark.parametrize("v0", [1e-16, 1e-17, 1e-20])
+    def test_lorentzian_where_the_elliptic_parameter_rounds_to_one(self, v0):
+        # E/v0 >= 1e17 rounds m = E/(E+v0) to 1, where K diverges; the
+        # bracket's m -> 1 limit is 1, i.e. -(4a/hbar) sqrt(2mE).
+        model = PotentialModel.lorentzian(v0, 1.0)
+        assert 10.0 / (10.0 + v0) == 1.0
+        closed = reflection_closed_form(model, 10.0, UNIT)
+        quad_res = reflection_momentum_space(model, 10.0, UNIT)
+        assert closed.log_prob == pytest.approx(quad_res.log_prob, rel=1e-12)
+        assert closed.log_prob == pytest.approx(-4.0 * math.sqrt(20.0), rel=1e-15)
+
     def test_lorentzian_alternate_convention_fails(self):
         # Treating the elliptic argument as the modulus instead of the
         # parameter shifts the result by tens of percent.
