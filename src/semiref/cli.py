@@ -42,33 +42,45 @@ class UsageError(SemirefError):
     """Bad flags or config file; maps to exit code 2."""
 
 
-# Values of the flags that neither the command line nor a config file set.
-_DEFAULTS = {
-    "hbar": 1.0, "mass": 1.0, "nodes": DEFAULT_QUADRATURE.nodes,
-    "levels": DEFAULT_QUADRATURE.refinement_levels,
-    "rel_tol": DEFAULT_QUADRATURE.rel_tol, "alpha": 1.0, "v0": 1.0, "a": 1.0, "n": 1, "spacing": "linear",
-    "profile": "linear", "esat": 1.0, "tdse_rtol": 1e-10,
-}
+def _positive(text: str) -> float:
+    """A positive, finite float: the type of every real-valued input."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise ValueError(text)
+    return value
+
+
+def _positive_list(text: str) -> tuple[float, ...]:
+    """A comma list of one or more positive, finite floats (``--eps``)."""
+    values = tuple(_positive(tok) for tok in text.split(",") if tok.strip())
+    if not values:
+        raise ValueError(text)
+    return values
+
+
+# argparse names the type in its message: "invalid positive finite value".
+_positive.__name__ = "positive finite"
+_positive_list.__name__ = "positive finite list"
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Normalized run description shared by the three subcommands."""
+    """Normalized run description shared by ``reflect`` and ``lz``."""
 
     constants: PhysicalConstants
     quadrature: QuadratureSpec
-    methods: tuple[str, ...] = ()
-    grid_min: float = 1.0
-    grid_max: float = 1.0
-    grid_count: int = 1
-    spacing: str = "linear"
+    methods: tuple[str, ...]
+    grid_min: float
+    grid_max: float
+    grid_count: int
+    spacing: str
+    out_format: str
+    output_path: str | None
     model: PotentialModel | None = None
     profile_kind: str | None = None
     e_sat: float | None = None
     epsilons: tuple[float, ...] = ()
-    tdse_rel_tol: float = 1e-10
-    out_format: str = "csv"
-    output_path: str | None = None
+    tdse_rel_tol: float | None = None
 
 
 def _grid(cfg: RunConfig) -> np.ndarray:
@@ -84,12 +96,6 @@ def _validate_grid(cfg: RunConfig) -> None:
         raise UsageError("grid count must be >= 1")
     if cfg.grid_count > 1 and not cfg.grid_min < cfg.grid_max:
         raise UsageError("grid needs min < max when count > 1")
-    if cfg.spacing not in ("linear", "log"):
-        raise UsageError(f"unknown spacing {cfg.spacing!r}")
-    if cfg.spacing == "log" and not cfg.grid_min > 0.0:
-        raise UsageError("log spacing needs a positive grid minimum")
-    if not cfg.grid_min > 0.0:
-        raise UsageError("grid values must be positive")
 
 
 def _values(res) -> tuple[float, float, float]:
@@ -235,40 +241,34 @@ def parse_flat_config(text: str) -> dict:
     return record
 
 
-@functools.lru_cache(maxsize=None)
-def _config_keys() -> frozenset[str]:
-    """The flag dests of every subcommand: the keys a config file may set."""
+def _config_tokens(path: str, command: str) -> list[str]:
+    """The records of config file ``path`` as ``--flag=value`` tokens of ``command``.
+
+    A key is the dest of a flag.  A key that names no flag of any subcommand
+    is a usage error, so one file can serve every subcommand but a typo
+    cannot pass silently; keys of the other subcommands are skipped.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            record = parse_flat_config(handle.read())
+    except OSError as exc:
+        raise UsageError(f"cannot read config file: {exc}") from exc
     sub = next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
-    return frozenset(k for p in sub.choices.values() for k in vars(p.parse_args([])))
+    flags = {
+        name: {a.dest: a.option_strings[-1] for a in p._actions if a.dest != "help"}
+        for name, p in sub.choices.items()
+    }
+    unknown = sorted(set(record).difference(*flags.values()))
+    if unknown:
+        raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
+    own = flags[command]
+    return [f"{own[key]}={value}" for key, value in record.items() if key in own]
 
 
-def _merge_config_file(args) -> None:
-    """Fill each unset flag of ``args`` from the config file, else ``_DEFAULTS``.
-
-    A flag beats the file and the file beats the default.  A file key that
-    names no flag of any subcommand is a usage error, so one file can serve
-    every subcommand but a typo cannot pass silently.
-    """
-    record = {}
-    if args.config is not None:
-        try:
-            with open(args.config, "r", encoding="utf-8") as handle:
-                record = parse_flat_config(handle.read())
-        except OSError as exc:
-            raise UsageError(f"cannot read config file: {exc}") from exc
-        unknown = sorted(set(record) - _config_keys())
-        if unknown:
-            raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
-    for key, value in {**_DEFAULTS, **record}.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
-
-
-def _parse_methods(raw, table: dict) -> tuple[str, ...]:
-    text = "" if raw is None else str(raw)
-    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+def _parse_methods(raw: str | None, table: dict) -> tuple[str, ...]:
+    tokens = [tok.strip() for tok in (raw or "").split(",") if tok.strip()]
     if not tokens:
         raise UsageError("at least one method must be requested")
     for tok in tokens:
@@ -277,49 +277,37 @@ def _parse_methods(raw, table: dict) -> tuple[str, ...]:
     return tuple(sorted(set(tokens)))
 
 
-def _run_config(args, **fields) -> RunConfig:
-    """RunConfig of the shared constants and quadrature plus ``fields``.
-
-    ``reflect`` and ``lz`` pass their grid as ``fields`` and also get an
-    output format and a checked grid; ``validate`` writes no rows, so a
-    shared config file's ``format``/``out`` cannot fail it.
-    """
-    if fields:
-        fmt = args.format
-        if fmt is None:
-            fmt = "json" if (args.out or "").endswith(".json") else "csv"
-        if fmt not in ("csv", "json"):
-            raise UsageError(f"unknown output format {fmt!r}")
-        fields.update(out_format=fmt, output_path=args.out)
+def _constants_and_quadrature(args) -> tuple[PhysicalConstants, QuadratureSpec]:
     try:
-        cfg = RunConfig(
-            constants=PhysicalConstants(hbar=float(args.hbar), mass=float(args.mass)),
-            quadrature=QuadratureSpec(
-                nodes=int(args.nodes),
-                refinement_levels=int(args.levels),
-                rel_tol=float(args.rel_tol),
+        return (
+            PhysicalConstants(hbar=args.hbar, mass=args.mass),
+            QuadratureSpec(
+                nodes=args.nodes, refinement_levels=args.levels, rel_tol=args.rel_tol
             ),
-            **fields,
         )
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
-    if fields:
-        _validate_grid(cfg)
+
+
+def _run_config(args, **fields) -> RunConfig:
+    """RunConfig of the shared inputs, the output and ``fields``, its grid checked."""
+    fmt = args.format or ("json" if (args.out or "").endswith(".json") else "csv")
+    constants, quadrature = _constants_and_quadrature(args)
+    cfg = RunConfig(constants, quadrature, out_format=fmt, output_path=args.out,
+                    spacing=args.spacing, **fields)
+    _validate_grid(cfg)
     return cfg
 
 
 def _build_reflect_config(args) -> RunConfig:
     if args.model is None:
         raise UsageError("a model is required (--model or config file)")
-    try:
-        kind = PotentialKind(str(args.model))
-    except ValueError as exc:
-        raise UsageError(f"unknown model {args.model!r}") from exc
+    kind = PotentialKind(args.model)
     try:
         if kind is PotentialKind.INVERSE_HO:
-            model = PotentialModel.inverse_ho(float(args.alpha))
+            model = PotentialModel.inverse_ho(args.alpha)
         else:
-            model = PotentialModel(kind, v0=float(args.v0), a=float(args.a))
+            model = PotentialModel(kind, v0=args.v0, a=args.a)
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -329,61 +317,55 @@ def _build_reflect_config(args) -> RunConfig:
 
     if args.emin is None:
         raise UsageError("an energy grid is required (--emin)")
-    emin = float(args.emin)
-    emax = float(args.emax if args.emax is not None else emin)
-    return _run_config(args, methods=methods, grid_min=emin, grid_max=emax,
-                       grid_count=int(args.n), spacing=str(args.spacing), model=model)
+    return _run_config(args, methods=methods, grid_min=args.emin,
+                       grid_max=args.emax or args.emin, grid_count=args.n, model=model)
 
 
 def _build_lz_config(args) -> RunConfig:
-    profile_kind = str(args.profile)
-    if profile_kind not in ("linear", "tanh"):
-        raise UsageError(f"unknown profile {profile_kind!r}")
     methods = _parse_methods(args.methods, LZ_METHODS)
-    if "closed" in methods and profile_kind != "linear":
+    linear = args.profile == "linear"
+    if "closed" in methods and not linear:
         raise UsageError("the closed form applies to the linear profile only")
 
-    single = args.T if args.T is not None else args.tau
     if args.scale_min is None:
-        if single is None:
-            raise UsageError("a sweep scale is required (--T/--tau or --scale-min)")
-        smin, smax, count = float(single), float(single), 1
+        flag = "T" if linear else "tau"
+        scale = getattr(args, flag)
+        if scale is None:
+            raise UsageError(f"a sweep scale is required (--{flag} or --scale-min)")
+        smin, smax, count = scale, scale, 1
     else:
-        smin = float(args.scale_min)
-        smax = float(args.scale_max if args.scale_max is not None else smin)
-        count = int(args.n)
+        smin, smax, count = args.scale_min, args.scale_max or args.scale_min, args.n
 
     if args.eps is None:
         raise UsageError("a coupling is required (--eps)")
-    try:
-        epsilons = tuple(float(tok) for tok in str(args.eps).split(",") if tok.strip())
-    except ValueError as exc:
-        raise UsageError(f"bad --eps value {args.eps!r}") from exc
-    if not epsilons or not all(e > 0.0 for e in epsilons):
-        raise UsageError("couplings must be positive")
-
-    e_sat = None
-    if profile_kind == "tanh":
-        e_sat = float(args.esat)
-        if not e_sat > 0.0:
-            raise UsageError("esat must be positive")
-        if any(e >= e_sat for e in epsilons):
-            raise UsageError("tanh profile requires eps < esat for every coupling")
+    if not linear and any(e >= args.esat for e in args.eps):
+        raise UsageError("tanh profile requires eps < esat for every coupling")
 
     return _run_config(args, methods=methods, grid_min=smin, grid_max=smax,
-                       grid_count=count, spacing=str(args.spacing),
-                       profile_kind=profile_kind, e_sat=e_sat, epsilons=epsilons,
-                       tdse_rel_tol=float(args.tdse_rtol))
+                       grid_count=count, profile_kind=args.profile,
+                       e_sat=None if linear else args.esat, epsilons=args.eps,
+                       tdse_rel_tol=args.tdse_rtol)
 
 
 def _add_common(parser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--hbar", type=float, help="Planck constant (default 1)")
-    parser.add_argument("--mass", type=float, help="particle mass (default 1)")
-    parser.add_argument("--nodes", type=int, help="base quadrature nodes (default 32)")
-    parser.add_argument("--levels", type=int, help="quadrature refinement levels")
-    parser.add_argument("--rel-tol", dest="rel_tol", type=float,
-                        help="quadrature relative tolerance")
+    parser.add_argument("--hbar", type=_positive, default=1.0,
+                        help="Planck constant (default %(default)s)")
+    parser.add_argument("--mass", type=_positive, default=1.0,
+                        help="particle mass (default %(default)s)")
+    parser.add_argument("--nodes", type=int, default=DEFAULT_QUADRATURE.nodes,
+                        help="base quadrature nodes (default %(default)s)")
+    parser.add_argument("--levels", type=int, default=DEFAULT_QUADRATURE.refinement_levels,
+                        help="quadrature refinement levels (default %(default)s)")
+    parser.add_argument("--rel-tol", dest="rel_tol", type=_positive,
+                        default=DEFAULT_QUADRATURE.rel_tol,
+                        help="quadrature relative tolerance (default %(default)s)")
+
+
+def _add_grid(parser) -> None:
+    parser.add_argument("--n", type=int, default=1, help="grid point count (default %(default)s)")
+    parser.add_argument("--spacing", choices=["linear", "log"], default="linear",
+                        help="grid spacing (default %(default)s)")
 
 
 @functools.lru_cache(maxsize=None)
@@ -397,31 +379,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     reflect = sub.add_parser("reflect", help="reflection probability sweep")
     reflect.add_argument("--model", choices=[k.value for k in PotentialKind])
-    reflect.add_argument("--alpha", type=float, help="inverse_ho curvature")
-    reflect.add_argument("--v0", type=float, help="well depth")
-    reflect.add_argument("--a", type=float, help="barrier width")
-    reflect.add_argument("--emin", type=float, help="lowest energy")
-    reflect.add_argument("--emax", type=float, help="highest energy")
-    reflect.add_argument("--n", type=int, help="grid point count")
-    reflect.add_argument("--spacing", choices=["linear", "log"])
+    reflect.add_argument("--alpha", type=_positive, default=1.0,
+                         help="inverse_ho curvature (default %(default)s)")
+    reflect.add_argument("--v0", type=_positive, default=1.0,
+                         help="well depth (default %(default)s)")
+    reflect.add_argument("--a", type=_positive, default=1.0,
+                         help="barrier width (default %(default)s)")
+    reflect.add_argument("--emin", type=_positive, help="lowest energy")
+    reflect.add_argument("--emax", type=_positive, help="highest energy")
+    _add_grid(reflect)
     reflect.add_argument("--methods", help=f"comma list: {','.join(REFLECT_METHODS)}")
     reflect.add_argument("--out", help="output path (stdout if omitted)")
     reflect.add_argument("--format", choices=["csv", "json"])
     _add_common(reflect)
 
     lz_cmd = sub.add_parser("lz", help="Landau-Zener transition sweep")
-    lz_cmd.add_argument("--profile", choices=["linear", "tanh"])
-    lz_cmd.add_argument("--T", type=float, help="linear sweep scale")
-    lz_cmd.add_argument("--tau", type=float, help="tanh sweep scale")
-    lz_cmd.add_argument("--esat", type=float, help="tanh saturation splitting")
-    lz_cmd.add_argument("--eps", help="coupling(s), comma separated")
-    lz_cmd.add_argument("--scale-min", dest="scale_min", type=float)
-    lz_cmd.add_argument("--scale-max", dest="scale_max", type=float)
-    lz_cmd.add_argument("--n", type=int, help="scale grid count")
-    lz_cmd.add_argument("--spacing", choices=["linear", "log"])
+    lz_cmd.add_argument("--profile", choices=["linear", "tanh"], default="linear",
+                        help="sweep profile (default %(default)s)")
+    lz_cmd.add_argument("--T", type=_positive, help="linear sweep scale")
+    lz_cmd.add_argument("--tau", type=_positive, help="tanh sweep scale")
+    lz_cmd.add_argument("--esat", type=_positive, default=1.0,
+                        help="tanh saturation splitting (default %(default)s)")
+    lz_cmd.add_argument("--eps", type=_positive_list, help="coupling(s), comma separated")
+    lz_cmd.add_argument("--scale-min", dest="scale_min", type=_positive)
+    lz_cmd.add_argument("--scale-max", dest="scale_max", type=_positive)
+    _add_grid(lz_cmd)
     lz_cmd.add_argument("--methods", help=f"comma list: {','.join(LZ_METHODS)}")
-    lz_cmd.add_argument("--tdse-rtol", dest="tdse_rtol", type=float,
-                        help="TDSE oracle tolerance (default 1e-10)")
+    lz_cmd.add_argument("--tdse-rtol", dest="tdse_rtol", type=_positive, default=1e-10,
+                        help="TDSE oracle tolerance (default %(default)s)")
     lz_cmd.add_argument("--out", help="output path (stdout if omitted)")
     lz_cmd.add_argument("--format", choices=["csv", "json"])
     _add_common(lz_cmd)
@@ -432,16 +417,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code.
+
+    With ``--config``, the file's records are parsed as flags placed before
+    the command line's own, so a flag beats the file and the file beats the
+    flag's default.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
-    try:
-        _merge_config_file(args)
+        try:
+            args = parser.parse_args(argv)
+            if args.config is not None:
+                at = argv.index(args.command) + 1
+                tokens = _config_tokens(args.config, args.command)
+                args = parser.parse_args([*argv[:at], *tokens, *argv[at:]])
+        except SystemExit as exc:  # --help, or a bad flag or file value
+            return EXIT_USAGE if exc.code else EXIT_OK
         if args.command == "validate":
-            cfg = _run_config(args)
-            results = validate_mod.run_all(consts=cfg.constants, quad=cfg.quadrature)
+            consts, quad = _constants_and_quadrature(args)
+            results = validate_mod.run_all(consts=consts, quad=quad)
             for res in results:
                 status = "PASS" if res.passed else "FAIL"
                 print(f"{status} {res.name}: {res.detail}")

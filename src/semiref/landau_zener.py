@@ -106,11 +106,6 @@ class CrossingProfile:
         """The sweep time scale (T or tau)."""
         return self.T if self.kind is ProfileKind.LINEAR else self.tau
 
-    @property
-    def saturation(self) -> float:
-        """Asymptotic |f|; infinite for the linear sweep."""
-        return math.inf if self.kind is ProfileKind.LINEAR else self.e_sat
-
     def value(self, t: float) -> float:
         """f(t) for scalar t."""
         if self.kind is ProfileKind.LINEAR:

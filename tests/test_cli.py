@@ -1,5 +1,7 @@
+import argparse
 import json
 import math
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,11 +12,13 @@ from semiref.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
     parse_flat_config,
 )
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def run_cli(args, capsys):
@@ -375,6 +379,69 @@ class TestLz:
         assert code == EXIT_USAGE
 
 
+def build_flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def toml_value(text: str) -> str:
+    try:
+        float(text)
+    except ValueError:
+        return f'"{text}"'
+    return text
+
+
+# Per subcommand, (base flags, config key, value, another value): the base
+# flags with the key set make a complete, cheap run.
+_SECH2 = {"model": "sech2", "v0": "2", "a": "1.5", "emin": "1", "emax": "2", "n": "3",
+          "methods": "closed,momentum"}
+_LINEAR = {"profile": "linear", "T": "2", "eps": "1", "methods": "adiabatic,closed"}
+_TANH = {"profile": "tanh", "tau": "2", "esat": "1", "eps": "0.3", "methods": "adiabatic"}
+_SWEEP = {"scale_min": "1", "scale_max": "3", "n": "3", "eps": "1", "methods": "closed"}
+CONFIG_CASES = {
+    "reflect": [
+        (_SECH2, "model", "lorentzian", "sech2"),
+        ({"model": "inverse_ho", "emin": "1", "methods": "closed"}, "alpha", "2", "4"),
+        (_SECH2, "v0", "3", "2"),
+        (_SECH2, "a", "0.5", "1.5"),
+        (_SECH2, "emin", "0.5", "1"),
+        (_SECH2, "emax", "4", "2"),
+        (_SECH2, "n", "4", "3"),
+        (_SECH2, "spacing", "log", "linear"),
+        (_SECH2, "methods", "contour", "closed"),
+        (_SECH2, "out", "rows.json", "other.json"),
+        (_SECH2, "format", "json", "csv"),
+        (_SECH2, "hbar", "0.5", "2"),
+        (_SECH2, "mass", "2", "0.5"),
+        (_SECH2, "nodes", "8", "32"),
+        (_SECH2, "levels", "1", "3"),
+        ({**_SECH2, "methods": "momentum", "nodes": "8", "levels": "2"},
+         "rel_tol", "1e-3", "1e-12"),
+    ],
+    "lz": [
+        ({"T": "3", "tau": "2", "esat": "1", "eps": "0.3", "methods": "adiabatic"},
+         "profile", "tanh", "linear"),
+        (_LINEAR, "T", "3", "2"),
+        (_TANH, "tau", "3", "2"),
+        (_TANH, "esat", "2", "1"),
+        (_LINEAR, "eps", "0.5,1", "1"),
+        (_SWEEP, "scale_min", "0.5", "1"),
+        (_SWEEP, "scale_max", "4", "3"),
+        (_SWEEP, "n", "4", "3"),
+        (_SWEEP, "spacing", "log", "linear"),
+        (_LINEAR, "methods", "adiabatic", "closed"),
+        ({"T": "1", "eps": "1", "methods": "tdse"}, "tdse_rtol", "1e-6", "1e-3"),
+        (_LINEAR, "out", "rows.json", "other.json"),
+        (_LINEAR, "format", "json", "csv"),
+        (_LINEAR, "hbar", "0.5", "2"),
+        ({"T": "2", "eps": "1", "methods": "tdse", "tdse_rtol": "1e-6"}, "mass", "2", "1"),
+        (_LINEAR, "nodes", "8", "32"),
+        (_LINEAR, "levels", "1", "3"),
+        ({**_LINEAR, "nodes": "8", "levels": "2"}, "rel_tol", "1e-3", "1e-12"),
+    ],
+}
+
+
 class TestConfigFile:
     def test_parse_flat_config(self):
         text = '\n'.join(
@@ -423,7 +490,7 @@ class TestConfigFile:
         assert "v00" in err
 
     def test_readme_config_drives_reflect_and_validate(self, tmp_path, capsys):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme = (ROOT / "README.md").read_text()
         block = readme.split("```toml\n", 1)[1].split("```", 1)[0]
         assert "methods" in block
         cfg = tmp_path / "run.toml"
@@ -438,6 +505,101 @@ class TestConfigFile:
     def test_missing_config_file(self, capsys):
         code, _, _ = run_cli(["reflect", "--config", "/nonexistent.toml"], capsys)
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "command, base, key, value, other",
+        [(command, *case) for command, cases in CONFIG_CASES.items() for case in cases],
+    )
+    def test_file_value_acts_as_flag(
+        self, command, base, key, value, other, tmp_path, monkeypatch, capsys
+    ):
+        # Each flag a config file may set: the file's value, good or bad,
+        # prints what the flag prints, with the same exit code, and the flag
+        # beats the file.
+        monkeypatch.chdir(tmp_path)
+
+        def outcome(flags, record=None):
+            argv = [command]
+            for k, v in flags.items():
+                argv += [build_flag(k), v]
+            if record is not None:
+                (tmp_path / "run.toml").write_text(
+                    "".join(f"{k} = {toml_value(v)}\n" for k, v in record.items())
+                )
+                argv += ["--config", "run.toml"]
+            code, out, _ = run_cli(argv, capsys)
+            written = tmp_path / "rows.json"
+            text = written.read_text() if written.exists() else None
+            written.unlink(missing_ok=True)
+            return code, out, text
+
+        by_flag = outcome({**base, key: value})
+        rest = {k: v for k, v in base.items() if k != key}
+        assert outcome(rest, {key: value}) == by_flag
+        assert outcome({**rest, key: value}, {key: other}) == by_flag
+        assert outcome(rest, {key: "x"}) == outcome({**rest, key: "x"})
+        if (command, key) != ("lz", "mass"):  # no lz route reads the mass
+            assert outcome({**rest, key: other}) != by_flag
+
+    def test_cases_cover_every_config_key(self):
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        for command, cases in CONFIG_CASES.items():
+            dests = {a.dest for a in sub.choices[command]._actions}
+            assert {case[1] for case in cases} == dests - {"help", "config"}
+
+    @pytest.mark.parametrize(
+        "argv, record",
+        [
+            (["reflect", "--model", "sech2", "--emin", "1", "--methods", "closed"],
+             {"v0": '"x"'}),
+            (["reflect", "--model", "sech2", "--emin", "1", "--methods", "closed"],
+             {"v0": "true"}),
+            (["reflect", "--model", "sech2", "--emin", "1", "--emax", "2",
+              "--methods", "closed"], {"n": "3.0"}),
+            (["lz", "--T", "2", "--eps", "1", "--methods", "tdse", "--tdse-rtol", "-1"],
+             None),
+            (["lz", "--T", "2", "--eps", "1", "--methods", "tdse", "--tdse-rtol", "nan"],
+             None),
+            (["reflect", "--model", "sech2", "--emin", "inf", "--methods", "closed"], None),
+            (["reflect", "--model", "sech2", "--emin", "1", "--emax", "inf", "--n", "2",
+              "--methods", "closed"], None),
+            (["lz", "--T", "2", "--eps", "inf", "--methods", "closed"], None),
+            (["lz", "--profile", "tanh", "--tau", "2", "--esat", "inf", "--eps", "0.3",
+              "--methods", "adiabatic"], None),
+        ],
+    )
+    def test_bad_input_is_usage_error(self, argv, record, tmp_path, capsys):
+        if record is not None:
+            cfg = tmp_path / "run.toml"
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in record.items()))
+            argv = [*argv, "--config", str(cfg)]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "invalid" in err
+
+    def test_lz_scale_is_the_profile_s_own_flag(self, tmp_path, capsys):
+        tanh = ["lz", "--profile", "tanh", "--esat", "1", "--eps", "0.3",
+                "--methods", "adiabatic"]
+        code, out, _ = run_cli([*tanh, "--T", "2", "--tau", "5"], capsys)
+        assert code == EXIT_OK
+        assert out.splitlines()[1].startswith("5,0.3,adiabatic,")
+        assert run_cli([*tanh, "--tau", "5"], capsys)[:2] == (code, out)
+        code, out, err = run_cli(
+            ["lz", "--profile", "linear", "--tau", "5", "--eps", "0.3",
+             "--methods", "closed"],
+            capsys,
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "--T" in err
+        # One file serves both profiles.
+        cfg = tmp_path / "run.toml"
+        cfg.write_text('T = 2\ntau = 5\nesat = 1\neps = 0.3\nmethods = "adiabatic"\n')
+        for profile, scale in (("linear", "2"), ("tanh", "5")):
+            code, out, _ = run_cli(["lz", "--config", str(cfg), "--profile", profile], capsys)
+            assert code == EXIT_OK
+            assert out.splitlines()[1].startswith(f"{scale},0.3,adiabatic,")
 
 
 class TestValidate:
@@ -495,6 +657,21 @@ def test_routes_are_looked_up_when_called(monkeypatch, capsys):
     )
     assert code == EXIT_OK
     assert calls == {"reflection_momentum_space": 2, "evolve_tdse": 1}
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # Every `semiref` line of the README's CLI block, with its config block
+    # written as run.toml, exits 0.
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "run.toml").write_text(readme.split("```toml\n", 1)[1].split("```", 1)[0])
+    monkeypatch.chdir(tmp_path)
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("semiref ")]
+    assert len(commands) == 5
+    for argv in commands:
+        code, _, err = run_cli(argv, capsys)
+        assert code == EXIT_OK, (argv, err)
 
 
 def test_module_entry_point_smoke(tmp_path):
