@@ -6,12 +6,11 @@ cross-validated against exact scattering oracles, with the same
 machinery applied to Landau-Zener adiabatic transitions.
 """
 
-from .errors import ConvergenceError, DomainError, NormDriftError, SemirefError
+from .errors import ConvergenceError, DomainError, SemirefError
 from .landau_zener import (
     CouplingSpec,
     CrossingProfile,
     ProfileKind,
-    TwoLevelState,
     adiabatic_reflection,
     default_t_span,
     evolve_tdse,
@@ -53,7 +52,6 @@ __all__ = [
     "SemirefError",
     "DomainError",
     "ConvergenceError",
-    "NormDriftError",
     "PotentialKind",
     "PotentialModel",
     "PhysicalConstants",
@@ -79,7 +77,6 @@ __all__ = [
     "ProfileKind",
     "CrossingProfile",
     "CouplingSpec",
-    "TwoLevelState",
     "mixing_angle",
     "instantaneous_eigensystem",
     "adiabatic_reflection",

@@ -108,15 +108,6 @@ def _profile(cfg: RunConfig, scale: float) -> lz.CrossingProfile:
     return lz.CrossingProfile.tanh(scale, cfg.e_sat)
 
 
-def _tdse(cfg: RunConfig, scale: float, epsilon: float) -> tuple[float, float, float]:
-    trans, refl = lz.evolve_tdse(
-        _profile(cfg, scale), lz.CouplingSpec(epsilon), cfg.constants,
-        rel_tol=cfg.tdse_rel_tol,
-    )
-    refl = max(refl, np.finfo(float).tiny)
-    return math.log(refl), refl, abs(trans + refl - 1.0)
-
-
 # Each command's routes, by method name: (cfg, *point) -> (log_prob, prob,
 # err_estimate).  An entry looks its route up when called (a module global
 # or ``lz.<name>``), so a wrapper bound over that name later is what runs.
@@ -134,7 +125,9 @@ LZ_METHODS = {
         _profile(cfg, scale), lz.CouplingSpec(eps), cfg.constants, cfg.quadrature)),
     "closed": lambda cfg, scale, eps: _values(
         lz.lz_closed_form(scale, lz.CouplingSpec(eps), cfg.constants)),
-    "tdse": _tdse,
+    "tdse": lambda cfg, scale, eps: _values(lz.evolve_tdse(
+        _profile(cfg, scale), lz.CouplingSpec(eps), cfg.constants,
+        rel_tol=cfg.tdse_rel_tol)),
 }
 
 
@@ -280,7 +273,8 @@ def _parse_methods(raw: str | None, table: dict) -> tuple[str, ...]:
 def _constants_and_quadrature(args) -> tuple[PhysicalConstants, QuadratureSpec]:
     try:
         return (
-            PhysicalConstants(hbar=args.hbar, mass=args.mass),
+            # lz has no --mass: none of its routes reads the mass.
+            PhysicalConstants(hbar=args.hbar, mass=getattr(args, "mass", 1.0)),
             QuadratureSpec(
                 nodes=args.nodes, refinement_levels=args.levels, rel_tol=args.rel_tol
             ),
@@ -289,13 +283,27 @@ def _constants_and_quadrature(args) -> tuple[PhysicalConstants, QuadratureSpec]:
         raise UsageError(str(exc)) from exc
 
 
+def _check_output_path(path: str | None) -> None:
+    """Open ``path`` for appending, so a path that cannot be written is a
+    usage error before any row is computed, not a traceback after."""
+    if path is None:
+        return
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise UsageError(f"cannot write output file {path!r}: {exc.strerror or exc}") from exc
+
+
 def _run_config(args, **fields) -> RunConfig:
-    """RunConfig of the shared inputs, the output and ``fields``, its grid checked."""
+    """RunConfig of the shared inputs, the output and ``fields``, its grid and
+    output path checked."""
     fmt = args.format or ("json" if (args.out or "").endswith(".json") else "csv")
     constants, quadrature = _constants_and_quadrature(args)
     cfg = RunConfig(constants, quadrature, out_format=fmt, output_path=args.out,
                     spacing=args.spacing, **fields)
     _validate_grid(cfg)
+    _check_output_path(cfg.output_path)
     return cfg
 
 
@@ -351,8 +359,6 @@ def _add_common(parser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--hbar", type=_positive, default=1.0,
                         help="Planck constant (default %(default)s)")
-    parser.add_argument("--mass", type=_positive, default=1.0,
-                        help="particle mass (default %(default)s)")
     parser.add_argument("--nodes", type=int, default=DEFAULT_QUADRATURE.nodes,
                         help="base quadrature nodes (default %(default)s)")
     parser.add_argument("--levels", type=int, default=DEFAULT_QUADRATURE.refinement_levels,
@@ -360,6 +366,11 @@ def _add_common(parser) -> None:
     parser.add_argument("--rel-tol", dest="rel_tol", type=_positive,
                         default=DEFAULT_QUADRATURE.rel_tol,
                         help="quadrature relative tolerance (default %(default)s)")
+
+
+def _add_mass(parser) -> None:
+    parser.add_argument("--mass", type=_positive, default=1.0,
+                        help="particle mass (default %(default)s)")
 
 
 def _add_grid(parser) -> None:
@@ -392,6 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     reflect.add_argument("--out", help="output path (stdout if omitted)")
     reflect.add_argument("--format", choices=["csv", "json"])
     _add_common(reflect)
+    _add_mass(reflect)
 
     lz_cmd = sub.add_parser("lz", help="Landau-Zener transition sweep")
     lz_cmd.add_argument("--profile", choices=["linear", "tanh"], default="linear",
@@ -413,6 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     val = sub.add_parser("validate", help="run the invariant suite")
     _add_common(val)
+    _add_mass(val)
     return parser
 
 

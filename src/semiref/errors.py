@@ -20,6 +20,3 @@ class ConvergenceError(SemirefError, RuntimeError):
         self.best = best
         self.err_estimate = err_estimate
 
-
-class NormDriftError(SemirefError, RuntimeError):
-    """State norm drifted beyond the acceptable bound during time evolution."""

@@ -1,0 +1,38 @@
+"""The benchmark's result line is strict JSON with every metric a finite number.
+
+``benchmarks/test_benchmark.py`` lets a metric be ``null`` (a count whose
+source is gone); a consumer that wants a number per metric does not.  This
+runs the lz-sweep workload, the one whose TDSE oracle feeds a count that can
+go ``null``, in both modes as a user would, in a child process.
+"""
+
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _reject(token):
+    raise ValueError(f"non-finite JSON constant {token}")
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_lz_sweep_result_line_is_finite(trace):
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/run.py", "--workload", "lz-sweep",
+         "--size", "small", "--seconds", "1", "--trace", trace],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1], parse_constant=_reject)
+    assert result["metrics"]
+    for name, metric in result["metrics"].items():
+        value = metric["value"]
+        assert isinstance(value, (int, float)) and not isinstance(value, bool), name
+        assert math.isfinite(value), name
+    assert result["failed"] == 0 and result["correct"]

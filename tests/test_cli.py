@@ -318,6 +318,25 @@ class TestLz:
         logs = {row[2]: float(row[3]) for row in rows}
         assert abs(logs["tdse"] - logs["closed"]) / abs(logs["closed"]) <= 0.05
 
+    @pytest.mark.parametrize("T", ["2", "10", "20"])
+    def test_tdse_row_within_estimate_or_flagged(self, T, capsys):
+        # A tdse row is within its err_estimate of the exact Landau-Zener
+        # value, or flagged; past double precision (T eps^2 / hbar >~ 10)
+        # it is flagged.
+        code, out, err = run_cli(
+            ["lz", "--profile", "linear", "--T", T, "--eps", "1",
+             "--methods", "closed,tdse"],
+            capsys,
+        )
+        rows = {row[2]: row for row in (line.split(",") for line in out.splitlines()[1:])}
+        tdse, closed = rows["tdse"], rows["closed"]
+        flagged = f"warning: tdse failed at scale={T}, eps=1:" in err
+        assert code == (EXIT_NUMERICAL if flagged else EXIT_OK)
+        if not flagged:
+            assert abs(float(tdse[3]) - float(closed[3])) <= float(tdse[5]) <= 1e-8
+        if T == "2":
+            assert not flagged
+
     def test_multiple_couplings_row_order(self, capsys):
         code, out, _ = run_cli(
             [
@@ -434,7 +453,7 @@ CONFIG_CASES = {
         (_LINEAR, "out", "rows.json", "other.json"),
         (_LINEAR, "format", "json", "csv"),
         (_LINEAR, "hbar", "0.5", "2"),
-        ({"T": "2", "eps": "1", "methods": "tdse", "tdse_rtol": "1e-6"}, "mass", "2", "1"),
+        ({**_TANH, "methods": "tdse"}, "tdse_rtol", "1e-6", "1e-3"),
         (_LINEAR, "nodes", "8", "32"),
         (_LINEAR, "levels", "1", "3"),
         ({**_LINEAR, "nodes": "8", "levels": "2"}, "rel_tol", "1e-3", "1e-12"),
@@ -538,8 +557,7 @@ class TestConfigFile:
         assert outcome(rest, {key: value}) == by_flag
         assert outcome({**rest, key: value}, {key: other}) == by_flag
         assert outcome(rest, {key: "x"}) == outcome({**rest, key: "x"})
-        if (command, key) != ("lz", "mass"):  # no lz route reads the mass
-            assert outcome({**rest, key: other}) != by_flag
+        assert outcome({**rest, key: other}) != by_flag
 
     def test_cases_cover_every_config_key(self):
         sub = next(
@@ -578,6 +596,38 @@ class TestConfigFile:
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (EXIT_USAGE, "")
         assert "invalid" in err
+
+    def test_mass_is_reflect_s_and_validate_s_flag(self, tmp_path, capsys):
+        # No lz route reads the mass, so lz has no --mass; a file's mass key
+        # names another subcommand's flag and is skipped.
+        argv = ["lz", "--T", "2", "--eps", "1", "--methods", "closed"]
+        code, out, err = run_cli([*argv, "--mass", "2"], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "--mass" in err
+        cfg = tmp_path / "run.toml"
+        cfg.write_text("mass = 2\n")
+        assert run_cli([*argv, "--config", str(cfg)], capsys)[:2] == run_cli(argv, capsys)[:2]
+        code, out, _ = run_cli(["validate", "--config", str(cfg)], capsys)
+        assert code == EXIT_OK and "FAIL" not in out
+
+    @pytest.mark.parametrize("command", ["reflect", "lz"])
+    def test_unwritable_out_is_usage_error_before_any_row(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        import semiref.cli
+
+        monkeypatch.setattr(semiref.cli, "run_rows", None)  # any row would fail
+        argv = (["reflect", "--model", "sech2", "--emin", "1", "--methods", "closed"]
+                if command == "reflect"
+                else ["lz", "--T", "2", "--eps", "1", "--methods", "closed"])
+        code, out, err = run_cli([*argv, "--out", str(tmp_path / "no" / "x.csv")], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "cannot write output file" in err
+        cfg = tmp_path / "run.toml"
+        cfg.write_text('out = ""\n')
+        code, out, err = run_cli([*argv, "--config", str(cfg)], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "cannot write output file" in err
 
     def test_lz_scale_is_the_profile_s_own_flag(self, tmp_path, capsys):
         tanh = ["lz", "--profile", "tanh", "--esat", "1", "--eps", "0.3",

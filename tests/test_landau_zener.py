@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from semiref import (
+    ConvergenceError,
     CouplingSpec,
     CrossingProfile,
     DomainError,
@@ -29,13 +30,23 @@ TANH_TAU5_EPS03_LOG = -1.383263693721153
 
 @pytest.fixture(scope="module")
 def linear_tdse_runs():
-    """Reflection probabilities for T eps^2 in {1, 2, 3} at eps = 1."""
-    out = {}
-    for T in (1.0, 2.0, 3.0):
-        profile = CrossingProfile.linear(T)
-        trans, refl = evolve_tdse(profile, CouplingSpec(1.0), UNIT)
-        out[T] = (trans, refl)
-    return out
+    """TDSE results for T eps^2 in {1, 2, 3} at eps = 1."""
+    return {
+        T: evolve_tdse(CrossingProfile.linear(T), CouplingSpec(1.0), UNIT)
+        for T in (1.0, 2.0, 3.0)
+    }
+
+
+def edge_probabilities(profile, epsilon, rel_tol=1e-10):
+    """(stay, flip) probabilities of the CF4 run evolve_tdse starts from."""
+    span = default_t_span(profile, CouplingSpec(epsilon), UNIT)
+    table = lz._phase_table(profile, epsilon, 1.0, *span)
+    steps = math.ceil(table[1][-1] * lz._PER_RADIAN * rel_tol**-0.25)
+    u00, u01, u10, u11 = lz._propagator(profile, epsilon, 1.0, table, steps)
+    upper, _ = lz._edge_states(profile, epsilon, 1.0, span[0])
+    final_upper, final_lower = lz._edge_states(profile, epsilon, 1.0, span[1])
+    psi = np.array([u00 * upper[0] + u01 * upper[1], u10 * upper[0] + u11 * upper[1]])
+    return abs(np.vdot(final_upper, psi)) ** 2, abs(np.vdot(final_lower, psi)) ** 2
 
 
 class TestProfiles:
@@ -191,35 +202,64 @@ class TestClosedForm:
 
 class TestTDSE:
     def test_diabatic_limit_follows_crossing_branch(self):
-        trans, refl = evolve_tdse(
+        res = evolve_tdse(
             CrossingProfile.linear(1.0),
             CouplingSpec(1e-8),
             UNIT,
             t_span=(-0.01, 0.01),
         )
-        assert refl >= 1.0 - 1e-6
+        assert res.prob >= 1.0 - 1e-6
 
     def test_linear_matches_closed_form(self, linear_tdse_runs):
-        for T, (_, refl) in linear_tdse_runs.items():
+        for T, res in linear_tdse_runs.items():
             target = -math.pi * T
-            assert abs(math.log(refl) - target) / abs(target) <= 0.05
+            assert abs(res.log_prob - target) / abs(target) <= 0.05
+            # The estimate bounds the actual error.
+            assert abs(res.log_prob - target) <= res.err_estimate <= 100.0 * 1e-10
+            assert res.method is Method.TDSE
 
     def test_reflection_decreases_with_sweep_time(self, linear_tdse_runs):
-        refls = [linear_tdse_runs[T][1] for T in (1.0, 2.0, 3.0)]
+        refls = [linear_tdse_runs[T].prob for T in (1.0, 2.0, 3.0)]
         assert refls[0] > refls[1] > refls[2]
 
-    def test_probabilities_sum_to_one(self, linear_tdse_runs):
-        for trans, refl in linear_tdse_runs.values():
-            assert abs(trans + refl - 1.0) <= 10.0 * 1e-10
+    def test_probabilities_sum_to_one(self):
+        for T in (1.0, 2.0, 3.0):
+            stay, flip = edge_probabilities(CrossingProfile.linear(T), 1.0)
+            assert abs(stay + flip - 1.0) <= 10.0 * 1e-10
 
     def test_tanh_matches_adiabatic_exponent(self):
         profile = CrossingProfile.tanh(5.0, 1.0)
         eps = CouplingSpec(0.3)
-        trans, refl = evolve_tdse(profile, eps, UNIT)
+        res = evolve_tdse(profile, eps, UNIT)
         adiab = adiabatic_reflection(profile, eps, UNIT)
-        assert abs(math.log(refl) - adiab.log_prob) / abs(adiab.log_prob) <= 0.05
+        assert abs(res.log_prob - adiab.log_prob) / abs(adiab.log_prob) <= 0.05
+
+    @pytest.mark.parametrize(
+        "profile, epsilon",
+        [(CrossingProfile.linear(T), 1.0) for T in (1.0, 2.0, 3.0)]
+        + [(CrossingProfile.tanh(tau, 1.0), 0.3) for tau in (3.0, 5.0, 8.0)],
+        ids=["linear-1", "linear-2", "linear-3", "tanh-3", "tanh-5", "tanh-8"],
+    )
+    def test_cf4_agrees_with_dop853(self, profile, epsilon):
+        # The criterion-08 and -09 points.  DOP853 starts from the same
+        # superadiabatic edge state and projects onto the same one; its
+        # estimate is the move from a tenfold looser tolerance.
+        eps = CouplingSpec(epsilon)
+        cf4 = evolve_tdse(profile, eps, UNIT)
+        span = default_t_span(profile, eps, UNIT)
+        upper, _ = lz._edge_states(profile, epsilon, 1.0, span[0])
+        _, lower = lz._edge_states(profile, epsilon, 1.0, span[1])
+        logs = []
+        for rel_tol in (1e-9, 1e-10):
+            ar, ai, br, bi = lz._integrate(profile, eps, UNIT, span, rel_tol,
+                                           psi0=upper).y[:, -1]
+            amp = np.vdot(lower, [complex(ar, ai), complex(br, bi)])
+            logs.append(math.log(abs(amp) ** 2))
+        dop853_err = abs(logs[1] - logs[0])
+        assert abs(cf4.log_prob - logs[1]) <= cf4.err_estimate + dop853_err
 
     def test_norm_conserved_along_trajectory(self):
+        # The DOP853 reference behind validate's tdse_norm_conservation.
         profile = CrossingProfile.linear(2.0)
         eps = CouplingSpec(1.0)
         rel_tol = 1e-10
@@ -230,23 +270,33 @@ class TestTDSE:
         drift = np.max(np.abs(np.sum(sol.y**2, axis=0) - 1.0))
         assert drift <= 100.0 * rel_tol
 
-    def test_unattainable_tolerance_raises_norm_drift(self):
-        from semiref import NormDriftError
+    def test_unattainable_tolerance_raises(self):
+        # 100 * rel_tol = 1e-14 in ln P is below what rounding leaves of it.
+        with pytest.raises(ConvergenceError) as info:
+            evolve_tdse(
+                CrossingProfile.linear(2.0),
+                CouplingSpec(1.0),
+                UNIT,
+                rel_tol=1e-16,
+            )
+        assert info.value.best == pytest.approx(-2.0 * math.pi, abs=1e-8)
+        assert info.value.err_estimate > 100.0 * 1e-16
 
-        with pytest.warns(UserWarning):
-            with pytest.raises(NormDriftError):
-                evolve_tdse(
-                    CrossingProfile.linear(2.0),
-                    CouplingSpec(1.0),
-                    UNIT,
-                    rel_tol=1e-16,
-                )
+    def test_deep_sweep_is_flagged(self):
+        # T eps^2 / hbar = 20: ln P = -62.8 is below the rounding of the
+        # amplitudes, so the estimate fails instead of printing a wrong value.
+        with pytest.raises(ConvergenceError) as info:
+            evolve_tdse(CrossingProfile.linear(20.0), CouplingSpec(1.0), UNIT)
+        assert info.value.err_estimate > 1e-8
+        assert abs(info.value.best + 20.0 * math.pi) <= info.value.err_estimate
 
-    def test_two_level_state_norm(self):
-        from semiref import TwoLevelState
-
-        state = TwoLevelState(a=0.6 + 0.0j, b=0.0 + 0.8j, t=0.0)
-        assert state.norm_sq() == pytest.approx(1.0)
+    def test_edge_states_orthonormal(self):
+        profile = CrossingProfile.linear(2.0)
+        for t in (-40.0, 40.0, 0.3):
+            upper, lower = lz._edge_states(profile, 1.0, 1.0, t)
+            assert np.vdot(upper, upper).real == pytest.approx(1.0, abs=1e-15)
+            assert np.vdot(lower, lower).real == pytest.approx(1.0, abs=1e-15)
+            assert abs(np.vdot(upper, lower)) <= 1e-16
 
     def test_narrow_span_rejected(self):
         with pytest.raises(DomainError):
@@ -269,10 +319,10 @@ class TestTDSE:
         # eps > 1 with T eps^2 > hbar: the span must reach |f| >= 20 eps.
         rel_tol = 1e-10
         eps = CouplingSpec(epsilon)
-        trans, refl = evolve_tdse(CrossingProfile.linear(T), eps, UNIT, rel_tol=rel_tol)
+        res = evolve_tdse(CrossingProfile.linear(T), eps, UNIT, rel_tol=rel_tol)
         closed = lz_closed_form(T, eps, UNIT)
-        assert abs(math.log(refl) - closed.log_prob) / abs(closed.log_prob) <= 0.05
-        assert abs(trans + refl - 1.0) <= 100.0 * rel_tol
+        assert abs(res.log_prob - closed.log_prob) / abs(closed.log_prob) <= 0.05
+        assert abs(res.log_prob - closed.log_prob) <= res.err_estimate <= 100.0 * rel_tol
 
     def test_default_span_covers_preconditions(self):
         profile = CrossingProfile.tanh(3.0, 1.0)
