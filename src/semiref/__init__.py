@@ -31,6 +31,7 @@ from .scattering_oracle import (
     default_grid,
     exact_ho_reflection,
     numerov_reflection,
+    numerov_unitarity_defect,
 )
 from .specfun import elliptic_e, elliptic_k
 from .wkb_reflection import (
@@ -74,6 +75,7 @@ __all__ = [
     "default_grid",
     "exact_ho_reflection",
     "numerov_reflection",
+    "numerov_unitarity_defect",
     "ProfileKind",
     "CrossingProfile",
     "CouplingSpec",

@@ -109,8 +109,11 @@ def _profile(cfg: RunConfig, scale: float) -> lz.CrossingProfile:
 
 
 # Each command's routes, by method name: (cfg, *point) -> (log_prob, prob,
-# err_estimate).  An entry looks its route up when called (a module global
-# or ``lz.<name>``), so a wrapper bound over that name later is what runs.
+# err_estimate), or for a name in BATCHED, (cfg, points) -> one such triple
+# or SemirefError per point.  An entry looks its route up when called (a
+# module global or ``lz.<name>``), so a wrapper bound over that name later
+# is what runs.
+BATCHED = frozenset({"numerov"})
 REFLECT_METHODS = {
     "closed": lambda cfg, E: _values(
         reflection_closed_form(cfg.model, E, cfg.constants)),
@@ -118,7 +121,9 @@ REFLECT_METHODS = {
         reflection_contour_ll(cfg.model, E, cfg.constants, cfg.quadrature)),
     "momentum": lambda cfg, E: _values(
         reflection_momentum_space(cfg.model, E, cfg.constants, cfg.quadrature)),
-    "numerov": lambda cfg, E: _values(numerov_reflection(cfg.model, E, cfg.constants)),
+    "numerov": lambda cfg, points: [
+        r if isinstance(r, SemirefError) else _values(r)
+        for r in numerov_reflection(cfg.model, [E for E, in points], cfg.constants)],
 }
 LZ_METHODS = {
     "adiabatic": lambda cfg, scale, eps: _values(lz.adiabatic_reflection(
@@ -144,27 +149,42 @@ def _failed_row(exc: SemirefError) -> tuple[float, float, float]:
     return math.nan, math.nan, math.nan
 
 
+def _outcome(route, *args):
+    """``route(*args)``, or the SemirefError it raised."""
+    try:
+        return route(*args)
+    except SemirefError as exc:
+        return exc
+
+
 def run_rows(
     cfg: RunConfig, table: dict, labels: tuple[str, ...], points: list[tuple]
 ) -> tuple[list[tuple], int]:
     """One row (*point, method, log_prob, prob, err_estimate) per point and
     method, in the order of ``points``, then method name.
 
-    A route that raises gives a flagged row and a warning naming the point
+    A batched route gets every point in one call, before the loop.  A route
+    that fails at a point gives a flagged row and a warning naming the point
     by ``labels``; the run continues.  Returns the rows and the number
     flagged.
     """
+    batched = {}
+    for method in BATCHED.intersection(cfg.methods):
+        out = _outcome(table[method], cfg, points)
+        batched[method] = [out] * len(points) if isinstance(out, SemirefError) else out
     rows = []
     n_failed = 0
-    for point in points:
+    for i, point in enumerate(points):
         for method in cfg.methods:
-            try:
-                values = table[method](cfg, *point)
-            except SemirefError as exc:
-                values = _failed_row(exc)
+            if method in batched:
+                values = batched[method][i]
+            else:
+                values = _outcome(table[method], cfg, *point)
+            if isinstance(values, SemirefError):
                 n_failed += 1
                 where = ", ".join(f"{k}={v:g}" for k, v in zip(labels, point))
-                print(f"warning: {method} failed at {where}: {exc}", file=sys.stderr)
+                print(f"warning: {method} failed at {where}: {values}", file=sys.stderr)
+                values = _failed_row(values)
             rows.append((*point, method, *values))
     return rows, n_failed
 

@@ -62,9 +62,9 @@ __all__ = [
 def solve_ivp(*args, **kwargs):
     """``scipy.integrate.solve_ivp``, imported on first use.
 
-    Only ``_integrate``, the DOP853 reference behind ``validate``, solves
-    ODEs; loading scipy.integrate at import time would make every command
-    pay for it.
+    Only ``_integrate``, the DOP853 reference the tests hold the CF4 oracle
+    to, solves ODEs; loading scipy.integrate at import time would make every
+    command pay for it.
     """
     from scipy.integrate import solve_ivp as _solve_ivp
 
@@ -211,15 +211,18 @@ def lz_closed_form(
 def default_t_span(
     profile: CrossingProfile, eps: CouplingSpec, consts: PhysicalConstants
 ) -> tuple[float, float]:
-    """Symmetric span +-20 * max(sweep scale, hbar/eps, eps * T).
+    """Symmetric span +-20 s.
 
-    The last term applies to the linear sweep only: its ends must reach
-    |f| = |t|/T >= 20 eps, which the first two miss once eps > 1 and
-    T eps^2 > hbar.
+    tanh: s = max(tau, hbar/eps).  linear: s = max(T, sqrt(hbar T), eps T);
+    the ends must reach |f| = |t|/T >= 20 eps (the last term), and
+    sqrt(hbar T) is the time the crossing takes when eps is too small to
+    matter, where hbar/eps would grow without bound as eps -> 0.
     """
-    s = max(profile.scale, consts.hbar / eps.epsilon)
-    if profile.kind is ProfileKind.LINEAR:
-        s = max(s, eps.epsilon * profile.T)
+    if profile.kind is ProfileKind.TANH:
+        s = max(profile.tau, consts.hbar / eps.epsilon)
+    else:
+        T = profile.T
+        s = max(T, math.sqrt(consts.hbar * T), eps.epsilon * T)
     return (-20.0 * s, 20.0 * s)
 
 
@@ -323,6 +326,12 @@ def _phase_table(
     phase = np.abs(np.arctan2(epsilon, f) - math.atan2(epsilon, f[0]))
     phase[1:] += np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(t))
     return t, phase
+
+
+def _steps(table: tuple[np.ndarray, np.ndarray], rel_tol: float) -> int:
+    """Steps of the first, coarser run over ``table``'s span."""
+    steps = math.ceil(table[1][-1] * _PER_RADIAN * rel_tol**-0.25)
+    return min(max(steps, _MIN_STEPS), _MAX_STEPS // 2)
 
 
 def _propagator(
@@ -498,8 +507,7 @@ def evolve_tdse(
     bound = 100.0 * rel_tol
 
     table = _phase_table(profile, epsilon, hbar, *t_span)
-    steps = math.ceil(table[1][-1] * _PER_RADIAN * rel_tol**-0.25)
-    steps = min(max(steps, _MIN_STEPS), _MAX_STEPS // 2)
+    steps = _steps(table, rel_tol)
     coarse_u = _propagator(profile, epsilon, hbar, table, steps)
     coarse = _log_flip(profile, epsilon, hbar, t_span, coarse_u)
     last = math.inf

@@ -3,21 +3,20 @@
 Two oracles:  the known closed form for the inverse oscillator, and a
 direct integration of the stationary Schroedinger equation for the
 flat-tailed families with a fixed-step Numerov recurrence (fourth-order
-accurate).  The wave is launched as a pure outgoing plane wave at the
-right edge and decomposed into incident and reflected plane waves at the
-left edge; regimes are chosen so |R|^2 stays well above the double
-precision floor, and comparisons are made on ln of the probability.
+accurate).  The wave is launched as a pure outgoing discrete plane wave at
+the right edge and decomposed into incident and reflected discrete plane
+waves at the left edge; the error estimate comes from a coarser run and a
+wider window, and comparisons are made on ln of the probability.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, SemirefError
 from .potentials import PhysicalConstants, PotentialKind, PotentialModel, v
 from .wkb_reflection import Method, ReflectionResult
 
@@ -26,61 +25,89 @@ __all__ = [
     "default_grid",
     "exact_ho_reflection",
     "numerov_reflection",
+    "numerov_unitarity_defect",
 ]
 
 _MAX_POINTS = 50_000_000
+_K_DX = 0.05  # k * dx of the default grid
+# Starting half-window per family, in units of a.  The sech^2 tail is flat
+# to ~1e-10 at 12a; the Lorentzian's 1/x^2 tail leaves a window term of
+# at most ~1e-6 in ln R at 192a over v0 5-20, a 1-3, E 0.5-2, hbar 0.5-1.
+_WINDOW = {PotentialKind.SECH2: 12.0, PotentialKind.LORENTZIAN: 192.0}
+_WINDOW_TOL = 2.5e-7  # the window doubles until doubling moves ln R less
+_MAX_DOUBLINGS = 4
+_ERR_BOUND = 1e-6  # err_estimate above which a result is flagged
+_GROUP_RATIO = 2.0  # energies share a grid while k_max <= 2 k_min
+_CHUNK = 2**16  # transfer matrices per product call, to bound memory
+_SEG = 512  # transfer matrices per segment, the length of a product column
 
 
 @dataclass(frozen=True)
 class ScatteringGrid:
-    """Uniform integration window [-x_max, x_max] with step dx.
+    """Uniform window [-x_max, x_max] cut into 4 * ``quarter`` equal steps
+    of ``step`` <= dx.
 
-    ``tail_tol`` is the relative flatness |V(x_max) + V0| / V0 required
-    before plane-wave asymptotics are trusted at the window edges.
+    The fine run steps by ``step`` across the window; the coarse run takes
+    every other of its points and goes on at 2 * step out to 2 * x_max, so
+    both runs have 4 * ``quarter`` transfer matrices.
     """
 
     x_max: float
     dx: float
-    tail_tol: float = 1e-6
 
     def __post_init__(self):
         if not (self.x_max > 0.0 and math.isfinite(self.x_max)):
             raise DomainError("x_max must be positive and finite")
         if not (0.0 < self.dx < self.x_max):
             raise DomainError("dx must satisfy 0 < dx < x_max")
-        if not (0.0 < self.tail_tol < 1.0):
-            raise DomainError("tail_tol must lie in (0, 1)")
         if self.n_points > _MAX_POINTS:
             raise DomainError(f"grid of {self.n_points} points is too large")
 
     @property
+    def segment(self) -> int:
+        """Steps per product segment: x_max / (2 dx) split evenly into
+        pieces of at most ``_SEG``."""
+        q = math.ceil(0.5 * self.x_max / self.dx)
+        return math.ceil(q / math.ceil(q / _SEG))
+
+    @property
+    def quarter(self) -> int:
+        """Steps per quarter of the window: x_max / (2 dx) rounded up to a
+        whole number of segments."""
+        seg = self.segment
+        return seg * math.ceil(0.5 * self.x_max / self.dx / seg)
+
+    @property
+    def step(self) -> float:
+        return 0.5 * self.x_max / self.quarter
+
+    @property
     def n_points(self) -> int:
-        return int(math.ceil(2.0 * self.x_max / self.dx)) + 1
+        return 4 * self.quarter + 1
+
+
+def _check_flat_tailed(model: PotentialModel) -> None:
+    if model.kind is PotentialKind.INVERSE_HO:
+        raise DomainError("inverse_ho has no flat tail; use exact_ho_reflection")
+
+
+def _wavenumber(model: PotentialModel, E: float, consts: PhysicalConstants) -> float:
+    return math.sqrt(2.0 * consts.mass * (E + model.v0)) / consts.hbar
 
 
 def default_grid(
     model: PotentialModel,
     E: float,
     consts: PhysicalConstants,
-    tail_tol: float = 1e-6,
-    k_dx: float = 0.05,
+    k_dx: float = _K_DX,
 ) -> ScatteringGrid:
-    """Grid sized for the model: window doubled from 12a until the tail is
-    flat to ``tail_tol``, step set so k * dx <= ``k_dx``."""
-    if model.kind is PotentialKind.INVERSE_HO:
-        raise DomainError("inverse_ho has no flat tail; use exact_ho_reflection")
+    """The family's starting window (12a for sech^2, 192a for the
+    Lorentzian), step set so k * dx <= ``k_dx``."""
+    _check_flat_tailed(model)
     if not E > 0.0:
         raise DomainError("E must be positive")
-    v0 = model.v0
-    x_max = 12.0 * model.a
-    while abs(v(model, x_max) + v0) > tail_tol * v0:
-        x_max *= 2.0
-        if x_max > 1e9 * model.a:
-            raise ConvergenceError("potential tail never flattens to tail_tol")
-    k = math.sqrt(2.0 * consts.mass * (E + v0)) / consts.hbar
-    n = int(math.ceil(2.0 * x_max * k / k_dx)) + 1
-    dx = 2.0 * x_max / (n - 1)
-    return ScatteringGrid(x_max=x_max, dx=dx, tail_tol=tail_tol)
+    k = _wavenumber(model, E, consts)
+    return ScatteringGrid(x_max=_WINDOW[model.kind] * model.a, dx=k_dx / k)
 
 
 def exact_ho_reflection(
@@ -106,98 +133,312 @@ def exact_ho_reflection(
 
 def numerov_reflection(
     model: PotentialModel,
-    E: float,
+    E,
     consts: PhysicalConstants,
     grid: ScatteringGrid | None = None,
-) -> ReflectionResult:
+):
     """Reflection probability from direct solution of the scattering problem.
 
-    Integrates psi'' = (2m/hbar^2)(V - E) psi from +x_max (outgoing wave
-    e^{ikx}, k the asymptotic wavenumber) down to -x_max with the Numerov
-    three-term recurrence, run as one ordered product of its 2x2 transfer
-    matrices, then solves the two leftmost grid values for the plane-wave
-    amplitudes A e^{ikx} + B e^{-ikx}.  Returns |B/A|^2; the
-    ``err_estimate`` records the unitarity defect |R + T - 1| of the run.
+    Integrates psi'' = (2m/hbar^2)(V - E) psi from the right edge of the
+    window (an outgoing discrete plane wave) to the left edge with the
+    Numerov three-term recurrence, run as an ordered product of its 2x2
+    transfer matrices, and splits the two leftmost grid values into
+    incident and reflected discrete plane waves.  Each edge takes the
+    wavenumber q that the recurrence carries at its edge point,
+    cos(q dx) = (12 - 10 f) / (2 f), so a flat tail reflects nothing.
+
+    The value is the fine run's ln R plus the change that a run at twice
+    the step sees when its window doubles.  ``err_estimate`` is |Delta ln R|
+    between the fine and that coarse run, plus that window change, plus the
+    rounding the unitarity defect shows, scaled to the reflected amplitude.
+    While the window term exceeds 2.5e-7 both windows double (up to 16x),
+    each around its own product.  A result whose estimate exceeds 1e-6
+    raises ConvergenceError with the value and the estimate.
+
+    ``E`` may be a scalar, which returns a ReflectionResult or raises, or a
+    sequence, which returns a list holding each energy's ReflectionResult
+    or SemirefError.  The energies are run together, one stacked product
+    per shared grid; energies share a grid while none steps more than 2x
+    finer than its own k needs.  ``grid`` fixes one grid for all of them.
     """
-    if model.kind is PotentialKind.INVERSE_HO:
-        raise DomainError("inverse_ho has no flat tail; use exact_ho_reflection")
-    if not E > 0.0:
-        raise DomainError("E must be positive")
-    if grid is None:
-        grid = default_grid(model, E, consts)
-    v0 = model.v0
-    if abs(v(model, grid.x_max) + v0) > grid.tail_tol * v0:
-        raise DomainError("potential is not flat to tail_tol at x_max")
-    k = math.sqrt(2.0 * consts.mass * (E + v0)) / consts.hbar
-    if k * grid.dx > 0.1:
-        raise DomainError(f"k*dx = {k * grid.dx:.3f} > 0.1 under-resolves the wave")
+    _check_flat_tailed(model)
+    out = []
+    for run in _solve_all(model, np.atleast_1d(np.asarray(E, dtype=float)), consts, grid):
+        try:
+            out.append(_result(run))
+        except SemirefError as exc:
+            out.append(exc)
+    if np.ndim(E) != 0:
+        return out
+    if isinstance(out[0], SemirefError):
+        raise out[0]
+    return out[0]
 
-    n = grid.n_points
-    x = np.linspace(-grid.x_max, grid.x_max, n)
-    dx = x[1] - x[0]
-    x_launch, x_edge = x[-2], x[-1]
-    # f = 1 + (dx^2/12) (2m/hbar^2) (E - V), built in place: at 1M+ points
-    # the grid-sized temporaries are most of the memory this oracle needs.
-    f = v(model, x)
-    del x
-    np.subtract(E, f, out=f)
-    f *= 2.0 * consts.mass / consts.hbar**2
-    f *= dx * dx / 12.0
-    f += 1.0
 
-    # Numerov step psi_{i-1} = ((12 - 10 f_i) psi_i - f_{i+1} psi_{i+1}) / f_{i-1}
-    # as M_i = [[a_i, b_i], [1, 0]] acting on (psi_i, psi_{i+1}); the ordered
-    # product M_1 ... M_{n-2} carries the launch pair at the right edge to
-    # (psi_0, psi_1).
-    b = 1.0 / f[:-2]
-    a = f[1:-1] * -10.0
-    a += 12.0
-    a *= b
-    b *= f[2:]
-    np.negative(b, out=b)
-    del f
-    p00, p01, p10, p11 = map(float, _companion_product(a, b))
-    psi_mid = cmath.exp(1j * k * x_launch)
-    psi_hi = cmath.exp(1j * k * x_edge)
-    psi0 = p00 * psi_mid + p01 * psi_hi
-    psi1 = p10 * psi_mid + p11 * psi_hi
+def numerov_unitarity_defect(
+    model: PotentialModel, E: float, consts: PhysicalConstants
+) -> float:
+    """max |R + T - 1| over the runs ``numerov_reflection`` makes at E.
 
-    r = cmath.exp(1j * k * dx)
-    denom = r - 1.0 / r
-    a_inc = (psi1 - psi0 / r) / denom
-    b_ref = (psi0 * r - psi1) / denom
-    inc_flux = abs(a_inc) ** 2
-    refl = abs(b_ref) ** 2 / inc_flux
-    trans = 1.0 / inc_flux
-    unitarity_defect = abs(refl + trans - 1.0)
+    The recurrence conserves the flux Im(conj(y_i) y_{i+1}), y = f psi,
+    exactly, so the defect measures the rounding of the transfer-matrix
+    product, not the discretisation or window error.
+    """
+    _check_flat_tailed(model)
+    (res,) = _solve_all(model, np.array([E], dtype=float), consts, None)
+    if isinstance(res, SemirefError):
+        raise res
+    return res[4]
 
-    refl = min(max(refl, _tiny_prob()), 1.0)
-    return ReflectionResult.from_log(
-        E, math.log(refl), Method.NUMEROV_ORACLE, unitarity_defect
-    )
+
+def _result(run) -> ReflectionResult:
+    if isinstance(run, SemirefError):
+        raise run
+    E, log_r, d_step, d_window, defect = run
+    # Rounding moves A and B by up to about defect * |A|, so ln R by up to
+    # defect * |A| / |B| = defect / sqrt(R).  This is an upper estimate: the
+    # defect also counts the drift of the product's determinant, which
+    # scales A and B alike.
+    d_round = defect * math.exp(-0.5 * log_r)
+    err = d_step + d_window + d_round
+    if not err <= _ERR_BOUND:
+        raise ConvergenceError(
+            f"Numerov error estimate {err:.2e} exceeds {_ERR_BOUND:g} (2*dx moves "
+            f"ln R by {d_step:.1e}, window doubling by {d_window:.1e}, rounding "
+            f"{d_round:.1e})",
+            best=log_r, err_estimate=err,
+        )
+    return ReflectionResult.from_log(E, log_r, Method.NUMEROV_ORACLE, err)
+
+
+def _solve_all(model, energies, consts, grid) -> list:
+    """Per energy, (E, ln R, step term, window term, unitarity defect) or the
+    SemirefError that stopped it."""
+    out: list = [None] * energies.size
+    own = []
+    for i, E in enumerate(energies.tolist()):
+        try:
+            own.append((default_grid(model, E, consts), i))
+        except DomainError as exc:
+            out[i] = exc
+    if grid is not None:
+        groups = [(grid, [i for _, i in own])] if own else []
+    else:
+        # Coarsest first; a group takes the grid of its finest member.
+        own.sort(key=lambda gi: -gi[0].dx)
+        groups, first_dx = [], math.inf
+        for g, i in own:
+            if g.dx * _GROUP_RATIO < first_dx:
+                groups.append([g, []])
+                first_dx = g.dx
+            groups[-1][0] = g
+            groups[-1][1].append(i)
+    for g, idx in groups:
+        try:
+            runs = _solve(model, energies[idx], consts, g)
+        except SemirefError as exc:
+            runs = [exc] * len(idx)
+        for i, run in zip(idx, runs):
+            out[i] = run
+    return out
+
+
+def _solve(model, energies, consts, grid) -> list:
+    """The runs of ``energies`` on ``grid``: a fine run on [-X, X], a coarse
+    one at twice the step on [-X, X] and on [-2X, 2X], and window doublings
+    while the window term exceeds ``_WINDOW_TOL``."""
+    L, h, X = grid.quarter, grid.step, grid.x_max
+    k_max = _wavenumber(model, float(energies.max()), consts)
+    if k_max * h > 0.1:
+        raise DomainError(f"k*dx = {k_max * h:.3f} > 0.1 under-resolves the wave")
+    if X < _WINDOW[model.kind] * model.a * (1.0 - 1e-12):
+        raise DomainError(
+            f"window x_max = {X:g} is shorter than {_WINDOW[model.kind]:g} a"
+        )
+    c = 2.0 * consts.mass / consts.hbar**2 * h * h / 12.0
+
+    # Chain 0, the fine run: matrices at -X + h .. X.  Chain 1, the coarse
+    # run on [-2X, 2X]; its middle half steps over the fine run's even
+    # points, whose V it reuses.
+    fine_v = v(model, -X + h * np.arange(4 * L + 1))
+    coarse_v = np.concatenate([
+        v(model, -2.0 * X + 2.0 * h * np.arange(L)),
+        fine_v[::2],
+        v(model, X + 2.0 * h * np.arange(1, L + 1)),
+    ])
+    chains = _Chains(energies, [(fine_v, c), (coarse_v, 4.0 * c)], grid)
+    fine = chains.run(0, 0, 4)
+    narrow = chains.run(1, 1, 3)
+    wide = chains.run(1, 0, 4)
+    # The fine run carried to the doubled window: its ln R plus the change
+    # the coarse run sees when its window doubles.
+    log_r = fine.log_r + (wide.log_r - narrow.log_r)
+    defect = np.maximum(np.maximum(fine.defect, narrow.defect), wide.defect)
+    d_step = np.abs(fine.log_r - narrow.log_r)
+    d_window = np.abs(wide.log_r - narrow.log_r)
+
+    # Double the window of the fine and the coarse run alike, each around
+    # its own product, while the window term exceeds its tolerance and
+    # halves at each doubling.
+    todo = np.flatnonzero(d_window > _WINDOW_TOL)
+    fine, wide = fine.take(todo), wide.take(todo)
+    half = X  # the fine run's half-window
+    for _ in range(_MAX_DOUBLINGS):
+        if todo.size == 0 or 4.0 * half / h > _MAX_POINTS:
+            break
+        j = np.arange(round(half / h) + 1)
+        ring = _Chains(energies[todo], [
+            (v(model, -2.0 * half + h * j), c), (v(model, half + h * j), c),
+            (v(model, -4.0 * half + 2.0 * h * j), 4.0 * c),
+            (v(model, 2.0 * half + 2.0 * h * j), 4.0 * c),
+        ], grid)
+        fine, narrow, wide = ring.around(0, fine, 1), wide, ring.around(2, wide, 3)
+        log_r[todo] = fine.log_r + (wide.log_r - narrow.log_r)
+        defect[todo] = np.maximum(defect[todo], np.maximum(fine.defect, wide.defect))
+        d_step[todo] = np.abs(fine.log_r - narrow.log_r)
+        last = d_window[todo]
+        d_window[todo] = np.abs(wide.log_r - narrow.log_r)
+        keep = (d_window[todo] > _WINDOW_TOL) & (d_window[todo] <= 0.5 * last)
+        todo, fine, wide = todo[keep], fine.take(keep), wide.take(keep)
+        half *= 2.0
+    return list(zip(energies.tolist(), log_r.tolist(), d_step.tolist(),
+                    d_window.tolist(), defect.tolist()))
+
+
+@dataclass
+class _Run:
+    """A run's product (p00, p01, p10, p11) and the m = -e of its left and
+    right edge points, per energy, and the ln R and |R + T - 1| they give.
+
+    The product maps the state (y_N, y_N - y_{N+1}) at the right edge to
+    (y_0, y_0 - y_1) at the left.  Each edge takes the discrete wavenumber
+    theta = q dx that the recurrence carries there, 2 - e = 2 cos(theta),
+    i.e. sin^2(theta/2) = e/4, and y_j = A r^j + B r^-j with r = e^{i theta}.
+    """
+
+    p: tuple
+    edges: tuple
+
+    def __post_init__(self):
+        p00, p01, p10, p11 = self.p
+        m_l, m_r = self.edges
+        sin_l, sin_r = np.sqrt(-m_l * (1.0 + 0.25 * m_l)), np.sqrt(-m_r * (1.0 + 0.25 * m_r))
+        # Launch y_N = 1, y_{N+1} = e^{i theta_R}: y_N - y_{N+1} = e/2 - i sin.
+        d_n = -0.5 * m_r - 1j * sin_r
+        y0, d0 = p00 + p01 * d_n, p10 + p11 * d_n
+        # (r - 1/r) A = y_1 - y_0/r = y_0 (1 - 1/r) - d_0, and
+        # (r - 1/r) B = y_0 r - y_1 = d_0 - y_0 (1 - r).
+        inc = np.abs(y0 * (-0.5 * m_l + 1j * sin_l) - d0) ** 2
+        with np.errstate(divide="ignore"):
+            log_r = np.log(np.abs(d0 - y0 * (-0.5 * m_l - 1j * sin_l)) ** 2) - np.log(inc)
+        self.log_r = np.clip(log_r, math.log(np.finfo(float).tiny), 0.0)
+        # The recurrence conserves the flux Im(conj(y_j) y_{j+1}): sin theta_R
+        # at the right, (|A|^2 - |B|^2) sin theta_L at the left.
+        trans = 4.0 * sin_l * sin_r / inc
+        self.defect = np.abs(np.exp(log_r) + trans - 1.0)
+
+    def take(self, idx) -> "_Run":
+        return _Run(tuple(x[idx] for x in self.p), tuple(x[idx] for x in self.edges))
+
+
+class _Chains:
+    """Numerov transfer-matrix products along chains of grid points, for
+    every energy at once.
+
+    A chain is V at points x_0 .. x_n of one step, with the scale
+    c = (2m/hbar^2) step^2 / 12; its matrices sit at x_1 .. x_n.  Each
+    chain is cut into segments of ``grid.segment`` matrices, and the
+    segments of all chains and energies are the equal-length columns of one
+    product, taken along axis 0 in calls of at most ``_CHUNK`` matrices.
+    """
+
+    def __init__(self, energies, chains, grid: ScatteringGrid):
+        seg = grid.segment
+        self.energies, self.chains = energies, chains
+        self.L, self.per_quarter = grid.quarter, grid.quarter // seg
+        self.n_seg = (chains[0][0].size - 1) // seg
+        per_c = min(self.n_seg, max(1, _CHUNK // seg))
+        per_e = max(1, _CHUNK // (seg * self.n_seg))
+        prod = np.empty((4, energies.size, len(chains), self.n_seg))
+        for k, (v_k, c_k) in enumerate(chains):
+            cols = v_k[1:].reshape(self.n_seg, seg).T  # column s: segment s
+            for e0 in range(0, energies.size, per_e):
+                e = energies[e0 : e0 + per_e, None]
+                for c0 in range(0, self.n_seg, per_c):
+                    m = _numerov_m(e, cols[:, None, c0 : c0 + per_c], c_k)
+                    prod[:, e0 : e0 + per_e, k, c0 : c0 + per_c] = _companion_product(m)
+        self.prod = prod
+
+    def _edge(self, chain, point):
+        """m at ``point`` of ``chain``, per energy."""
+        v_k, c_k = self.chains[chain]
+        return _numerov_m(self.energies, v_k[point], c_k)
+
+    def _product(self, chain, lo, hi):
+        """Product over segments lo .. hi - 1 of ``chain``, per energy."""
+        return _ordered_product(*(self.prod[i, :, chain, lo:hi].T for i in range(4)))
+
+    def run(self, chain, lo, hi) -> _Run:
+        """The run over quarters lo .. hi - 1 of ``chain``."""
+        q = self.per_quarter
+        return _Run(self._product(chain, lo * q, hi * q),
+                    (self._edge(chain, lo * self.L), self._edge(chain, hi * self.L)))
+
+    def around(self, left, inner: _Run, right) -> _Run:
+        """``inner`` extended by the whole of chains ``left`` and ``right``."""
+        p = _mul2(self._product(left, 0, self.n_seg),
+                  _mul2(inner.p, self._product(right, 0, self.n_seg)))
+        end = self.chains[right][0].size - 1
+        return _Run(p, (self._edge(left, 0), self._edge(right, end)))
+
+
+def _numerov_m(E, V, c):
+    """m = -e = -12 g / (1 + g) with g = c (E - V), elementwise.
+
+    With y = f psi, f = 1 + g, the Numerov recurrence is y_{i-1} + y_{i+1}
+    = (2 - e_i) y_i.  e is formed from g, not from f near 1, so the
+    rounding of f does not enter, and the edges use the very values the
+    product does.
+    """
+    t = np.subtract(V, E)  # -g / c
+    den = t * (-1.0 / 12.0)
+    den += 1.0 / (12.0 * c)  # (1 + g) / (12 c)
+    t /= den
+    return t
 
 
 _IDENTITY = (1.0, 0.0, 0.0, 1.0)
 
 
-def _companion_product(a: np.ndarray, b: np.ndarray):
-    """Ordered product of the matrices [[a_i, b_i], [1, 0]], leftmost first.
+def _companion_product(m: np.ndarray):
+    """Ordered product along axis 0 of the Numerov steps
+    M_i = [[1 + m_i, 1], [m_i, 1]] = [[1, 1], [1, 0]] [[m_i, 1], [1, 0]],
+    each a pair of companion matrices.
 
-    The first pairing level exploits the [1, 0] bottom rows; the rest is
+    M_i maps (y_i, y_i - y_{i+1}) to (y_{i-1}, y_{i-1} - y_i).  In these
+    differences the product's entries stay well scaled, where products of
+    the plain companion steps [[2 - e_i, -1], [1, 0]] lose ~1/theta^2 to
+    rounding.  The first pairing level uses the unit entries; the rest is
     ``_ordered_product``.  Returns the four entries (p00, p01, p10, p11).
     """
+    p = m + 1.0
     tail = _IDENTITY
-    if a.size % 2:
-        tail = (a[-1], b[-1], 1.0, 0.0)
-        a, b = a[:-1], b[:-1]
-    if a.size == 0:
+    if len(m) % 2:
+        tail = (p[-1], 1.0, m[-1], 1.0)
+        p, m = p[:-1], m[:-1]
+    if len(m) == 0:
         return tail
-    a1, b1, a2, b2 = a[0::2], b[0::2], a[1::2], b[1::2]
-    return _ordered_product(a1 * a2 + b1, a1 * b2, a2, b2, tail)
+    p1, p2, m1, m2 = p[0::2], p[1::2], m[0::2], m[1::2]
+    a = p1 * p2
+    a += m2
+    c = m1 * p2
+    c += m2
+    return _ordered_product(a, p1 + 1.0, c, p1, tail)
 
 
 def _ordered_product(a, b, c, d, tail=_IDENTITY):
-    """Ordered product M_0 M_1 ... M_{m-1} of 2x2 matrices [[a, b], [c, d]].
+    """Ordered product M_0 M_1 ... M_{m-1} of 2x2 matrices [[a, b], [c, d]]
+    along axis 0, so a stack of columns gives one product per column.
 
     The stack is held as four component arrays (real or complex) and
     halved level by level, pairing [0::2] with [1::2] so the order of the
@@ -206,8 +447,8 @@ def _ordered_product(a, b, c, d, tail=_IDENTITY):
     the current stack.  Returns the four entries of the product times
     ``tail``.
     """
-    while a.size > 1:
-        if a.size % 2:
+    while len(a) > 1:
+        if len(a) % 2:
             tail = _mul2((a[-1], b[-1], c[-1], d[-1]), tail)
             a, b, c, d = a[:-1], b[:-1], c[:-1], d[:-1]
         a, b, c, d = _mul2(
@@ -227,7 +468,3 @@ def _mul2(left, right):
         c1 * a2 + d1 * c2,
         c1 * b2 + d1 * d2,
     )
-
-
-def _tiny_prob() -> float:
-    return np.finfo(float).tiny

@@ -3,7 +3,8 @@
 ``benchmarks/test_benchmark.py`` lets a metric be ``null`` (a count whose
 source is gone); a consumer that wants a number per metric does not.  This
 runs the lz-sweep workload, the one whose TDSE oracle feeds a count that can
-go ``null``, in both modes as a user would, in a child process.
+go ``null``, and the oracle-check workload, whose Numerov metrics are split
+by barrier family, in both modes as a user would, in a child process.
 """
 
 import json
@@ -21,10 +22,9 @@ def _reject(token):
     raise ValueError(f"non-finite JSON constant {token}")
 
 
-@pytest.mark.parametrize("trace", ["0", "1"])
-def test_lz_sweep_result_line_is_finite(trace):
+def _check_result_line(workload, trace):
     proc = subprocess.run(
-        [sys.executable, "benchmarks/run.py", "--workload", "lz-sweep",
+        [sys.executable, "benchmarks/run.py", "--workload", workload,
          "--size", "small", "--seconds", "1", "--trace", trace],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
@@ -36,3 +36,13 @@ def test_lz_sweep_result_line_is_finite(trace):
         assert isinstance(value, (int, float)) and not isinstance(value, bool), name
         assert math.isfinite(value), name
     assert result["failed"] == 0 and result["correct"]
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_lz_sweep_result_line_is_finite(trace):
+    _check_result_line("lz-sweep", trace)
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_oracle_check_result_line_is_finite(trace):
+    _check_result_line("oracle-check", trace)

@@ -169,6 +169,56 @@ class TestReflect:
 
 
 class TestFlaggedRows:
+    def test_deep_numerov_row_is_flagged(self, capsys):
+        # The exact ln R is -69.55; the oracle cannot resolve it and must say
+        # so instead of printing -36 with a 1e-11 estimate.
+        code, out, err = run_cli(
+            [
+                "reflect", "--model", "sech2", "--v0", "10", "--a", "2",
+                "--emin", "40", "--methods", "closed,numerov",
+            ],
+            capsys,
+        )
+        assert code == EXIT_NUMERICAL
+        assert "warning: numerov failed at E=40: Numerov error estimate" in err
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [row[1] for row in rows] == ["closed", "numerov"]
+        assert float(rows[1][4]) > 1e-6
+
+    def test_batched_numerov_keeps_row_and_warning_order(self, capsys):
+        # numerov runs all energies in one call, before the row loop; rows
+        # and warnings still come point by point, then by method name, as
+        # from one call per row.
+        from semiref import PhysicalConstants, PotentialModel, numerov_reflection
+        from semiref.cli import _failed_row, _fmt
+
+        energies = [1.0, 14.0, 27.0, 40.0]
+        code, out, err = run_cli(
+            [
+                "reflect", "--model", "sech2", "--v0", "10", "--a", "2", "--emin", "1",
+                "--emax", "40", "--n", "4", "--methods", "numerov,closed",
+            ],
+            capsys,
+        )
+        results = numerov_reflection(
+            PotentialModel.sech2(10.0, 2.0), energies, PhysicalConstants())
+        flagged = [E for E, r in zip(energies, results) if isinstance(r, Exception)]
+        assert flagged and len(flagged) < len(energies)
+        assert code == EXIT_NUMERICAL
+        lines = out.strip().splitlines()[1:]
+        assert [tuple(line.split(",")[:2]) for line in lines] == [
+            (_fmt(E), method) for E in energies for method in ("closed", "numerov")
+        ]
+        for E, res in zip(energies, results):
+            values = (_failed_row(res) if isinstance(res, Exception)
+                      else (res.log_prob, res.prob, res.err_estimate))
+            assert f"{_fmt(E)},numerov,{','.join(map(_fmt, values))}" in lines
+        warnings = err.strip().splitlines()
+        assert warnings == [
+            f"warning: numerov failed at E={E:g}: {r}"
+            for E, r in zip(energies, results) if isinstance(r, Exception)
+        ]
+
     def test_underflow_row_is_null_in_json(self, tmp_path, capsys):
         # exp(-2 pi E) underflows double precision near E = 118.
         out_path = tmp_path / "rows.json"
@@ -663,6 +713,23 @@ class TestValidate:
         code, out, _ = run_cli(["validate", "--nodes", "8", "--levels", "1"], capsys)
         assert code == EXIT_NUMERICAL
         assert "FAIL quadrature_convergence" in out
+
+    def test_tdse_norm_check_runs_the_cf4_propagator(self, monkeypatch):
+        # The check covers the oracle ``lz`` prints, not the DOP853 reference.
+        import semiref.landau_zener as lz
+        from semiref.validate import run_all
+
+        def unused(*args, **kwargs):
+            raise AssertionError("validate called the DOP853 reference")
+
+        monkeypatch.setattr(lz, "_integrate", unused)
+        calls = []
+        propagator = lz._propagator
+        monkeypatch.setattr(
+            lz, "_propagator", lambda *a: calls.append(a) or propagator(*a))
+        (res,) = [r for r in run_all() if r.name == "tdse_norm_conservation"]
+        assert res.passed, res.detail
+        assert len(calls) == 8
 
     def test_halved_hbar_still_passes_scaling(self, capsys):
         code, out, _ = run_cli(["validate", "--hbar", "0.5"], capsys)

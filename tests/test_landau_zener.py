@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -259,7 +260,7 @@ class TestTDSE:
         assert abs(cf4.log_prob - logs[1]) <= cf4.err_estimate + dop853_err
 
     def test_norm_conserved_along_trajectory(self):
-        # The DOP853 reference behind validate's tdse_norm_conservation.
+        # The DOP853 reference that test_cf4_agrees_with_dop853 trusts.
         profile = CrossingProfile.linear(2.0)
         eps = CouplingSpec(1.0)
         rel_tol = 1e-10
@@ -323,6 +324,19 @@ class TestTDSE:
         closed = lz_closed_form(T, eps, UNIT)
         assert abs(res.log_prob - closed.log_prob) / abs(closed.log_prob) <= 0.05
         assert abs(res.log_prob - closed.log_prob) <= res.err_estimate <= 100.0 * rel_tol
+
+    @pytest.mark.parametrize("epsilon", [1e-8, 1e-3])
+    def test_nearly_diabatic_sweep_is_cheap(self, epsilon):
+        # The linear span is +-20 max(T, sqrt(hbar T), eps T): hbar/eps in
+        # place of sqrt(hbar T) sent eps = 1e-8 to the step cap (~3 s).
+        eps = CouplingSpec(epsilon)
+        start = time.perf_counter()
+        res = evolve_tdse(CrossingProfile.linear(1.0), eps, UNIT)
+        elapsed = time.perf_counter() - start
+        closed = lz_closed_form(1.0, eps, UNIT)
+        assert elapsed < 0.1
+        assert abs(res.log_prob - closed.log_prob) <= res.err_estimate + 1e-15
+        assert res.err_estimate <= 1e-8
 
     def test_default_span_covers_preconditions(self):
         profile = CrossingProfile.tanh(3.0, 1.0)
