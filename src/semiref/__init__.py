@@ -31,7 +31,6 @@ from .scattering_oracle import (
     default_grid,
     exact_ho_reflection,
     numerov_reflection,
-    numerov_unitarity_defect,
 )
 from .specfun import elliptic_e, elliptic_k
 from .wkb_reflection import (
@@ -75,7 +74,6 @@ __all__ = [
     "default_grid",
     "exact_ho_reflection",
     "numerov_reflection",
-    "numerov_unitarity_defect",
     "ProfileKind",
     "CrossingProfile",
     "CouplingSpec",

@@ -108,31 +108,42 @@ def _profile(cfg: RunConfig, scale: float) -> lz.CrossingProfile:
     return lz.CrossingProfile.tanh(scale, cfg.e_sat)
 
 
-# Each command's routes, by method name: (cfg, *point) -> (log_prob, prob,
-# err_estimate), or for a name in BATCHED, (cfg, points) -> one such triple
-# or SemirefError per point.  An entry looks its route up when called (a
-# module global or ``lz.<name>``), so a wrapper bound over that name later
-# is what runs.
-BATCHED = frozenset({"numerov"})
+def _outcome(route, *args):
+    """``route(*args)``, or the SemirefError it raised."""
+    try:
+        return route(*args)
+    except SemirefError as exc:
+        return exc
+
+
+def _each(route):
+    """A route over all points from one that takes a single point."""
+    return lambda cfg, points: [_outcome(route, cfg, *point) for point in points]
+
+
+# Each command's routes, by method name: (cfg, points) -> one (log_prob,
+# prob, err_estimate) or SemirefError per point.  An entry looks its route
+# up when called (a module global or ``lz.<name>``), so a wrapper bound
+# over that name later is what runs.
 REFLECT_METHODS = {
-    "closed": lambda cfg, E: _values(
-        reflection_closed_form(cfg.model, E, cfg.constants)),
-    "contour": lambda cfg, E: _values(
-        reflection_contour_ll(cfg.model, E, cfg.constants, cfg.quadrature)),
-    "momentum": lambda cfg, E: _values(
-        reflection_momentum_space(cfg.model, E, cfg.constants, cfg.quadrature)),
+    "closed": _each(lambda cfg, E: _values(
+        reflection_closed_form(cfg.model, E, cfg.constants))),
+    "contour": _each(lambda cfg, E: _values(
+        reflection_contour_ll(cfg.model, E, cfg.constants, cfg.quadrature))),
+    "momentum": _each(lambda cfg, E: _values(
+        reflection_momentum_space(cfg.model, E, cfg.constants, cfg.quadrature))),
     "numerov": lambda cfg, points: [
         r if isinstance(r, SemirefError) else _values(r)
         for r in numerov_reflection(cfg.model, [E for E, in points], cfg.constants)],
 }
 LZ_METHODS = {
-    "adiabatic": lambda cfg, scale, eps: _values(lz.adiabatic_reflection(
-        _profile(cfg, scale), lz.CouplingSpec(eps), cfg.constants, cfg.quadrature)),
-    "closed": lambda cfg, scale, eps: _values(
-        lz.lz_closed_form(scale, lz.CouplingSpec(eps), cfg.constants)),
-    "tdse": lambda cfg, scale, eps: _values(lz.evolve_tdse(
+    "adiabatic": _each(lambda cfg, scale, eps: _values(lz.adiabatic_reflection(
+        _profile(cfg, scale), lz.CouplingSpec(eps), cfg.constants, cfg.quadrature))),
+    "closed": _each(lambda cfg, scale, eps: _values(
+        lz.lz_closed_form(scale, lz.CouplingSpec(eps), cfg.constants))),
+    "tdse": _each(lambda cfg, scale, eps: _values(lz.evolve_tdse(
         _profile(cfg, scale), lz.CouplingSpec(eps), cfg.constants,
-        rel_tol=cfg.tdse_rel_tol)),
+        rel_tol=cfg.tdse_rel_tol))),
 }
 
 
@@ -149,37 +160,25 @@ def _failed_row(exc: SemirefError) -> tuple[float, float, float]:
     return math.nan, math.nan, math.nan
 
 
-def _outcome(route, *args):
-    """``route(*args)``, or the SemirefError it raised."""
-    try:
-        return route(*args)
-    except SemirefError as exc:
-        return exc
-
-
 def run_rows(
     cfg: RunConfig, table: dict, labels: tuple[str, ...], points: list[tuple]
 ) -> tuple[list[tuple], int]:
     """One row (*point, method, log_prob, prob, err_estimate) per point and
     method, in the order of ``points``, then method name.
 
-    A batched route gets every point in one call, before the loop.  A route
-    that fails at a point gives a flagged row and a warning naming the point
-    by ``labels``; the run continues.  Returns the rows and the number
-    flagged.
+    Each method's route gets every point in one call.  A route that fails
+    at a point gives a flagged row and a warning naming the point by
+    ``labels``; the run continues.  Returns the rows and the number flagged.
     """
-    batched = {}
-    for method in BATCHED.intersection(cfg.methods):
+    outcomes = {}
+    for method in cfg.methods:
         out = _outcome(table[method], cfg, points)
-        batched[method] = [out] * len(points) if isinstance(out, SemirefError) else out
+        outcomes[method] = [out] * len(points) if isinstance(out, SemirefError) else out
     rows = []
     n_failed = 0
     for i, point in enumerate(points):
         for method in cfg.methods:
-            if method in batched:
-                values = batched[method][i]
-            else:
-                values = _outcome(table[method], cfg, *point)
+            values = outcomes[method][i]
             if isinstance(values, SemirefError):
                 n_failed += 1
                 where = ", ".join(f"{k}={v:g}" for k, v in zip(labels, point))

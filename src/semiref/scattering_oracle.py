@@ -25,7 +25,6 @@ __all__ = [
     "default_grid",
     "exact_ho_reflection",
     "numerov_reflection",
-    "numerov_unitarity_defect",
 ]
 
 _MAX_POINTS = 50_000_000
@@ -37,6 +36,7 @@ _WINDOW = {PotentialKind.SECH2: 12.0, PotentialKind.LORENTZIAN: 192.0}
 _WINDOW_TOL = 2.5e-7  # the window doubles until doubling moves ln R less
 _MAX_DOUBLINGS = 4
 _ERR_BOUND = 1e-6  # err_estimate above which a result is flagged
+_EPS = float(np.finfo(float).eps)
 _GROUP_RATIO = 2.0  # energies share a grid while k_max <= 2 k_min
 _CHUNK = 2**16  # transfer matrices per product call, to bound memory
 _SEG = 512  # transfer matrices per segment, the length of a product column
@@ -149,17 +149,25 @@ def numerov_reflection(
 
     The value is the fine run's ln R plus the change that a run at twice
     the step sees when its window doubles.  ``err_estimate`` is |Delta ln R|
-    between the fine and that coarse run, plus that window change, plus the
-    rounding the unitarity defect shows, scaled to the reflected amplitude.
-    While the window term exceeds 2.5e-7 both windows double (up to 16x),
-    each around its own product.  A result whose estimate exceeds 1e-6
-    raises ConvergenceError with the value and the estimate.
+    between the fine and that coarse run, plus that window change, plus a
+    rounding term: a product of n steps moves the amplitudes by up to
+    rho = eps sqrt(n) |A|, which moves ln R by up to -2 ln(1 - rho/|B|)
+    (infinite once rho >= |B|).  While the window term exceeds 2.5e-7 both
+    windows double (up to 16x), each around its own product.
+
+    A result whose estimate exceeds 1e-6 raises ConvergenceError with the
+    value and the estimate, unless R lies below the rounding floor R_f,
+    where rounding alone puts 1e-6 on ln R (sqrt(R_f) = 2e6 rho / |A|): there
+    the bound holds for the error on R itself, R (e^err - 1) <= 1e-6 R_f.
+    Such a row is returned with its estimate on ln R, above 1e-6.
 
     ``E`` may be a scalar, which returns a ReflectionResult or raises, or a
     sequence, which returns a list holding each energy's ReflectionResult
     or SemirefError.  The energies are run together, one stacked product
     per shared grid; energies share a grid while none steps more than 2x
     finer than its own k needs.  ``grid`` fixes one grid for all of them.
+    A shared grid steps as finely as its largest k needs, so a row's value
+    depends, within its estimate, on the other energies of the call.
     """
     _check_flat_tailed(model)
     out = []
@@ -175,7 +183,7 @@ def numerov_reflection(
     return out[0]
 
 
-def numerov_unitarity_defect(
+def _unitarity_defect(
     model: PotentialModel, E: float, consts: PhysicalConstants
 ) -> float:
     """max |R + T - 1| over the runs ``numerov_reflection`` makes at E.
@@ -194,14 +202,18 @@ def numerov_unitarity_defect(
 def _result(run) -> ReflectionResult:
     if isinstance(run, SemirefError):
         raise run
-    E, log_r, d_step, d_window, defect = run
-    # Rounding moves A and B by up to about defect * |A|, so ln R by up to
-    # defect * |A| / |B| = defect / sqrt(R).  This is an upper estimate: the
-    # defect also counts the drift of the product's determinant, which
-    # scales A and B alike.
-    d_round = defect * math.exp(-0.5 * log_r)
+    E, log_r, d_step, d_window, _, n_steps = run
+    # Over 720 seeded sech^2 rows with E up to 30, the returned rows below
+    # ln R = -35 saw B move by at most 0.34 eps sqrt(n) |A| (median 0.03).
+    rho = _EPS * math.sqrt(n_steps)  # relative to |A|
+    x = rho * math.exp(-0.5 * log_r)  # rho / |B|
+    d_round = -2.0 * math.log1p(-x) if x < 1.0 else math.inf
     err = d_step + d_window + d_round
-    if not err <= _ERR_BOUND:
+    # Below r_floor rounding alone puts more than the bound on ln R, so the
+    # bound is kept by the error on R itself.
+    r_floor = (2.0 * rho / _ERR_BOUND) ** 2
+    r_err = math.exp(log_r) * math.expm1(min(err, 700.0))
+    if not (err <= _ERR_BOUND or r_err <= _ERR_BOUND * r_floor):
         raise ConvergenceError(
             f"Numerov error estimate {err:.2e} exceeds {_ERR_BOUND:g} (2*dx moves "
             f"ln R by {d_step:.1e}, window doubling by {d_window:.1e}, rounding "
@@ -212,8 +224,8 @@ def _result(run) -> ReflectionResult:
 
 
 def _solve_all(model, energies, consts, grid) -> list:
-    """Per energy, (E, ln R, step term, window term, unitarity defect) or the
-    SemirefError that stopped it."""
+    """Per energy, (E, ln R, step term, window term, unitarity defect, steps
+    in the fine and the wide run) or the SemirefError that stopped it."""
     out: list = [None] * energies.size
     own = []
     for i, E in enumerate(energies.tolist()):
@@ -276,6 +288,7 @@ def _solve(model, energies, consts, grid) -> list:
     defect = np.maximum(np.maximum(fine.defect, narrow.defect), wide.defect)
     d_step = np.abs(fine.log_r - narrow.log_r)
     d_window = np.abs(wide.log_r - narrow.log_r)
+    n_steps = np.full(energies.size, 8 * L)
 
     # Double the window of the fine and the coarse run alike, each around
     # its own product, while the window term exceeds its tolerance and
@@ -296,13 +309,14 @@ def _solve(model, energies, consts, grid) -> list:
         log_r[todo] = fine.log_r + (wide.log_r - narrow.log_r)
         defect[todo] = np.maximum(defect[todo], np.maximum(fine.defect, wide.defect))
         d_step[todo] = np.abs(fine.log_r - narrow.log_r)
+        n_steps[todo] += 4 * (j.size - 1)
         last = d_window[todo]
         d_window[todo] = np.abs(wide.log_r - narrow.log_r)
         keep = (d_window[todo] > _WINDOW_TOL) & (d_window[todo] <= 0.5 * last)
         todo, fine, wide = todo[keep], fine.take(keep), wide.take(keep)
         half *= 2.0
     return list(zip(energies.tolist(), log_r.tolist(), d_step.tolist(),
-                    d_window.tolist(), defect.tolist()))
+                    d_window.tolist(), defect.tolist(), n_steps.tolist()))
 
 
 @dataclass

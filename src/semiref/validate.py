@@ -121,7 +121,7 @@ def _check_low_energy(consts, quad):
 def _check_unitarity(consts, quad):
     worst = 0.0
     for model in (PotentialModel.sech2(10.0, 2.0), PotentialModel.lorentzian(10.0, 2.0)):
-        worst = max(worst, oracle.numerov_unitarity_defect(model, 1.0, consts))
+        worst = max(worst, oracle._unitarity_defect(model, 1.0, consts))
     return worst <= 1e-6, f"max unitarity defect {worst:.3e} (bound 1e-06)"
 
 

@@ -185,13 +185,22 @@ class TestFlaggedRows:
         assert [row[1] for row in rows] == ["closed", "numerov"]
         assert float(rows[1][4]) > 1e-6
 
-    def test_batched_numerov_keeps_row_and_warning_order(self, capsys):
-        # numerov runs all energies in one call, before the row loop; rows
-        # and warnings still come point by point, then by method name, as
-        # from one call per row.
-        from semiref import PhysicalConstants, PotentialModel, numerov_reflection
+    def test_batched_numerov_keeps_row_and_warning_order(self, monkeypatch, capsys):
+        # Each method runs over all energies in one call; rows and warnings
+        # still come point by point, then by method name, as from one call
+        # per row.  numerov flags E = 40; closed is made to fail at E = 14.
+        import semiref.cli
+        from semiref import ConvergenceError, PhysicalConstants, PotentialModel, numerov_reflection
         from semiref.cli import _failed_row, _fmt
 
+        closed = semiref.cli.reflection_closed_form
+
+        def failing_at_14(model, E, consts):
+            if E == 14.0:
+                raise ConvergenceError("closed form made to fail", best=-30.0, err_estimate=1.0)
+            return closed(model, E, consts)
+
+        monkeypatch.setattr(semiref.cli, "reflection_closed_form", failing_at_14)
         energies = [1.0, 14.0, 27.0, 40.0]
         code, out, err = run_cli(
             [
@@ -203,20 +212,20 @@ class TestFlaggedRows:
         results = numerov_reflection(
             PotentialModel.sech2(10.0, 2.0), energies, PhysicalConstants())
         flagged = [E for E, r in zip(energies, results) if isinstance(r, Exception)]
-        assert flagged and len(flagged) < len(energies)
+        assert flagged == [40.0]
         assert code == EXIT_NUMERICAL
         lines = out.strip().splitlines()[1:]
         assert [tuple(line.split(",")[:2]) for line in lines] == [
             (_fmt(E), method) for E in energies for method in ("closed", "numerov")
         ]
+        assert lines[2] == "14,closed,-30,9.35762296884e-14,1"
         for E, res in zip(energies, results):
             values = (_failed_row(res) if isinstance(res, Exception)
                       else (res.log_prob, res.prob, res.err_estimate))
             assert f"{_fmt(E)},numerov,{','.join(map(_fmt, values))}" in lines
-        warnings = err.strip().splitlines()
-        assert warnings == [
-            f"warning: numerov failed at E={E:g}: {r}"
-            for E, r in zip(energies, results) if isinstance(r, Exception)
+        assert err.strip().splitlines() == [
+            "warning: closed failed at E=14: closed form made to fail",
+            f"warning: numerov failed at E=40: {results[3]}",
         ]
 
     def test_underflow_row_is_null_in_json(self, tmp_path, capsys):

@@ -15,11 +15,10 @@ from semiref import (
     default_grid,
     exact_ho_reflection,
     numerov_reflection,
-    numerov_unitarity_defect,
     reflection_closed_form,
     v,
 )
-from semiref.scattering_oracle import _companion_product, _ordered_product
+from semiref.scattering_oracle import _companion_product, _ordered_product, _unitarity_defect
 
 UNIT = PhysicalConstants()
 
@@ -175,16 +174,9 @@ class TestNumerov:
         assert res.log_prob == pytest.approx(reference, rel=1e-9)
 
     def test_free_particle_does_not_reflect(self):
-        # R of a 1e-12 barrier is far below the rounding floor, so the row
-        # may be flagged; either way R is below 1e-8 at the top of its
-        # error bar.
         model = PotentialModel.sech2(1e-12, 1.0)
-        try:
-            res = numerov_reflection(model, 1.0, UNIT)
-            best, err = res.log_prob, res.err_estimate
-        except ConvergenceError as exc:
-            best, err = exc.best, exc.err_estimate
-        assert math.exp(best + err) <= 1e-8
+        res = numerov_reflection(model, 1.0, UNIT)
+        assert res.prob <= 1e-8
 
     def test_sech2_matches_analytic_scattering(self):
         res = numerov_reflection(SECH2, 1.0, UNIT)
@@ -207,7 +199,7 @@ class TestNumerov:
     @pytest.mark.parametrize("model", [SECH2, LOR], ids=["sech2", "lorentzian"])
     def test_unitarity(self, model):
         # |R + T - 1| of the runs themselves, with T from the conserved flux.
-        assert numerov_unitarity_defect(model, 1.0, UNIT) <= 1e-6
+        assert _unitarity_defect(model, 1.0, UNIT) <= 1e-6
         assert numerov_reflection(model, 1.0, UNIT).err_estimate <= 1e-6
 
     def test_grid_convergence_on_halving(self):
@@ -252,6 +244,21 @@ class TestNumerov:
         assert info.value.best is not None
         assert info.value.err_estimate > 1e-6
 
+    def test_rows_below_the_rounding_floor_are_bounded_in_r(self):
+        # sech2 (10, 2): ln R = -2.9, -31.0, -52.0, -69.6.  Rounding puts
+        # ~1e-7, ~4e-5 and ~1 on ln R at 14, 27 and 40.  14 is resolved to
+        # the bound; 27 lies below the rounding floor and comes back with
+        # its estimate on ln R, which holds; 40 is noise and is flagged.
+        energies = [1.0, 14.0, 27.0, 40.0]
+        out = numerov_reflection(SECH2, energies, UNIT)
+        for E, res in zip(energies[:3], out):
+            assert abs(res.log_prob - sech2_exact_ln_refl(E, 10.0, 2.0)) <= res.err_estimate
+        assert out[1].err_estimate <= 1e-6
+        assert 1e-6 < out[2].err_estimate < 1.0
+        assert out[2].prob <= 1e-22
+        assert isinstance(out[3], ConvergenceError)
+        assert out[3].err_estimate == math.inf
+
     def test_window_doubles_until_its_term_fits(self):
         # Lorentzian (10, 2) at E = 2 and hbar/2: doubling 192a moves ln R by
         # ~8.5e-7, doubling 384a by ~1.4e-7.  The result must come from the
@@ -283,8 +290,9 @@ class TestNumerov:
         out = numerov_reflection(SECH2, energies, UNIT)
         assert isinstance(out[0], ConvergenceError)
         assert isinstance(out[2], DomainError)
-        assert isinstance(out[4], ConvergenceError)
-        assert [r.energy for r in (out[1], out[3])] == [1.0, 2.0]
+        # E = 20 lies below the rounding floor: returned, bounded in R.
+        assert [r.energy for r in (out[1], out[3], out[4])] == [1.0, 2.0, 20.0]
+        assert out[4].err_estimate > 1e-6
         # 1, 2 and 20 share the grid of 20, which k(20) < 2 k(1) allows.
         shared = default_grid(SECH2, 20.0, UNIT)
         assert out[1] == numerov_reflection(SECH2, 1.0, UNIT, shared)
@@ -329,6 +337,24 @@ class TestErrorEstimate:
                 assert err <= res.err_estimate <= 1e-6
                 worst = min(worst, res.err_estimate / max(err, 1e-300))
         print(f"smallest estimate / error: {worst:.3g}")
+
+    def test_sech2_deep_rows_against_exact_formula(self):
+        # E up to 30 takes ln R down to ~-75, through the rounding floor.
+        # Every row that comes back is within its estimate; a row with an
+        # estimate above 1e-6 lies below the floor, with R under 1e-12.
+        rng = random.Random(20091025)
+        returned = 0
+        for _ in range(6):
+            v0, a = rng.uniform(5.0, 20.0), rng.uniform(1.0, 3.0)
+            energies = [rng.uniform(0.5, 30.0) for _ in range(8)]
+            for E, res in zip(energies, numerov_reflection(
+                    PotentialModel.sech2(v0, a), energies, UNIT)):
+                if isinstance(res, ConvergenceError):
+                    continue
+                returned += 1
+                assert abs(res.log_prob - sech2_exact_ln_refl(E, v0, a)) <= res.err_estimate
+                assert res.err_estimate <= 1e-6 or res.prob < 1e-12
+        assert returned >= 30
 
     def test_lorentzian_against_longer_finer_run(self):
         rng = random.Random(20091024)
