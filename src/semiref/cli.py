@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -121,20 +122,26 @@ def _each(route):
     return lambda cfg, points: [_outcome(route, cfg, *point) for point in points]
 
 
+def _batch(route):
+    """A route over all points from one that takes every energy at once and
+    returns a ReflectionResult or SemirefError per energy."""
+    return lambda cfg, points: [
+        r if isinstance(r, SemirefError) else _values(r)
+        for r in route(cfg, [E for E, in points])]
+
+
 # Each command's routes, by method name: (cfg, points) -> one (log_prob,
 # prob, err_estimate) or SemirefError per point.  An entry looks its route
 # up when called (a module global or ``lz.<name>``), so a wrapper bound
-# over that name later is what runs.
+# over that name later is what runs.  Every ``reflect`` route takes all the
+# energies of an invocation in one call.
 REFLECT_METHODS = {
-    "closed": _each(lambda cfg, E: _values(
-        reflection_closed_form(cfg.model, E, cfg.constants))),
-    "contour": _each(lambda cfg, E: _values(
-        reflection_contour_ll(cfg.model, E, cfg.constants, cfg.quadrature))),
-    "momentum": _each(lambda cfg, E: _values(
-        reflection_momentum_space(cfg.model, E, cfg.constants, cfg.quadrature))),
-    "numerov": lambda cfg, points: [
-        r if isinstance(r, SemirefError) else _values(r)
-        for r in numerov_reflection(cfg.model, [E for E, in points], cfg.constants)],
+    "closed": _batch(lambda cfg, E: reflection_closed_form(cfg.model, E, cfg.constants)),
+    "contour": _batch(lambda cfg, E: reflection_contour_ll(
+        cfg.model, E, cfg.constants, cfg.quadrature)),
+    "momentum": _batch(lambda cfg, E: reflection_momentum_space(
+        cfg.model, E, cfg.constants, cfg.quadrature)),
+    "numerov": _batch(lambda cfg, E: numerov_reflection(cfg.model, E, cfg.constants)),
 }
 LZ_METHODS = {
     "adiabatic": _each(lambda cfg, scale, eps: _values(lz.adiabatic_reflection(
@@ -202,13 +209,30 @@ def rows_to_csv(rows: list[tuple], columns: tuple[str, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def rows_to_json(rows: list[tuple], columns: tuple[str, ...]) -> str:
-    def cell(value):
-        # Strict JSON has no nan/inf; flagged fields become null.
-        return None if isinstance(value, float) and not math.isfinite(value) else value
+def _json_cell(value) -> str:
+    # Strict JSON has no nan/inf; flagged fields become null.
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return json.dumps(value)
 
-    payload = [{c: cell(value) for c, value in zip(columns, row)} for row in rows]
-    return json.dumps(payload, indent=2) + "\n"
+
+def rows_to_json(rows: list[tuple], columns: tuple[str, ...]) -> str:
+    """The rows as a JSON list of objects keyed by ``columns``.
+
+    Written directly in the layout of ``json.dumps(..., indent=2)``, byte
+    for byte, because with ``indent`` set ``json`` runs its pure-Python
+    encoder, which takes about twice as long.
+    """
+    if not rows:
+        return "[]\n"
+    keys = [f"    {encode_basestring_ascii(c)}: " for c in columns]
+    objects = [
+        "  {\n" + ",\n".join(k + _json_cell(v) for k, v in zip(keys, row)) + "\n  }"
+        for row in rows
+    ]
+    return "[\n" + ",\n".join(objects) + "\n]\n"
 
 
 def _write_output(text: str, path: str | None) -> None:

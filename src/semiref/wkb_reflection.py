@@ -14,8 +14,9 @@ equal, which the tests exploit as a cross check.
 All quadratures substitute away the square-root vanishing of the
 integrand at the interval ends (p = p0 sin(theta), y = y0 sin^2(phi)),
 leaving analytic integrands on which fixed-node Gauss-Legendre converges
-geometrically.  Levels double the node count until two successive levels
-agree to the requested relative tolerance.
+geometrically.  Levels double the node count, up to ``MAX_NODES``, until
+two successive levels agree to the requested relative tolerance.  A
+sequence of energies runs as one ladder with one row per energy.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, SemirefError
 from .potentials import (
     PhysicalConstants,
     PotentialKind,
@@ -43,6 +44,7 @@ __all__ = [
     "ReflectionResult",
     "QuadratureSpec",
     "DEFAULT_QUADRATURE",
+    "MAX_NODES",
     "forbidden_zone_integral",
     "gauss_refined",
     "reflection_momentum_space",
@@ -116,7 +118,8 @@ class ReflectionResult:
 class QuadratureSpec:
     """Gauss-Legendre refinement schedule.
 
-    ``nodes`` is the base node count; each refinement level doubles it.
+    ``nodes`` is the base node count; each refinement level doubles it, up
+    to ``MAX_NODES``: the ladder stops at the last level within that cap.
     A single level cannot certify convergence and always fails, which the
     validation suite uses as a designed failure mode.
     """
@@ -128,16 +131,27 @@ class QuadratureSpec:
     def __post_init__(self):
         if not self.nodes >= 8:
             raise DomainError("nodes must be >= 8")
+        if not self.nodes <= MAX_NODES:
+            raise DomainError(f"nodes must be <= {MAX_NODES}")
         if not self.refinement_levels >= 1:
             raise DomainError("refinement_levels must be >= 1")
         if not self.rel_tol > 0.0:
             raise DomainError("rel_tol must be positive")
 
     def node_counts(self) -> tuple[int, ...]:
-        return tuple(self.nodes << k for k in range(self.refinement_levels))
+        counts = (self.nodes << k for k in range(self.refinement_levels))
+        return tuple(n for n in counts if n <= MAX_NODES)
 
 
+# Largest rule the ladder builds.  ``leggauss(n)`` diagonalises an n x n
+# matrix, O(n^3) time and O(n^2) memory: 4096 nodes took 4.6 s and a
+# 290 MB peak on a 2-vCPU Xeon VM; 65536 would need a 34 GB matrix.
+MAX_NODES = 4096
 DEFAULT_QUADRATURE = QuadratureSpec()
+
+# Integrand values one call of f may hold per level; larger batches of rows
+# are evaluated in blocks, so memory does not grow with the row count.
+_BLOCK_POINTS = 1 << 16
 
 
 @lru_cache(maxsize=64)
@@ -153,31 +167,81 @@ def gauss_refined(
     lo: float,
     hi: float,
     spec: QuadratureSpec,
-) -> tuple[float, float]:
-    """Integrate f over [lo, hi], refining until two levels agree.
+    rows: int | None = None,
+    select: Callable[[np.ndarray], None] | None = None,
+):
+    """Integrate f over [lo, hi] for one or more rows, refining each row
+    until two levels agree.
 
-    Returns (value, err) where err is the last inter-level difference.
-    Raises ConvergenceError carrying the best value if the schedule is
-    exhausted before reaching ``spec.rel_tol``.
+    f takes one array, the (k, n) abscissae of the k rows a level
+    evaluates, and returns their integrand values in that shape.  Each row
+    stops at the first level where |v_n - v_{n-1}| <= rel_tol * |v_n| and
+    takes that level's value and difference as (value, err); a row still
+    refining when the ladder ends becomes a ConvergenceError carrying its
+    last value and difference.  Each row's sum is ``np.dot(w, row)``, so a
+    row's result does not depend on the rows beside it.
+
+    With ``rows`` None there is one row: return its (value, err) or raise.
+    With ``rows`` = m, return the m rows' outcomes in order; before each
+    call of f, ``select`` gets the indices of the rows that call evaluates.
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    prev = None
-    err = math.inf
-    for n in spec.node_counts():
+    count = 1 if rows is None else rows
+    value = [math.nan] * count  # each row's value at its last level
+    err = [math.inf] * count  # ... and its change from the level before
+    live = list(range(count))
+    for level, n in enumerate(spec.node_counts()):
         x, w = _gauss_legendre(n)
-        value = half * float(np.dot(w, f(mid + half * x)))
-        if prev is not None:
-            err = abs(value - prev)
-            if err <= spec.rel_tol * max(abs(value), _TINY):
-                return value, err
-        prev = value
-    raise ConvergenceError(
-        f"quadrature did not reach rel_tol={spec.rel_tol:g} "
-        f"with node counts {spec.node_counts()}",
-        best=prev,
-        err_estimate=err,
-    )
+        t = (mid + half * x)[None, :]
+        step = max(1, _BLOCK_POINTS // n)
+        refining = []
+        for b in range(0, len(live), step):
+            block = live[b : b + step]
+            if select is not None:
+                select(np.array(block))
+            for i, row in zip(block, f(np.repeat(t, len(block), axis=0))):
+                v = half * float(np.dot(w, row))
+                passed = False
+                if level:
+                    err[i] = abs(v - value[i])
+                    passed = err[i] <= spec.rel_tol * max(abs(v), _TINY)
+                value[i] = v
+                if not passed:
+                    refining.append(i)
+        live = refining
+        if not live:
+            break
+    out: list = list(zip(value, err))
+    for i in live:
+        out[i] = ConvergenceError(
+            f"quadrature did not reach rel_tol={spec.rel_tol:g} "
+            f"with node counts {spec.node_counts()}",
+            best=value[i],
+            err_estimate=err[i],
+        )
+    if rows is not None:
+        return out
+    if isinstance(out[0], ConvergenceError):
+        raise out[0]
+    return out[0]
+
+
+def _forbidden_zone_rows(p0: np.ndarray, xi_scale: float, im_of_xi, spec, rows=None):
+    """``gauss_refined`` over theta of Im x(p(theta)) dp/dtheta, one row per
+    rim in ``p0``; ``rows`` as there."""
+    col = rim = p0[:, None]
+
+    def select(live: np.ndarray) -> None:
+        nonlocal rim
+        rim = col[live]
+
+    def f(theta: np.ndarray) -> np.ndarray:
+        pc = rim * np.cos(theta)
+        return pc * im_of_xi(xi_scale * pc**2)
+
+    return gauss_refined(f, -0.5 * math.pi, 0.5 * math.pi, spec,
+                         rows=rows, select=select)
 
 
 def forbidden_zone_integral(
@@ -194,25 +258,27 @@ def forbidden_zone_integral(
     the square-root rim behaviour into an analytic function of theta; xi is
     formed from cos(theta) directly so the rim never suffers cancellation.
     """
+    return _forbidden_zone_rows(np.array([float(p0)]), xi_scale, im_of_xi, spec)
 
-    def f(theta: np.ndarray) -> np.ndarray:
-        c = np.cos(theta)
-        xi = xi_scale * (p0 * c) ** 2
-        return p0 * c * im_of_xi(xi)
 
-    return gauss_refined(f, -0.5 * math.pi, 0.5 * math.pi, spec)
+def _scaled_log(outcome, scale: float):
+    """A quadrature outcome (value, err) as (-scale*value, scale*err); a
+    ConvergenceError as one with its best value and estimate scaled alike."""
+    if isinstance(outcome, ConvergenceError):
+        best = None if outcome.best is None else -scale * outcome.best
+        return ConvergenceError(
+            str(outcome), best=best, err_estimate=scale * outcome.err_estimate
+        )
+    value, err = outcome
+    return -scale * value, scale * err
 
 
 def _scaled_log_integral(run: Callable[[], tuple[float, float]], scale: float):
     """Run a quadrature and convert (value, err) to (-scale*value, scale*err)."""
     try:
-        value, err = run()
+        return _scaled_log(run(), scale)
     except ConvergenceError as exc:
-        best = None if exc.best is None else -scale * exc.best
-        raise ConvergenceError(
-            str(exc), best=best, err_estimate=scale * exc.err_estimate
-        ) from exc
-    return -scale * value, scale * err
+        raise _scaled_log(exc, scale) from exc
 
 
 def _require_positive_energy(E: float) -> None:
@@ -220,31 +286,98 @@ def _require_positive_energy(E: float) -> None:
         raise DomainError("E must be positive for above-barrier reflection")
 
 
+def _outcomes(log_rows, energies: np.ndarray) -> list:
+    """``log_rows(energies)``; if it raises, each energy runs alone, so an
+    energy's outcome never depends on the energies beside it."""
+    try:
+        return log_rows(energies)
+    except SemirefError as exc:
+        if energies.size == 1:
+            return [exc]
+    return [r for E in energies for r in _outcomes(log_rows, np.array([E]))]
+
+
+def _reflections(E, method: Method, log_rows):
+    """The routes' contract: ``E`` a scalar returns a ReflectionResult or
+    raises; a sequence returns each energy's ReflectionResult or
+    SemirefError, in order.
+
+    ``log_rows`` maps an array of positive energies to one (log_prob, err)
+    or SemirefError each; all the energies of a call run in it together.
+    """
+    energies = np.atleast_1d(np.asarray(E, dtype=float))
+    out: list = [None] * energies.size
+    positive = []
+    for i, e in enumerate(energies.tolist()):
+        try:
+            _require_positive_energy(e)
+            positive.append(i)
+        except DomainError as exc:
+            out[i] = exc
+    if positive:
+        for i, r in zip(positive, _outcomes(log_rows, energies[positive])):
+            if not isinstance(r, SemirefError):
+                try:
+                    r = ReflectionResult.from_log(energies[i], r[0], method, r[1])
+                except SemirefError as exc:
+                    r = exc
+            out[i] = r
+    if np.ndim(E) != 0:
+        return out
+    if isinstance(out[0], SemirefError):
+        raise out[0]
+    return out[0]
+
+
 def reflection_momentum_space(
     model: PotentialModel,
-    E: float,
+    E,
     consts: PhysicalConstants,
     quad: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> ReflectionResult:
+):
     """Reflection probability from the momentum-space tunneling integral.
 
     On ConvergenceError the exception's ``best`` attribute carries the
-    non-converged log-probability estimate.
+    non-converged log-probability estimate.  ``E`` may be a scalar, which
+    returns a ReflectionResult or raises, or a sequence, which returns each
+    energy's ReflectionResult or SemirefError in order; the energies run as
+    the rows of one quadrature ladder.
     """
-    _require_positive_energy(E)
-    p0 = math.sqrt(2.0 * consts.mass * E)
-    log_prob, err = _scaled_log_integral(
-        lambda: forbidden_zone_integral(
-            p0, 0.5 / consts.mass, lambda xi: im_v_inverse(model, xi), quad
-        ),
-        2.0 / consts.hbar,
-    )
-    return ReflectionResult.from_log(E, log_prob, Method.MOMENTUM_QUADRATURE, err)
+    scale = 2.0 / consts.hbar
+
+    def log_rows(energies):
+        # 2mE past the float range saturates to inf, as in Python floats.
+        with np.errstate(over="ignore"):
+            p0 = np.sqrt(2.0 * consts.mass * energies)
+        rows = _forbidden_zone_rows(p0, 0.5 / consts.mass,
+                                    lambda xi: im_v_inverse(model, xi), quad,
+                                    rows=energies.size)
+        return [_scaled_log(r, scale) for r in rows]
+
+    return _reflections(E, Method.MOMENTUM_QUADRATURE, log_rows)
 
 
-def reflection_closed_form(
-    model: PotentialModel, E: float, consts: PhysicalConstants
-) -> ReflectionResult:
+def _closed_form_log(model: PotentialModel, E: float, consts: PhysicalConstants) -> float:
+    hbar, mass = consts.hbar, consts.mass
+    if model.kind is PotentialKind.INVERSE_HO:
+        omega = math.sqrt(model.alpha / mass)
+        return -2.0 * math.pi * E / (hbar * omega)
+    if model.kind is PotentialKind.SECH2:
+        # sqrt(E+V0) - sqrt(V0) written without cancellation at small E.
+        diff = E / (math.sqrt(E + model.v0) + math.sqrt(model.v0))
+        return -(2.0 * math.pi * model.a / hbar) * math.sqrt(2.0 * mass) * diff
+    gamma = model.v0 / E
+    m_ell = E / (E + model.v0)
+    if m_ell == 1.0:
+        # E/V0 past ~2^53 rounds m to 1, where K diverges; there
+        # g < 2^-53, so g K(m) < 3e-15 and the bracket is 1 to rounding.
+        bracket = 1.0
+    else:
+        bracket = (1.0 + gamma) * elliptic_e(m_ell) - gamma * elliptic_k(m_ell)
+    return -(4.0 * model.a / hbar) * math.sqrt(2.0 * mass * E * m_ell) * bracket
+
+
+def reflection_closed_form(model: PotentialModel, E, consts: PhysicalConstants):
     """Closed-form reflection exponent for each barrier family.
 
     inverse_ho : ln|R|^2 = -2 pi E / (hbar omega),  omega = sqrt(alpha/m)
@@ -254,58 +387,54 @@ def reflection_closed_form(
 
     The elliptic integrals take the parameter (modulus squared); this
     convention is pinned by agreement with the momentum-space quadrature.
+    ``E`` may be a scalar, which returns a ReflectionResult or raises, or a
+    sequence, which returns each energy's ReflectionResult or SemirefError
+    in order.
     """
-    _require_positive_energy(E)
-    hbar, mass = consts.hbar, consts.mass
-    if model.kind is PotentialKind.INVERSE_HO:
-        omega = math.sqrt(model.alpha / mass)
-        log_prob = -2.0 * math.pi * E / (hbar * omega)
-    elif model.kind is PotentialKind.SECH2:
-        # sqrt(E+V0) - sqrt(V0) written without cancellation at small E.
-        diff = E / (math.sqrt(E + model.v0) + math.sqrt(model.v0))
-        log_prob = -(2.0 * math.pi * model.a / hbar) * math.sqrt(2.0 * mass) * diff
-    else:
-        gamma = model.v0 / E
-        m_ell = E / (E + model.v0)
-        if m_ell == 1.0:
-            # E/V0 past ~2^53 rounds m to 1, where K diverges; there
-            # g < 2^-53, so g K(m) < 3e-15 and the bracket is 1 to rounding.
-            bracket = 1.0
-        else:
-            bracket = (1.0 + gamma) * elliptic_e(m_ell) - gamma * elliptic_k(m_ell)
-        log_prob = -(4.0 * model.a / hbar) * math.sqrt(2.0 * mass * E * m_ell) * bracket
-    return ReflectionResult.from_log(E, log_prob, Method.CLOSED_FORM)
+    return _reflections(E, Method.CLOSED_FORM, lambda energies: [
+        (_closed_form_log(model, e, consts), 0.0) for e in energies.tolist()])
 
 
 def reflection_contour_ll(
     model: PotentialModel,
-    E: float,
+    E,
     consts: PhysicalConstants,
     quad: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> ReflectionResult:
+):
     """Reflection probability from the coordinate-space contour integral.
 
     Takes the imaginary turning point y0 with V(i y0) = E in closed form,
     y0 = Im V^{-1}(E) (``im_v_inverse`` at xi = E), then evaluates
     -(4/hbar) * integral_0^{y0} dy sqrt(2m(E - V(iy))) with y = y0 sin^2(phi)
-    absorbing the square-root endpoint behaviour.
+    absorbing the square-root endpoint behaviour.  ``E`` may be a scalar,
+    which returns a ReflectionResult or raises, or a sequence, which returns
+    each energy's ReflectionResult or SemirefError in order; the energies
+    run as the rows of one quadrature ladder.
     """
-    _require_positive_energy(E)
-    y0 = im_v_inverse(model, E)
     two_m = 2.0 * consts.mass
+    scale = 4.0 / consts.hbar
 
-    def f(phi: np.ndarray) -> np.ndarray:
-        s = np.sin(phi)
-        c = np.cos(phi)
-        y = y0 * s * s
-        # Near y0, rounding can put V(iy) a few ulps above E; clip to zero.
-        ksq = np.maximum(two_m * (E - v_on_imaginary_axis(model, y)), 0.0)
-        return 2.0 * y0 * s * c * np.sqrt(ksq)
+    def log_rows(energies):
+        y0_all = y0 = im_v_inverse(model, energies)[:, None]
+        e_all = e = energies[:, None]
 
-    log_prob, err = _scaled_log_integral(
-        lambda: gauss_refined(f, 0.0, 0.5 * math.pi, quad), 4.0 / consts.hbar
-    )
-    return ReflectionResult.from_log(E, log_prob, Method.CONTOUR_LL, err)
+        def select(rows: np.ndarray) -> None:
+            nonlocal y0, e
+            y0, e = y0_all[rows], e_all[rows]
+
+        def f(phi: np.ndarray) -> np.ndarray:
+            s = np.sin(phi)
+            c = np.cos(phi)
+            y = y0 * s * s
+            # Near y0, rounding can put V(iy) a few ulps above E; clip to zero.
+            ksq = np.maximum(two_m * (e - v_on_imaginary_axis(model, y)), 0.0)
+            return 2.0 * y0 * s * c * np.sqrt(ksq)
+
+        rows = gauss_refined(f, 0.0, 0.5 * math.pi, quad,
+                             rows=energies.size, select=select)
+        return [_scaled_log(r, scale) for r in rows]
+
+    return _reflections(E, Method.CONTOUR_LL, log_rows)
 
 
 def low_energy_effective_omega(

@@ -195,10 +195,12 @@ class TestFlaggedRows:
 
         closed = semiref.cli.reflection_closed_form
 
-        def failing_at_14(model, E, consts):
-            if E == 14.0:
-                raise ConvergenceError("closed form made to fail", best=-30.0, err_estimate=1.0)
-            return closed(model, E, consts)
+        def failing_at_14(model, energies, consts):
+            return [
+                ConvergenceError("closed form made to fail", best=-30.0, err_estimate=1.0)
+                if E == 14.0 else res
+                for E, res in zip(energies, closed(model, energies, consts))
+            ]
 
         monkeypatch.setattr(semiref.cli, "reflection_closed_form", failing_at_14)
         energies = [1.0, 14.0, 27.0, 40.0]
@@ -331,6 +333,147 @@ class TestFlaggedRows:
         }
         assert logs["closed"] == pytest.approx(logs["momentum"], rel=1e-12)
         assert logs["closed"] == pytest.approx(-17.88854382, abs=1e-8)
+
+
+class TestBatchedQuadrature:
+    # Each reflect route takes every energy in one call; these rows, and
+    # their warnings, are pinned to what one call per energy printed.
+    MIXED_LEVELS = (
+        "reflect --model sech2 --v0 1 --a 1 --emin 1 --emax 3000 --n 3 "
+        "--methods closed,contour,momentum"
+    )
+    MIXED_LEVELS_ROWS = """\
+energy,method,log_prob,prob,err_estimate
+1,closed,-3.68060473804,0.025207726154,0
+1,contour,-3.68060473804,0.025207726154,9.32587340685e-15
+1,momentum,-3.68060473804,0.025207726154,9.7699626167e-15
+1500.5,closed,-335.430495816,2.11050606712e-146,0
+1500.5,contour,-335.430495816,2.11050606712e-146,1.32331479108e-10
+1500.5,momentum,-335.430495816,2.11050606712e-146,5.42121370017e-09
+3000,closed,-477.888784056,2.85455306795e-208,0
+3000,contour,-477.888784056,2.85455306795e-208,1.7203092284e-09
+3000,momentum,-477.888784056,2.85455306796e-208,5.24356096321e-08
+"""
+
+    def test_rows_converging_at_different_levels(self, capsys):
+        code, out, err = run_cli(self.MIXED_LEVELS.split(), capsys)
+        assert code == EXIT_NUMERICAL
+        assert out == self.MIXED_LEVELS_ROWS
+        assert err == (
+            "warning: momentum failed at E=3000: quadrature did not reach "
+            "rel_tol=1e-10 with node counts (32, 64, 128)\n"
+        )
+
+    def test_good_row_beside_underflow_rows(self, capsys):
+        code, out, err = run_cli(
+            (
+                "reflect --model sech2 --v0 1e-20 --a 1 --emin 1 --emax 1e20 --n 3 "
+                "--spacing log --methods closed,contour,momentum"
+            ).split(),
+            capsys,
+        )
+        assert code == EXIT_NUMERICAL
+        assert out == """\
+energy,method,log_prob,prob,err_estimate
+1,closed,-8.88576587543,0.000138344186144,0
+1,contour,-8.88576587575,0.000138344186099,2.75335310107e-13
+1,momentum,-8.88576587543,0.000138344186144,1.95399252334e-14
+10000000000,closed,nan,nan,nan
+10000000000,contour,nan,nan,nan
+10000000000,momentum,nan,nan,nan
+1e+20,closed,nan,nan,nan
+1e+20,contour,nan,nan,nan
+1e+20,momentum,nan,nan,nan
+"""
+        assert err.splitlines() == [
+            f"warning: {method} failed at E={E}: probability underflows double "
+            f"precision (log_prob={log_prob})"
+            for E, log_prob in (("1e+10", "-888577"), ("1e+20", "-8.88577e+10"))
+            for method in ("closed", "contour", "momentum")
+        ]
+
+    def test_more_levels_print_the_same_rows_once_converged(self, capsys):
+        # With 12 levels every row converges by 512 nodes, momentum at
+        # E = 3000 included; the rows that converged before are unchanged.
+        code, out, err = run_cli(self.MIXED_LEVELS.split() + ["--levels", "12"], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        want = self.MIXED_LEVELS_ROWS.replace(
+            "2.85455306796e-208,5.24356096321e-08", "2.85455306795e-208,2.95585778076e-12")
+        assert out == want
+
+    def test_node_ladder_stops_at_the_cap(self, monkeypatch, capsys):
+        # rel_tol = 1e-300 never passes, so every quadrature row climbs to
+        # the cap (lowered here) and is flagged there with its best value.
+        from semiref import wkb_reflection
+
+        cap = 256
+        monkeypatch.setattr(wkb_reflection, "MAX_NODES", cap)
+        built = []
+        rule = wkb_reflection._gauss_legendre
+        monkeypatch.setattr(
+            wkb_reflection, "_gauss_legendre", lambda n: built.append(n) or rule(n))
+        code, out, err = run_cli(
+            [
+                "reflect", "--model", "sech2", "--emin", "0.5", "--emax", "2",
+                "--n", "3", "--methods", "closed,contour,momentum",
+                "--rel-tol", "1e-300", "--levels", "12",
+            ],
+            capsys,
+        )
+        assert code == EXIT_NUMERICAL
+        assert max(built) == cap
+        warnings = err.splitlines()
+        assert len(warnings) == 6
+        assert all(w.endswith("with node counts (32, 64, 128, 256)") for w in warnings)
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        for i in range(0, len(rows), 3):
+            closed, contour, momentum = rows[i : i + 3]
+            for row in (contour, momentum):
+                assert float(row[2]) == pytest.approx(float(closed[2]), rel=1e-12)
+                assert float(row[4]) < 1e-12
+
+    def test_too_many_base_nodes_is_usage_error(self, capsys):
+        code, _, err = run_cli(
+            ["reflect", "--model", "sech2", "--emin", "1", "--methods", "momentum",
+             "--nodes", "8192"],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert "nodes must be <= 4096" in err
+
+
+def _json_dumps_rows(rows, columns):
+    # The writer's reference: json.dumps with indent=2, non-finite as null.
+    def cell(value):
+        return None if isinstance(value, float) and not math.isfinite(value) else value
+
+    return json.dumps([dict(zip(columns, map(cell, row))) for row in rows], indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [(1.0, "closed", -0.5, 0.6065306597126334, 0.0)],
+        [
+            (1e-300, "momentum", math.nan, math.nan, math.inf),
+            (2.5, "contour", -math.inf, 5e-324, 1.7976931348623157e308),
+            (3.0, 'quo"te\\ \u00e9\n', -1e-17, 1.0, 2.0**-1074),
+        ],
+    ],
+    ids=["no rows", "one row", "nan inf strings"],
+)
+def test_json_writer_matches_json_dumps(rows):
+    from semiref.cli import REFLECT_COLUMNS, rows_to_json
+
+    assert rows_to_json(rows, REFLECT_COLUMNS) == _json_dumps_rows(rows, REFLECT_COLUMNS)
+    if rows:
+        import numpy as np
+
+        as_numpy = [tuple(np.float64(v) if isinstance(v, float) else v for v in row)
+                    for row in rows]
+        assert rows_to_json(as_numpy, REFLECT_COLUMNS) == _json_dumps_rows(
+            rows, REFLECT_COLUMNS)
 
 
 class TestLz:
@@ -748,7 +891,8 @@ class TestValidate:
 
 def test_routes_are_looked_up_when_called(monkeypatch, capsys):
     # Wrappers bound over a route's module attribute after import (as a
-    # tracer does) must be the ones the method tables call.
+    # tracer does) must be the ones the method tables call.  Each reflect
+    # route takes every energy of an invocation in one call.
     import semiref.cli
     import semiref.landau_zener
 
@@ -761,15 +905,19 @@ def test_routes_are_looked_up_when_called(monkeypatch, capsys):
 
         return wrapper
 
+    reflect_routes = (
+        "reflection_closed_form", "reflection_contour_ll",
+        "reflection_momentum_space", "numerov_reflection",
+    )
     for module, name in (
-        (semiref.cli, "reflection_momentum_space"),
+        *((semiref.cli, name) for name in reflect_routes),
         (semiref.landau_zener, "evolve_tdse"),
     ):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     code, _, _ = run_cli(
         [
             "reflect", "--model", "sech2", "--emin", "0.5", "--emax", "1",
-            "--n", "2", "--methods", "momentum",
+            "--n", "3", "--methods", "closed,contour,momentum,numerov",
         ],
         capsys,
     )
@@ -782,7 +930,7 @@ def test_routes_are_looked_up_when_called(monkeypatch, capsys):
         capsys,
     )
     assert code == EXIT_OK
-    assert calls == {"reflection_momentum_space": 2, "evolve_tdse": 1}
+    assert calls == {**dict.fromkeys(reflect_routes, 1), "evolve_tdse": 1}
 
 
 def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):

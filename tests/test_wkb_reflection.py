@@ -7,6 +7,7 @@ import pytest
 from semiref import (
     ConvergenceError,
     DomainError,
+    SemirefError,
     Method,
     PhysicalConstants,
     PotentialKind,
@@ -22,6 +23,7 @@ from semiref import (
     reflection_momentum_space,
     v_on_imaginary_axis,
 )
+from semiref import wkb_reflection
 
 UNIT = PhysicalConstants()
 
@@ -56,6 +58,14 @@ class TestResultAndSpec:
     def test_node_counts_strictly_increase(self):
         counts = QuadratureSpec(nodes=8, refinement_levels=4).node_counts()
         assert counts == (8, 16, 32, 64)
+
+    def test_node_ladder_stops_at_the_cap(self):
+        cap = wkb_reflection.MAX_NODES
+        counts = QuadratureSpec(nodes=32, refinement_levels=12).node_counts()
+        assert counts[-1] == cap
+        assert counts == tuple(32 << k for k in range(len(counts)))
+        with pytest.raises(DomainError):
+            QuadratureSpec(nodes=2 * cap)
 
 
 class TestMomentumSpace:
@@ -256,3 +266,147 @@ class TestEffectiveOmega:
         lor = PotentialModel.lorentzian(2.0, 2.0)
         assert low_energy_effective_omega(sech2, UNIT) == pytest.approx(1.0)
         assert low_energy_effective_omega(lor, UNIT) == pytest.approx(1.0)
+
+
+def _same_outcome(got, want):
+    """Bitwise equality of two route outcomes, results or exceptions."""
+    if isinstance(want, SemirefError):
+        assert type(got) is type(want)
+        assert str(got) == str(want)
+        for attr in ("best", "err_estimate"):
+            assert repr(getattr(got, attr, None)) == repr(getattr(want, attr, None))
+    else:
+        assert got == want
+        assert (got.log_prob, got.err_estimate) == (want.log_prob, want.err_estimate)
+
+
+def _scalar_outcome(route, model, E, consts):
+    try:
+        return route(model, E, consts)
+    except SemirefError as exc:
+        return exc
+
+
+class TestSequenceContract:
+    # Converged rows at different levels, non-converged rows (sech2 and
+    # lorentzian past E ~ 3000), underflow rows, E <= 0, and inf, which
+    # fails inside the batched evaluation for some routes.
+    ENERGIES = [1.0, 0.0, 3000.0, 1e-300, 0.3, -2.0, 1e20, math.nan, 17.0, math.inf, 1e5]
+
+    @pytest.mark.parametrize("model", ALL, ids=lambda m: m.kind.value)
+    @pytest.mark.parametrize(
+        "route",
+        [reflection_closed_form, reflection_contour_ll, reflection_momentum_space],
+        ids=["closed", "contour", "momentum"],
+    )
+    def test_each_element_equals_the_scalar_call(self, route, model):
+        consts = PhysicalConstants(hbar=0.7, mass=1.3)
+        batch = route(model, self.ENERGIES, consts)
+        assert len(batch) == len(self.ENERGIES)
+        kinds = set()
+        for E, got in zip(self.ENERGIES, batch):
+            want = _scalar_outcome(route, model, E, consts)
+            _same_outcome(got, want)
+            kinds.add(type(want).__name__)
+        assert {"ReflectionResult", "DomainError"} <= kinds
+
+    @pytest.mark.parametrize(
+        "route", [reflection_contour_ll, reflection_momentum_space],
+        ids=["contour", "momentum"],
+    )
+    def test_rows_converge_at_their_own_levels(self, route):
+        # Under a tight tolerance the rows stop at different levels; each
+        # keeps the value and difference of its own first passing level.
+        quad = QuadratureSpec(nodes=8, refinement_levels=6, rel_tol=1e-13)
+        energies = [0.01, 0.5, 3.0, 40.0, 300.0]
+        batch = route(SECH2, energies, UNIT, quad)
+        for E, got in zip(energies, batch):
+            try:
+                want = route(SECH2, E, UNIT, quad)
+            except SemirefError as exc:
+                want = exc
+            _same_outcome(got, want)
+
+    def test_nonpositive_energy_flags_only_that_element(self):
+        energies = [0.5, 0.0, 1.0, -2.0]
+        for route in (reflection_closed_form, reflection_contour_ll,
+                      reflection_momentum_space):
+            batch = route(LOR, energies, UNIT)
+            assert [type(r) for r in batch] == [
+                ReflectionResult, DomainError, ReflectionResult, DomainError]
+            assert str(batch[1]) == "E must be positive for above-barrier reflection"
+            assert batch[2] == route(LOR, 1.0, UNIT)
+
+    def test_scalar_call_raises(self):
+        with pytest.raises(ConvergenceError) as excinfo:
+            reflection_momentum_space(SECH2, 3000.0, UNIT)
+        assert excinfo.value.best == pytest.approx(
+            reflection_closed_form(SECH2, 3000.0, UNIT).log_prob, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "route", [reflection_contour_ll, reflection_momentum_space],
+        ids=["contour", "momentum"],
+    )
+    def test_a_sequence_runs_one_ladder(self, route, monkeypatch):
+        calls = []
+        ladder = wkb_reflection.gauss_refined
+
+        def counting(f, lo, hi, spec, **kwargs):
+            calls.append(kwargs.get("rows"))
+            return ladder(f, lo, hi, spec, **kwargs)
+
+        monkeypatch.setattr(wkb_reflection, "gauss_refined", counting)
+        route(SECH2, list(np.geomspace(0.1, 100.0, 9)), UNIT)
+        assert calls == [9]
+
+
+class TestGaussRefined:
+    def test_rows_evaluated_are_the_rows_still_refining(self):
+        # Row r integrates (r + 1) * x^(4r) over [-1, 1]; a row of higher
+        # degree needs more nodes, so each level narrows the batch.
+        degrees = np.array([0, 20, 40, 60])
+        shapes = []
+        chosen = [degrees]
+
+        def select(rows):
+            chosen[0] = degrees[rows]
+
+        def f(x):
+            shapes.append(x.shape)
+            return x ** chosen[0][:, None]
+
+        spec = QuadratureSpec(nodes=8, refinement_levels=4, rel_tol=1e-12)
+        out = wkb_reflection.gauss_refined(f, -1.0, 1.0, spec, rows=4, select=select)
+        assert shapes[0] == (4, 8)
+        assert [s[0] for s in shapes] == sorted((s[0] for s in shapes), reverse=True)
+        assert shapes[-1][0] < 4
+        for d, r in zip(degrees, out):
+            if isinstance(r, ConvergenceError):
+                assert r.best == pytest.approx(2.0 / (d + 1), rel=1e-6)
+            else:
+                assert r[0] == pytest.approx(2.0 / (d + 1), rel=1e-12)
+
+    def test_scalar_form_returns_or_raises(self):
+        spec = QuadratureSpec(nodes=8, refinement_levels=2)
+        value, err = wkb_reflection.gauss_refined(np.cos, 0.0, 1.0, spec)
+        assert value == pytest.approx(math.sin(1.0), rel=1e-14)
+        assert err <= 1e-10 * value
+        with pytest.raises(ConvergenceError) as excinfo:
+            wkb_reflection.gauss_refined(
+                np.cos, 0.0, 1.0, QuadratureSpec(nodes=8, refinement_levels=1))
+        assert excinfo.value.best == pytest.approx(math.sin(1.0), rel=1e-12)
+        assert excinfo.value.err_estimate == math.inf
+
+    def test_large_batches_run_in_blocks_of_bounded_size(self, monkeypatch):
+        monkeypatch.setattr(wkb_reflection, "_BLOCK_POINTS", 64)
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.cos(x)
+
+        spec = QuadratureSpec(nodes=8, refinement_levels=3)
+        out = wkb_reflection.gauss_refined(f, 0.0, 1.0, spec, rows=20)
+        assert max(sizes) <= 64
+        assert all(r == out[0] for r in out)
+        assert out[0][0] == pytest.approx(math.sin(1.0), rel=1e-14)
