@@ -99,10 +99,6 @@ def _validate_grid(cfg: RunConfig) -> None:
         raise UsageError("grid needs min < max when count > 1")
 
 
-def _values(res) -> tuple[float, float, float]:
-    return res.log_prob, res.prob, res.err_estimate
-
-
 def _profile(cfg: RunConfig, scale: float) -> lz.CrossingProfile:
     if cfg.profile_kind == "linear":
         return lz.CrossingProfile.linear(scale)
@@ -119,38 +115,31 @@ def _outcome(route, *args):
 
 def _each(route):
     """A route over all points from one that takes a single point."""
-    return lambda cfg, points: [_outcome(route, cfg, *point) for point in points]
+    return lambda cfg, *columns: [_outcome(route, cfg, *point) for point in zip(*columns)]
 
 
-def _batch(route):
-    """A route over all points from one that takes every energy at once and
-    returns a ReflectionResult or SemirefError per energy."""
-    return lambda cfg, points: [
-        r if isinstance(r, SemirefError) else _values(r)
-        for r in route(cfg, [E for E, in points])]
-
-
-# Each command's routes, by method name: (cfg, points) -> one (log_prob,
-# prob, err_estimate) or SemirefError per point.  An entry looks its route
-# up when called (a module global or ``lz.<name>``), so a wrapper bound
-# over that name later is what runs.  Every ``reflect`` route takes all the
+# Each command's routes, by method name: (cfg, *columns) -> one
+# ReflectionResult or SemirefError per point, where the columns hold the
+# points' coordinates, one sequence per label.  An entry looks its route up
+# when called (a module global or ``lz.<name>``), so a wrapper bound over
+# that name later is what runs.  Every ``reflect`` route takes all the
 # energies of an invocation in one call.
 REFLECT_METHODS = {
-    "closed": _batch(lambda cfg, E: reflection_closed_form(cfg.model, E, cfg.constants)),
-    "contour": _batch(lambda cfg, E: reflection_contour_ll(
-        cfg.model, E, cfg.constants, cfg.quadrature)),
-    "momentum": _batch(lambda cfg, E: reflection_momentum_space(
-        cfg.model, E, cfg.constants, cfg.quadrature)),
-    "numerov": _batch(lambda cfg, E: numerov_reflection(cfg.model, E, cfg.constants)),
+    "closed": lambda cfg, E: reflection_closed_form(cfg.model, E, cfg.constants),
+    "contour": lambda cfg, E: reflection_contour_ll(
+        cfg.model, E, cfg.constants, cfg.quadrature),
+    "momentum": lambda cfg, E: reflection_momentum_space(
+        cfg.model, E, cfg.constants, cfg.quadrature),
+    "numerov": lambda cfg, E: numerov_reflection(cfg.model, E, cfg.constants),
 }
 LZ_METHODS = {
-    "adiabatic": _each(lambda cfg, scale, eps: _values(lz.adiabatic_reflection(
-        _profile(cfg, scale), lz.CouplingSpec(eps), cfg.constants, cfg.quadrature))),
-    "closed": _each(lambda cfg, scale, eps: _values(
-        lz.lz_closed_form(scale, lz.CouplingSpec(eps), cfg.constants))),
-    "tdse": _each(lambda cfg, scale, eps: _values(lz.evolve_tdse(
+    "adiabatic": _each(lambda cfg, scale, eps: lz.adiabatic_reflection(
+        _profile(cfg, scale), lz.CouplingSpec(eps), cfg.constants, cfg.quadrature)),
+    "closed": _each(lambda cfg, scale, eps: lz.lz_closed_form(
+        scale, lz.CouplingSpec(eps), cfg.constants)),
+    "tdse": _each(lambda cfg, scale, eps: lz.evolve_tdse(
         _profile(cfg, scale), lz.CouplingSpec(eps), cfg.constants,
-        rel_tol=cfg.tdse_rel_tol))),
+        rel_tol=cfg.tdse_rel_tol)),
 }
 
 
@@ -173,24 +162,28 @@ def run_rows(
     """One row (*point, method, log_prob, prob, err_estimate) per point and
     method, in the order of ``points``, then method name.
 
-    Each method's route gets every point in one call.  A route that fails
-    at a point gives a flagged row and a warning naming the point by
-    ``labels``; the run continues.  Returns the rows and the number flagged.
+    Each method's route gets every point in one call, as one column per
+    label.  A route that fails at a point gives a flagged row and a warning
+    naming the point by ``labels``; the run continues.  Returns the rows and
+    the number flagged.
     """
+    columns = list(zip(*points))
     outcomes = {}
     for method in cfg.methods:
-        out = _outcome(table[method], cfg, points)
+        out = _outcome(table[method], cfg, *columns)
         outcomes[method] = [out] * len(points) if isinstance(out, SemirefError) else out
     rows = []
     n_failed = 0
     for i, point in enumerate(points):
         for method in cfg.methods:
-            values = outcomes[method][i]
-            if isinstance(values, SemirefError):
+            res = outcomes[method][i]
+            if isinstance(res, SemirefError):
                 n_failed += 1
                 where = ", ".join(f"{k}={v:g}" for k, v in zip(labels, point))
-                print(f"warning: {method} failed at {where}: {values}", file=sys.stderr)
-                values = _failed_row(values)
+                print(f"warning: {method} failed at {where}: {res}", file=sys.stderr)
+                values = _failed_row(res)
+            else:
+                values = res.log_prob, res.prob, res.err_estimate
             rows.append((*point, method, *values))
     return rows, n_failed
 

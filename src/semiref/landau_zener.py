@@ -43,7 +43,7 @@ from .wkb_reflection import (
     QuadratureSpec,
     ReflectionResult,
     forbidden_zone_integral,
-    _scaled_log_integral,
+    _scaled_log,
 )
 
 __all__ = [
@@ -187,12 +187,13 @@ def adiabatic_reflection(
     """
     _check_tanh_coupling(profile, eps)
     epsilon = eps.epsilon
-    log_prob, err = _scaled_log_integral(
-        lambda: forbidden_zone_integral(
-            epsilon, 1.0, lambda xi: profile.im_inverse(np.sqrt(xi)), quad
-        ),
-        2.0 / consts.hbar,
+    (row,) = forbidden_zone_integral(
+        np.array([epsilon]), 1.0, lambda xi: profile.im_inverse(np.sqrt(xi)), quad
     )
+    row = _scaled_log(row, 2.0 / consts.hbar)
+    if isinstance(row, ConvergenceError):
+        raise row
+    log_prob, err = row
     return ReflectionResult.from_log(
         epsilon * epsilon, log_prob, Method.ADIABATIC, err
     )

@@ -159,15 +159,18 @@ def im_v_inverse(model: PotentialModel, xi: ArrayLike) -> ArrayLike:
     xs = np.asarray(xi, dtype=float)
     if not np.all(xs > 0.0):
         raise DomainError("xi must be positive inside the forbidden zone")
-    if model.kind is PotentialKind.INVERSE_HO:
-        out = np.sqrt(2.0 * xs / model.alpha)
-    elif model.kind is PotentialKind.SECH2:
-        # arctan form of the arccos branch: stable as xi -> 0+.
-        out = model.a * np.arctan(np.sqrt(xs / model.v0))
-    else:
-        if not np.all(np.isfinite(xs)):
-            raise DomainError("xi must be finite for the lorentzian inverse")
-        out = model.a * np.sqrt(xs / (model.v0 + xs))
+    # xi / alpha and xi / v0 may overflow; inf is the intended saturation
+    # (arctan(inf) = pi/2 for sech2).
+    with np.errstate(over="ignore"):
+        if model.kind is PotentialKind.INVERSE_HO:
+            out = np.sqrt(2.0 * xs / model.alpha)
+        elif model.kind is PotentialKind.SECH2:
+            # arctan form of the arccos branch: stable as xi -> 0+.
+            out = model.a * np.arctan(np.sqrt(xs / model.v0))
+        else:
+            if not np.all(np.isfinite(xs)):
+                raise DomainError("xi must be finite for the lorentzian inverse")
+            out = model.a * np.sqrt(xs / (model.v0 + xs))
     return _ret(out, xi)
 
 
@@ -184,11 +187,15 @@ def v_on_imaginary_axis(model: PotentialModel, y: ArrayLike) -> ArrayLike:
     pole = model.imag_axis_pole
     if np.any(ys >= pole):
         raise DomainError(f"y must stay below the pole at y = {pole:g}")
-    if model.kind is PotentialKind.INVERSE_HO:
-        out = 0.5 * model.alpha * ys * ys
-    elif model.kind is PotentialKind.SECH2:
-        t = np.tan(ys / model.a)
-        out = model.v0 * t * t
-    else:
-        out = model.v0 * ys * ys / ((model.a - ys) * (model.a + ys))
+    # Products of extreme scales may overflow, or underflow to 0 in the
+    # Lorentzian's denominator; the inf or nan they give is passed on, not
+    # warned about.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if model.kind is PotentialKind.INVERSE_HO:
+            out = 0.5 * model.alpha * ys * ys
+        elif model.kind is PotentialKind.SECH2:
+            t = np.tan(ys / model.a)
+            out = model.v0 * t * t
+        else:
+            out = model.v0 * ys * ys / ((model.a - ys) * (model.a + ys))
     return _ret(out, y)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, SemirefError
 from .potentials import PhysicalConstants, PotentialKind, PotentialModel, v
-from .wkb_reflection import Method, ReflectionResult
+from .wkb_reflection import Method, ReflectionResult, _reflections
 
 __all__ = [
     "ScatteringGrid",
@@ -99,15 +99,14 @@ def default_grid(
     model: PotentialModel,
     E: float,
     consts: PhysicalConstants,
-    k_dx: float = _K_DX,
 ) -> ScatteringGrid:
     """The family's starting window (12a for sech^2, 192a for the
-    Lorentzian), step set so k * dx <= ``k_dx``."""
+    Lorentzian), step set so k * dx <= 0.05."""
     _check_flat_tailed(model)
     if not E > 0.0:
         raise DomainError("E must be positive")
     k = _wavenumber(model, E, consts)
-    return ScatteringGrid(x_max=_WINDOW[model.kind] * model.a, dx=k_dx / k)
+    return ScatteringGrid(x_max=_WINDOW[model.kind] * model.a, dx=_K_DX / k)
 
 
 def exact_ho_reflection(
@@ -123,7 +122,11 @@ def exact_ho_reflection(
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise DomainError("alpha must be positive and finite")
     omega = math.sqrt(alpha / consts.mass)
-    s = 2.0 * math.pi * E / (consts.hbar * omega)
+    if consts.hbar * omega == 0.0:
+        # hbar omega underflows; E / omega = E sqrt(m) / sqrt(alpha) does not.
+        s = 2.0 * math.pi * E * math.sqrt(consts.mass) / math.sqrt(alpha) / consts.hbar
+    else:
+        s = 2.0 * math.pi * E / (consts.hbar * omega)
     if s >= 0.0:
         log_prob = -(s + math.log1p(math.exp(-s)))
     else:
@@ -170,17 +173,8 @@ def numerov_reflection(
     depends, within its estimate, on the other energies of the call.
     """
     _check_flat_tailed(model)
-    out = []
-    for run in _solve_all(model, np.atleast_1d(np.asarray(E, dtype=float)), consts, grid):
-        try:
-            out.append(_result(run))
-        except SemirefError as exc:
-            out.append(exc)
-    if np.ndim(E) != 0:
-        return out
-    if isinstance(out[0], SemirefError):
-        raise out[0]
-    return out[0]
+    return _reflections(E, Method.NUMEROV_ORACLE, lambda energies: [
+        _result(run) for run in _solve_all(model, energies, consts, grid)])
 
 
 def _unitarity_defect(
@@ -196,13 +190,15 @@ def _unitarity_defect(
     (res,) = _solve_all(model, np.array([E], dtype=float), consts, None)
     if isinstance(res, SemirefError):
         raise res
-    return res[4]
+    return res[3]
 
 
-def _result(run) -> ReflectionResult:
+def _result(run):
+    """(ln R, err_estimate) of a run of ``_solve_all``, or the SemirefError
+    that flags it."""
     if isinstance(run, SemirefError):
-        raise run
-    E, log_r, d_step, d_window, _, n_steps = run
+        return run
+    log_r, d_step, d_window, _, n_steps = run
     # Over 720 seeded sech^2 rows with E up to 30, the returned rows below
     # ln R = -35 saw B move by at most 0.34 eps sqrt(n) |A| (median 0.03).
     rho = _EPS * math.sqrt(n_steps)  # relative to |A|
@@ -214,17 +210,17 @@ def _result(run) -> ReflectionResult:
     r_floor = (2.0 * rho / _ERR_BOUND) ** 2
     r_err = math.exp(log_r) * math.expm1(min(err, 700.0))
     if not (err <= _ERR_BOUND or r_err <= _ERR_BOUND * r_floor):
-        raise ConvergenceError(
+        return ConvergenceError(
             f"Numerov error estimate {err:.2e} exceeds {_ERR_BOUND:g} (2*dx moves "
             f"ln R by {d_step:.1e}, window doubling by {d_window:.1e}, rounding "
             f"{d_round:.1e})",
             best=log_r, err_estimate=err,
         )
-    return ReflectionResult.from_log(E, log_r, Method.NUMEROV_ORACLE, err)
+    return log_r, err
 
 
 def _solve_all(model, energies, consts, grid) -> list:
-    """Per energy, (E, ln R, step term, window term, unitarity defect, steps
+    """Per energy, (ln R, step term, window term, unitarity defect, steps
     in the fine and the wide run) or the SemirefError that stopped it."""
     out: list = [None] * energies.size
     own = []
@@ -315,8 +311,8 @@ def _solve(model, energies, consts, grid) -> list:
         keep = (d_window[todo] > _WINDOW_TOL) & (d_window[todo] <= 0.5 * last)
         todo, fine, wide = todo[keep], fine.take(keep), wide.take(keep)
         half *= 2.0
-    return list(zip(energies.tolist(), log_r.tolist(), d_step.tolist(),
-                    d_window.tolist(), defect.tolist(), n_steps.tolist()))
+    return list(zip(log_r.tolist(), d_step.tolist(), d_window.tolist(),
+                    defect.tolist(), n_steps.tolist()))
 
 
 @dataclass

@@ -167,51 +167,50 @@ def gauss_refined(
     lo: float,
     hi: float,
     spec: QuadratureSpec,
-    rows: int | None = None,
+    rows: int = 1,
     select: Callable[[np.ndarray], None] | None = None,
-):
-    """Integrate f over [lo, hi] for one or more rows, refining each row
-    until two levels agree.
+) -> list:
+    """Integrate f over [lo, hi] for each of ``rows`` rows, refining each
+    row until two levels agree; return the rows' outcomes in order.
 
     f takes one array, the (k, n) abscissae of the k rows a level
-    evaluates, and returns their integrand values in that shape.  Each row
-    stops at the first level where |v_n - v_{n-1}| <= rel_tol * |v_n| and
-    takes that level's value and difference as (value, err); a row still
-    refining when the ladder ends becomes a ConvergenceError carrying its
-    last value and difference.  Each row's sum is ``np.dot(w, row)``, so a
-    row's result does not depend on the rows beside it.
-
-    With ``rows`` None there is one row: return its (value, err) or raise.
-    With ``rows`` = m, return the m rows' outcomes in order; before each
-    call of f, ``select`` gets the indices of the rows that call evaluates.
+    evaluates, and returns their integrand values in that shape; before
+    each call of f, ``select`` gets the indices of the rows that call
+    evaluates.  Each row stops at the first level where |v_n - v_{n-1}| <=
+    rel_tol * |v_n| and its outcome is that level's value and difference,
+    (value, err); a row still refining when the ladder ends becomes a
+    ConvergenceError carrying its last value and difference.  Each row's
+    sum is ``np.dot(w, row)``, so a row's result does not depend on the
+    rows beside it.  f and the sums run without numpy's floating-point
+    warnings: a value that overflows goes on as inf or nan.
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    count = 1 if rows is None else rows
-    value = [math.nan] * count  # each row's value at its last level
-    err = [math.inf] * count  # ... and its change from the level before
-    live = list(range(count))
-    for level, n in enumerate(spec.node_counts()):
-        x, w = _gauss_legendre(n)
-        t = (mid + half * x)[None, :]
-        step = max(1, _BLOCK_POINTS // n)
-        refining = []
-        for b in range(0, len(live), step):
-            block = live[b : b + step]
-            if select is not None:
-                select(np.array(block))
-            for i, row in zip(block, f(np.repeat(t, len(block), axis=0))):
-                v = half * float(np.dot(w, row))
-                passed = False
-                if level:
-                    err[i] = abs(v - value[i])
-                    passed = err[i] <= spec.rel_tol * max(abs(v), _TINY)
-                value[i] = v
-                if not passed:
-                    refining.append(i)
-        live = refining
-        if not live:
-            break
+    value = [math.nan] * rows  # each row's value at its last level
+    err = [math.inf] * rows  # ... and its change from the level before
+    live = list(range(rows))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for level, n in enumerate(spec.node_counts()):
+            x, w = _gauss_legendre(n)
+            t = (mid + half * x)[None, :]
+            step = max(1, _BLOCK_POINTS // n)
+            refining = []
+            for b in range(0, len(live), step):
+                block = live[b : b + step]
+                if select is not None:
+                    select(np.array(block))
+                for i, row in zip(block, f(np.repeat(t, len(block), axis=0))):
+                    v = half * float(np.dot(w, row))
+                    passed = False
+                    if level:
+                        err[i] = abs(v - value[i])
+                        passed = err[i] <= spec.rel_tol * max(abs(v), _TINY)
+                    value[i] = v
+                    if not passed:
+                        refining.append(i)
+            live = refining
+            if not live:
+                break
     out: list = list(zip(value, err))
     for i in live:
         out[i] = ConvergenceError(
@@ -220,17 +219,25 @@ def gauss_refined(
             best=value[i],
             err_estimate=err[i],
         )
-    if rows is not None:
-        return out
-    if isinstance(out[0], ConvergenceError):
-        raise out[0]
-    return out[0]
+    return out
 
 
-def _forbidden_zone_rows(p0: np.ndarray, xi_scale: float, im_of_xi, spec, rows=None):
-    """``gauss_refined`` over theta of Im x(p(theta)) dp/dtheta, one row per
-    rim in ``p0``; ``rows`` as there."""
-    col = rim = p0[:, None]
+def forbidden_zone_integral(
+    p0: np.ndarray,
+    xi_scale: float,
+    im_of_xi: Callable[[np.ndarray], np.ndarray],
+    spec: QuadratureSpec,
+) -> list:
+    """integral_{-p0}^{p0} Im x(p) dp via the substitution p = p0 sin(theta),
+    for each rim in the array ``p0``: one ``gauss_refined`` outcome per rim.
+
+    ``im_of_xi`` maps the positive forbidden-zone argument
+    xi(p) = xi_scale * (p0^2 - p^2) to Im of the inverse profile there, so
+    Im x(p) is even in p and vanishes at |p| = p0.  The substitution turns
+    the square-root rim behaviour into an analytic function of theta; xi is
+    formed from cos(theta) directly so the rim never suffers cancellation.
+    """
+    col = rim = np.asarray(p0, dtype=float)[:, None]
 
     def select(live: np.ndarray) -> None:
         nonlocal rim
@@ -241,24 +248,7 @@ def _forbidden_zone_rows(p0: np.ndarray, xi_scale: float, im_of_xi, spec, rows=N
         return pc * im_of_xi(xi_scale * pc**2)
 
     return gauss_refined(f, -0.5 * math.pi, 0.5 * math.pi, spec,
-                         rows=rows, select=select)
-
-
-def forbidden_zone_integral(
-    p0: float,
-    xi_scale: float,
-    im_of_xi: Callable[[np.ndarray], np.ndarray],
-    spec: QuadratureSpec,
-) -> tuple[float, float]:
-    """integral_{-p0}^{p0} Im x(p) dp via the substitution p = p0 sin(theta).
-
-    ``im_of_xi`` maps the positive forbidden-zone argument
-    xi(p) = xi_scale * (p0^2 - p^2) to Im of the inverse profile there, so
-    Im x(p) is even in p and vanishes at |p| = p0.  The substitution turns
-    the square-root rim behaviour into an analytic function of theta; xi is
-    formed from cos(theta) directly so the rim never suffers cancellation.
-    """
-    return _forbidden_zone_rows(np.array([float(p0)]), xi_scale, im_of_xi, spec)
+                         rows=len(col), select=select)
 
 
 def _scaled_log(outcome, scale: float):
@@ -271,19 +261,6 @@ def _scaled_log(outcome, scale: float):
         )
     value, err = outcome
     return -scale * value, scale * err
-
-
-def _scaled_log_integral(run: Callable[[], tuple[float, float]], scale: float):
-    """Run a quadrature and convert (value, err) to (-scale*value, scale*err)."""
-    try:
-        return _scaled_log(run(), scale)
-    except ConvergenceError as exc:
-        raise _scaled_log(exc, scale) from exc
-
-
-def _require_positive_energy(E: float) -> None:
-    if not E > 0.0:
-        raise DomainError("E must be positive for above-barrier reflection")
 
 
 def _outcomes(log_rows, energies: np.ndarray) -> list:
@@ -306,14 +283,11 @@ def _reflections(E, method: Method, log_rows):
     or SemirefError each; all the energies of a call run in it together.
     """
     energies = np.atleast_1d(np.asarray(E, dtype=float))
-    out: list = [None] * energies.size
-    positive = []
-    for i, e in enumerate(energies.tolist()):
-        try:
-            _require_positive_energy(e)
-            positive.append(i)
-        except DomainError as exc:
-            out[i] = exc
+    out: list = [
+        None if e > 0.0 else DomainError("E must be positive for above-barrier reflection")
+        for e in energies.tolist()
+    ]
+    positive = [i for i, r in enumerate(out) if r is None]
     if positive:
         for i, r in zip(positive, _outcomes(log_rows, energies[positive])):
             if not isinstance(r, SemirefError):
@@ -349,9 +323,8 @@ def reflection_momentum_space(
         # 2mE past the float range saturates to inf, as in Python floats.
         with np.errstate(over="ignore"):
             p0 = np.sqrt(2.0 * consts.mass * energies)
-        rows = _forbidden_zone_rows(p0, 0.5 / consts.mass,
-                                    lambda xi: im_v_inverse(model, xi), quad,
-                                    rows=energies.size)
+        rows = forbidden_zone_integral(p0, 0.5 / consts.mass,
+                                       lambda xi: im_v_inverse(model, xi), quad)
         return [_scaled_log(r, scale) for r in rows]
 
     return _reflections(E, Method.MOMENTUM_QUADRATURE, log_rows)
@@ -361,6 +334,9 @@ def _closed_form_log(model: PotentialModel, E: float, consts: PhysicalConstants)
     hbar, mass = consts.hbar, consts.mass
     if model.kind is PotentialKind.INVERSE_HO:
         omega = math.sqrt(model.alpha / mass)
+        if hbar * omega == 0.0:
+            # hbar omega underflows; E / omega = E sqrt(m) / sqrt(alpha) does not.
+            return -2.0 * math.pi * E * math.sqrt(mass) / math.sqrt(model.alpha) / hbar
         return -2.0 * math.pi * E / (hbar * omega)
     if model.kind is PotentialKind.SECH2:
         # sqrt(E+V0) - sqrt(V0) written without cancellation at small E.

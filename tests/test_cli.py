@@ -1,9 +1,11 @@
 import argparse
+import itertools
 import json
 import math
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -976,3 +978,75 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _extremes(flag):
+    return [[flag, "1e-300"], [flag, "1e300"]]
+
+
+_WIDE_ENERGIES = ["--emin", "1e-300", "--emax", "1e300", "--n", "7", "--spacing", "log"]
+
+
+@pytest.mark.parametrize(
+    "base, choices",
+    [
+        (["reflect", "--model", "inverse_ho", *_WIDE_ENERGIES,
+          "--methods", "closed,contour,momentum"],
+         [_extremes("--alpha"), _extremes("--mass"), _extremes("--hbar")]),
+        *(
+            (["reflect", "--model", family, *_WIDE_ENERGIES,
+              "--methods", "closed,contour,momentum"],
+             [_extremes("--v0"), _extremes("--a"), _extremes("--mass"), _extremes("--hbar")])
+            for family in ("sech2", "lorentzian")
+        ),
+        (["lz", "--profile", "linear", "--eps", "1e-300,1,1e300", "--methods", "adiabatic,closed"],
+         [_extremes("--T"), _extremes("--hbar")]),
+        (["lz", "--profile", "tanh", "--methods", "adiabatic"],
+         [_extremes("--tau"), _extremes("--hbar"),
+          [["--esat", "1e-300", "--eps", "1e-306,5e-301"],
+           ["--esat", "1e300", "--eps", "1,5e299"]]]),
+    ],
+    ids=["inverse_ho", "sech2", "lorentzian", "lz-linear", "lz-tanh"],
+)
+def test_extreme_inputs_give_rows_or_warnings(base, choices, capsys):
+    # At every corner of 1e-300 .. 1e300 in each parameter, every row is a
+    # value or flagged: no exception (the closed inverse_ho route used to
+    # divide by an underflowed omega), no numpy RuntimeWarning, and nothing
+    # on stderr but the rows' warnings.
+    for tail in itertools.product(*choices):
+        argv = [*base, *itertools.chain(*tail)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(argv, capsys)
+        assert [str(w.message) for w in caught] == [], argv
+        assert code in (EXIT_OK, EXIT_NUMERICAL), argv
+        assert all(line.startswith("warning: ") for line in err.splitlines()), argv
+
+
+def test_commands_run_without_scipy():
+    # scipy is a test dependency only: with its import blocked every
+    # command still runs, each route and oracle included.
+    argvs = [
+        ["reflect", "--model", "sech2", "--emin", "0.5", "--emax", "2", "--n", "3",
+         "--methods", "closed,contour,momentum,numerov"],
+        ["lz", "--profile", "linear", "--T", "1", "--eps", "1",
+         "--methods", "adiabatic,closed,tdse", "--tdse-rtol", "1e-6"],
+        ["lz", "--profile", "tanh", "--tau", "3", "--esat", "1", "--eps", "0.3",
+         "--methods", "adiabatic,tdse", "--tdse-rtol", "1e-6"],
+        ["validate"],
+    ]
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from semiref.cli import main\n"
+        f"codes = [main(argv) for argv in {argvs!r}]\n"
+        "print(codes, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin:/usr/local/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0]", proc.stderr

@@ -13,6 +13,7 @@ from semiref import (
     Method,
     PhysicalConstants,
     PotentialModel,
+    QuadratureSpec,
     adiabatic_reflection,
     default_t_span,
     evolve_tdse,
@@ -180,6 +181,24 @@ class TestAdiabaticReflection:
         profile = CrossingProfile.tanh(1.0, 1.0)
         with pytest.raises(DomainError):
             adiabatic_reflection(profile, CouplingSpec(1.0), UNIT)
+
+    def test_unconverged_quadrature_raises_with_scaled_estimate(self):
+        # rel_tol = 1e-300 is never met: the error carries the last level's
+        # value and its change from the level before, each times 2/hbar.
+        profile, hbar = CrossingProfile.tanh(3.0, 1.0), 0.7
+        spec = QuadratureSpec(nodes=8, refinement_levels=2, rel_tol=1e-300)
+        with pytest.raises(ConvergenceError) as excinfo:
+            adiabatic_reflection(profile, CouplingSpec(0.3), PhysicalConstants(hbar=hbar), spec)
+
+        def zone(n):  # Gauss-Legendre in p = 0.3 sin(theta), as the ladder runs it
+            x, w = np.polynomial.legendre.leggauss(n)
+            pc = 0.3 * np.cos(0.5 * math.pi * x)
+            return 0.5 * math.pi * np.dot(w, pc * profile.im_inverse(np.sqrt(pc**2)))
+
+        best, err = excinfo.value.best, excinfo.value.err_estimate
+        assert math.isfinite(best) and math.isfinite(err)
+        assert best == pytest.approx(-(2.0 / hbar) * zone(16), rel=1e-12)
+        assert err == pytest.approx((2.0 / hbar) * abs(zone(16) - zone(8)), rel=1e-6)
 
     def test_hbar_scaling(self):
         profile = CrossingProfile.tanh(3.0, 1.0)

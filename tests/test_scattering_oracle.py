@@ -160,6 +160,14 @@ class TestExactHO:
         assert abs(ratio - 1.0 / (1.0 + math.exp(-s))) <= 1e-12
         assert exact.prob < wkb.prob
 
+    def test_omega_underflow_is_a_domain_error(self):
+        # omega = sqrt(alpha/m) underflows to 0; s = 2 pi E / (hbar omega)
+        # is still formed, and exp(-s) underflows.
+        consts = PhysicalConstants(mass=1e300)
+        with pytest.raises(DomainError, match=r"\(log_prob=-6.28319e\+300\)"):
+            exact_ho_reflection(1.0, consts, 1e-300)
+        assert exact_ho_reflection(0.0, consts, 1e-300).prob == pytest.approx(0.5)
+
     def test_high_energy_ratio_tends_to_one(self):
         exact = exact_ho_reflection(5.0, UNIT, 1.0)
         wkb = reflection_closed_form(PotentialModel.inverse_ho(1.0), 5.0, UNIT)
@@ -225,6 +233,11 @@ class TestNumerov:
     def test_rejects_inverse_ho(self):
         with pytest.raises(DomainError):
             numerov_reflection(PotentialModel.inverse_ho(1.0), 1.0, UNIT)
+
+    @pytest.mark.parametrize("E", [0.0, -1.0])
+    def test_scalar_nonpositive_energy_raises(self, E):
+        with pytest.raises(DomainError, match="E must be positive"):
+            numerov_reflection(SECH2, E, UNIT)
 
     def test_rejects_under_resolved_step(self):
         grid = ScatteringGrid(x_max=24.0, dx=0.5)

@@ -148,6 +148,20 @@ class TestClosedForm:
         assert closed.log_prob == pytest.approx(quad_res.log_prob, rel=1e-12)
         assert closed.log_prob == pytest.approx(-4.0 * math.sqrt(20.0), rel=1e-15)
 
+    def test_inverse_ho_where_omega_underflows(self):
+        # omega = sqrt(alpha/m) underflows to 0; the exponent -2 pi E / (hbar
+        # omega) is still formed, and flagged where exp of it underflows, as
+        # the quadrature routes flag it.
+        model = PotentialModel.inverse_ho(1e-300)
+        consts = PhysicalConstants(mass=1e300)
+        assert math.sqrt(model.alpha / consts.mass) == 0.0
+        for route in (reflection_closed_form, reflection_contour_ll,
+                      reflection_momentum_space):
+            with pytest.raises(DomainError, match=r"\(log_prob=-6.28319e\+300\)"):
+                route(model, 1.0, consts)
+        res = reflection_closed_form(model, 1e-300, consts)
+        assert res.log_prob == pytest.approx(-2.0 * math.pi, rel=1e-15)
+
     def test_lorentzian_alternate_convention_fails(self):
         # Treating the elliptic argument as the modulus instead of the
         # parameter shifts the result by tens of percent.
@@ -386,16 +400,16 @@ class TestGaussRefined:
             else:
                 assert r[0] == pytest.approx(2.0 / (d + 1), rel=1e-12)
 
-    def test_scalar_form_returns_or_raises(self):
+    def test_one_row_is_a_list_of_one_outcome(self):
         spec = QuadratureSpec(nodes=8, refinement_levels=2)
-        value, err = wkb_reflection.gauss_refined(np.cos, 0.0, 1.0, spec)
+        ((value, err),) = wkb_reflection.gauss_refined(np.cos, 0.0, 1.0, spec)
         assert value == pytest.approx(math.sin(1.0), rel=1e-14)
         assert err <= 1e-10 * value
-        with pytest.raises(ConvergenceError) as excinfo:
-            wkb_reflection.gauss_refined(
-                np.cos, 0.0, 1.0, QuadratureSpec(nodes=8, refinement_levels=1))
-        assert excinfo.value.best == pytest.approx(math.sin(1.0), rel=1e-12)
-        assert excinfo.value.err_estimate == math.inf
+        (row,) = wkb_reflection.gauss_refined(
+            np.cos, 0.0, 1.0, QuadratureSpec(nodes=8, refinement_levels=1))
+        assert isinstance(row, ConvergenceError)
+        assert row.best == pytest.approx(math.sin(1.0), rel=1e-12)
+        assert row.err_estimate == math.inf
 
     def test_large_batches_run_in_blocks_of_bounded_size(self, monkeypatch):
         monkeypatch.setattr(wkb_reflection, "_BLOCK_POINTS", 64)
