@@ -437,17 +437,11 @@ def _edge_states(
     return (phi_p + kappa * phi_m) / norm, (phi_m - np.conj(kappa) * phi_p) / norm
 
 
-def _log_flip(
-    profile: CrossingProfile,
-    epsilon: float,
-    hbar: float,
-    t_span: tuple[float, float],
-    u,
-) -> float:
-    """ln of the probability that propagator ``u`` over ``t_span`` takes the
-    upper edge state at t_span[0] to the lower one at t_span[1]."""
-    upper, _ = _edge_states(profile, epsilon, hbar, t_span[0])
-    _, lower = _edge_states(profile, epsilon, hbar, t_span[1])
+def _log_flip(edges, u) -> float:
+    """ln of the probability that propagator ``u`` takes the upper state of
+    ``edges``, the edge states at the start and the end of its span, to
+    the lower one at the end."""
+    (upper, _), (_, lower) = edges
     u00, u01, u10, u11 = u
     amp = (np.conj(lower[0]) * (u00 * upper[0] + u01 * upper[1])
            + np.conj(lower[1]) * (u10 * upper[0] + u11 * upper[1]))
@@ -458,24 +452,21 @@ def _span_move(
     profile: CrossingProfile,
     epsilon: float,
     hbar: float,
-    t_span: tuple[float, float],
-    table: tuple[np.ndarray, np.ndarray],
-    steps: int,
+    sides,
+    edges,
+    density: float,
     inner_u,
     inner: float,
 ) -> float:
-    """|Delta ln P| when the span doubles, at the steps per radian of the run
-    ``inner_u`` (``steps`` steps over ``table``, giving ``inner``), whose
-    product it reuses between the old ends."""
-    t0, t1 = t_span
-    density = steps / table[1][-1]
-    outer = []
-    for a, b in ((2.0 * t0, t0), (t1, 2.0 * t1)):
-        side = _phase_table(profile, epsilon, hbar, a, b)
-        n = max(_MIN_STEPS, math.ceil(side[1][-1] * density))
-        outer.append(_propagator(profile, epsilon, hbar, side, n))
+    """|Delta ln P| when the span doubles, at ``density`` steps per radian,
+    the density of the run ``inner_u`` (giving ``inner``), whose product it
+    reuses between the old ends.  ``sides`` are the phase tables of the two
+    added stretches, ``edges`` the edge states at the doubled span's ends."""
+    outer = [_propagator(profile, epsilon, hbar, side,
+                         max(_MIN_STEPS, math.ceil(side[1][-1] * density)))
+             for side in sides]
     wide_u = _mul2(outer[1], _mul2(inner_u, outer[0]))
-    return abs(_log_flip(profile, epsilon, hbar, (2.0 * t0, 2.0 * t1), wide_u) - inner)
+    return abs(_log_flip(edges, wide_u) - inner)
 
 
 def evolve_tdse(
@@ -497,7 +488,10 @@ def evolve_tdse(
     rel_tol**-1/4 and double until the estimate fits 100 * rel_tol.  If a
     doubling no longer halves the estimate (rounding, as on a sweep slow
     enough that ln P is below what double precision resolves), a
-    ConvergenceError carries the finer value and its estimate.
+    ConvergenceError carries the finer value and its estimate.  Scales that
+    double precision cannot hold, where placing the steps or forming the
+    edge states overflows, divides by zero or turns invalid, raise
+    DomainError before any stepping.
     """
     _positive_finite("rel_tol", rel_tol)
     _check_tanh_coupling(profile, eps)
@@ -506,19 +500,31 @@ def evolve_tdse(
     _check_t_span(profile, eps, t_span)
     epsilon, hbar = eps.epsilon, consts.hbar
     bound = 100.0 * rel_tol
+    t0, t1 = t_span
+    # All but the stepping comes first, so a scale that double precision
+    # cannot hold ends the row before any propagation.
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            table, *sides = (_phase_table(profile, epsilon, hbar, a, b)
+                             for a, b in ((t0, t1), (2.0 * t0, t0), (t1, 2.0 * t1)))
+            states = [_edge_states(profile, epsilon, hbar, t)
+                      for t in (t0, t1, 2.0 * t0, 2.0 * t1)]
+            steps = _steps(table, rel_tol)
+    except ArithmeticError as exc:
+        raise DomainError(f"the sweep's scales exceed double precision ({exc})") from None
+    edges, wide_edges = states[:2], states[2:]
 
-    table = _phase_table(profile, epsilon, hbar, *t_span)
-    steps = _steps(table, rel_tol)
     coarse_u = _propagator(profile, epsilon, hbar, table, steps)
-    coarse = _log_flip(profile, epsilon, hbar, t_span, coarse_u)
+    coarse = _log_flip(edges, coarse_u)
     last = math.inf
     while True:
         fine_u = _propagator(profile, epsilon, hbar, table, 2 * steps)
-        fine = _log_flip(profile, epsilon, hbar, t_span, fine_u)
+        fine = _log_flip(edges, fine_u)
         d_step = abs(fine - coarse)
         err = d_step
         if d_step <= bound:
-            err += _span_move(profile, epsilon, hbar, t_span, table, steps, coarse_u, coarse)
+            err += _span_move(profile, epsilon, hbar, sides, wide_edges,
+                              steps / table[1][-1], coarse_u, coarse)
             if err <= bound:
                 return ReflectionResult.from_log(epsilon * epsilon, fine, Method.TDSE, err)
         # Refine while each level at least halves the estimate: a stall

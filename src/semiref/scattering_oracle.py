@@ -40,6 +40,7 @@ _EPS = float(np.finfo(float).eps)
 _GROUP_RATIO = 2.0  # energies share a grid while k_max <= 2 k_min
 _CHUNK = 2**16  # transfer matrices per product call, to bound memory
 _SEG = 512  # transfer matrices per segment, the length of a product column
+_IDENTITY = (1.0, 0.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,9 @@ class ScatteringGrid:
             raise DomainError("x_max must be positive and finite")
         if not (0.0 < self.dx < self.x_max):
             raise DomainError("dx must satisfy 0 < dx < x_max")
-        if self.n_points > _MAX_POINTS:
-            raise DomainError(f"grid of {self.n_points} points is too large")
+        # x_max / dx may overflow; n_points would then take ceil(inf).
+        if not 2.0 * self.x_max / self.dx < _MAX_POINTS or self.n_points > _MAX_POINTS:
+            raise DomainError(f"grid of {2.0 * self.x_max / self.dx:.3g} points is too large")
 
     @property
     def segment(self) -> int:
@@ -106,6 +108,8 @@ def default_grid(
     if not E > 0.0:
         raise DomainError("E must be positive")
     k = _wavenumber(model, E, consts)
+    if not k > 0.0:
+        raise DomainError("the wavenumber k underflows to 0")
     return ScatteringGrid(x_max=_WINDOW[model.kind] * model.a, dx=_K_DX / k)
 
 
@@ -149,6 +153,9 @@ def numerov_reflection(
     incident and reflected discrete plane waves.  Each edge takes the
     wavenumber q that the recurrence carries at its edge point,
     cos(q dx) = (12 - 10 f) / (2 f), so a flat tail reflects nothing.
+    V is even, so every run's window is symmetric about x = 0: only the
+    left half of each product is multiplied, and the right half is its
+    mirror image, formed exactly from it (``_Chains.mirrored``).
 
     The value is the fine run's ln R plus the change that a run at twice
     the step sees when its window doubles.  ``err_estimate`` is |Delta ln R|
@@ -263,21 +270,20 @@ def _solve(model, energies, consts, grid) -> list:
         raise DomainError(
             f"window x_max = {X:g} is shorter than {_WINDOW[model.kind]:g} a"
         )
-    c = 2.0 * consts.mass / consts.hbar**2 * h * h / 12.0
+    r = h / consts.hbar  # c = (2m/hbar^2) h^2 / 12, formed without overflow
+    c = 2.0 * consts.mass * r * r / 12.0
+    if not 0.0 < c < math.inf:
+        raise DomainError(f"the Numerov scale (2m/hbar^2) dx^2/12 = {c:g} is out of range")
 
-    # Chain 0, the fine run: matrices at -X + h .. X.  Chain 1, the coarse
-    # run on [-2X, 2X]; its middle half steps over the fine run's even
-    # points, whose V it reuses.
-    fine_v = v(model, -X + h * np.arange(4 * L + 1))
-    coarse_v = np.concatenate([
-        v(model, -2.0 * X + 2.0 * h * np.arange(L)),
-        fine_v[::2],
-        v(model, X + 2.0 * h * np.arange(1, L + 1)),
-    ])
+    # Each run is built from its left half.  Chain 0, the fine run's:
+    # matrices at -X + h .. 0.  Chain 1, the coarse run's on [-2X, 0]; its
+    # right half steps over the fine run's even points, whose V it reuses.
+    fine_v = v(model, -X + h * np.arange(2 * L + 1))
+    coarse_v = np.concatenate([v(model, -2.0 * X + 2.0 * h * np.arange(L)), fine_v[::2]])
     chains = _Chains(energies, [(fine_v, c), (coarse_v, 4.0 * c)], grid)
-    fine = chains.run(0, 0, 4)
-    narrow = chains.run(1, 1, 3)
-    wide = chains.run(1, 0, 4)
+    fine = chains.mirrored(0, 0)
+    narrow = chains.mirrored(1, 1)
+    wide = chains.mirrored(1, 0)
     # The fine run carried to the doubled window: its ln R plus the change
     # the coarse run sees when its window doubles.
     log_r = fine.log_r + (wide.log_r - narrow.log_r)
@@ -297,11 +303,10 @@ def _solve(model, energies, consts, grid) -> list:
             break
         j = np.arange(round(half / h) + 1)
         ring = _Chains(energies[todo], [
-            (v(model, -2.0 * half + h * j), c), (v(model, half + h * j), c),
+            (v(model, -2.0 * half + h * j), c),
             (v(model, -4.0 * half + 2.0 * h * j), 4.0 * c),
-            (v(model, 2.0 * half + 2.0 * h * j), 4.0 * c),
         ], grid)
-        fine, narrow, wide = ring.around(0, fine, 1), wide, ring.around(2, wide, 3)
+        fine, narrow, wide = ring.mirrored(0, 0, fine.p), wide, ring.mirrored(1, 0, wide.p)
         log_r[todo] = fine.log_r + (wide.log_r - narrow.log_r)
         defect[todo] = np.maximum(defect[todo], np.maximum(fine.defect, wide.defect))
         d_step[todo] = np.abs(fine.log_r - narrow.log_r)
@@ -366,15 +371,15 @@ class _Chains:
         seg = grid.segment
         self.energies, self.chains = energies, chains
         self.L, self.per_quarter = grid.quarter, grid.quarter // seg
-        self.n_seg = (chains[0][0].size - 1) // seg
-        per_c = min(self.n_seg, max(1, _CHUNK // seg))
-        per_e = max(1, _CHUNK // (seg * self.n_seg))
-        prod = np.empty((4, energies.size, len(chains), self.n_seg))
+        n_seg = (chains[0][0].size - 1) // seg
+        per_c = min(n_seg, max(1, _CHUNK // seg))
+        per_e = max(1, _CHUNK // (seg * n_seg))
+        prod = np.empty((4, energies.size, len(chains), n_seg))
         for k, (v_k, c_k) in enumerate(chains):
-            cols = v_k[1:].reshape(self.n_seg, seg).T  # column s: segment s
+            cols = v_k[1:].reshape(n_seg, seg).T  # column s: segment s
             for e0 in range(0, energies.size, per_e):
                 e = energies[e0 : e0 + per_e, None]
-                for c0 in range(0, self.n_seg, per_c):
+                for c0 in range(0, n_seg, per_c):
                     m = _numerov_m(e, cols[:, None, c0 : c0 + per_c], c_k)
                     prod[:, e0 : e0 + per_e, k, c0 : c0 + per_c] = _companion_product(m)
         self.prod = prod
@@ -384,22 +389,25 @@ class _Chains:
         v_k, c_k = self.chains[chain]
         return _numerov_m(self.energies, v_k[point], c_k)
 
-    def _product(self, chain, lo, hi):
-        """Product over segments lo .. hi - 1 of ``chain``, per energy."""
-        return _ordered_product(*(self.prod[i, :, chain, lo:hi].T for i in range(4)))
+    def mirrored(self, chain, lo, inner=_IDENTITY) -> _Run:
+        """The run over ``chain`` from quarter ``lo`` to its end x_n, then
+        ``inner``, then the steps at -x_{n-1} .. -x_0.
 
-    def run(self, chain, lo, hi) -> _Run:
-        """The run over quarters lo .. hi - 1 of ``chain``."""
-        q = self.per_quarter
-        return _Run(self._product(chain, lo * q, hi * q),
-                    (self._edge(chain, lo * self.L), self._edge(chain, hi * self.L)))
-
-    def around(self, left, inner: _Run, right) -> _Run:
-        """``inner`` extended by the whole of chains ``left`` and ``right``."""
-        p = _mul2(self._product(left, 0, self.n_seg),
-                  _mul2(inner.p, self._product(right, 0, self.n_seg)))
-        end = self.chains[right][0].size - 1
-        return _Run(p, (self._edge(left, 0), self._edge(right, end)))
+        With H the product of the stretch x_0 = x_{lo L} .. x_n, those
+        mirrored steps multiply to M_n^-1 rev(H) M_0, so the run is
+        H inner M_n^-1 rev(H) M_0 and both its edges take m at x_0.  With
+        x_n = 0 and ``inner`` the identity this is the run over
+        [x_0, -x_0]; with ``inner`` the product of the run over
+        [x_n, -x_n] it is that run's window extended to [x_0, -x_0].
+        """
+        h = _ordered_product(*(self.prod[i, :, chain, lo * self.per_quarter :].T
+                               for i in range(4)))
+        m_0 = self._edge(chain, lo * self.L)
+        m_n = self._edge(chain, -1)
+        # M^-1 = [[1, -1], [-m, 1 + m]] for the step M = [[1 + m, 1], [m, 1]].
+        right = _mul2(_mul2((1.0, -1.0, -m_n, 1.0 + m_n), _reversed(h)),
+                      (1.0 + m_0, 1.0, m_0, 1.0))
+        return _Run(_mul2(h, _mul2(inner, right)), (m_0, m_0))
 
 
 def _numerov_m(E, V, c):
@@ -417,7 +425,16 @@ def _numerov_m(E, V, c):
     return t
 
 
-_IDENTITY = (1.0, 0.0, 0.0, 1.0)
+def _reversed(p):
+    """The product of the steps of ``p`` = M_1 ... M_n in reverse order,
+    M_n ... M_1, from ``p`` alone.
+
+    With K = [[1, -1], [0, -1]], its own inverse, K M^-1 K = M for every
+    step, so M_n ... M_1 = K p^-1 K = K adj(p) K = [[d + c, a + b - c - d],
+    [c, a - c]] for p = [[a, b], [c, d]] of unit determinant.
+    """
+    a, b, c, d = p
+    return (d + c, a + b - c - d, c, a - c)
 
 
 def _companion_product(m: np.ndarray):

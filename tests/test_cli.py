@@ -995,13 +995,13 @@ _WIDE_ENERGIES = ["--emin", "1e-300", "--emax", "1e300", "--n", "7", "--spacing"
          [_extremes("--alpha"), _extremes("--mass"), _extremes("--hbar")]),
         *(
             (["reflect", "--model", family, *_WIDE_ENERGIES,
-              "--methods", "closed,contour,momentum"],
+              "--methods", "closed,contour,momentum,numerov"],
              [_extremes("--v0"), _extremes("--a"), _extremes("--mass"), _extremes("--hbar")])
             for family in ("sech2", "lorentzian")
         ),
-        (["lz", "--profile", "linear", "--eps", "1e-300,1,1e300", "--methods", "adiabatic,closed"],
+        (["lz", "--profile", "linear", "--eps", "1e-300,1,1e300", "--methods", "adiabatic,closed,tdse"],
          [_extremes("--T"), _extremes("--hbar")]),
-        (["lz", "--profile", "tanh", "--methods", "adiabatic"],
+        (["lz", "--profile", "tanh", "--methods", "adiabatic,tdse"],
          [_extremes("--tau"), _extremes("--hbar"),
           [["--esat", "1e-300", "--eps", "1e-306,5e-301"],
            ["--esat", "1e300", "--eps", "1,5e299"]]]),

@@ -18,7 +18,8 @@ from semiref import (
     reflection_closed_form,
     v,
 )
-from semiref.scattering_oracle import _companion_product, _ordered_product, _unitarity_defect
+from semiref.scattering_oracle import (
+    _companion_product, _ordered_product, _reversed, _unitarity_defect)
 
 UNIT = PhysicalConstants()
 
@@ -128,6 +129,18 @@ class TestOrderedProduct:
         got = np.array(_companion_product(coef), dtype=float).reshape(2, 2)
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(got - expected)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("m", PRODUCT_LENGTHS)
+    def test_reversed_companion_product(self, m):
+        # The steps [[1 + m_i, 1], [m_i, 1]] multiplied in reverse order,
+        # M_m ... M_1, come from the forward product alone.
+        rng = np.random.default_rng(4000 + m)
+        coef = 2.0 * np.cos(rng.uniform(0.9, 1.1, m)) - 2.0
+        expected = functools.reduce(
+            np.matmul, [np.array([[1.0 + x, 1.0], [x, 1.0]]) for x in coef[::-1]])
+        got = np.array(_reversed(_companion_product(coef)), dtype=float).reshape(2, 2)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(got - expected)) <= 1e-13 * scale
 
     def test_companion_product_by_columns(self):
         # A stack of columns gives one product per column.
@@ -283,6 +296,35 @@ class TestNumerov:
         assert res.err_estimate <= 1e-6
         assert res.log_prob == pytest.approx(
             numerov_reflection(LOR, 2.0, half, wide).log_prob, abs=1e-10)
+
+    def test_window_doubling_matches_sequential_recurrence(self):
+        # The row above, from one window doubling, against full-window
+        # sequential runs at 384a: the fine run over [-2X, 2X] plus the
+        # change of the coarse run when its window doubles to [-4X, 4X].
+        half = PhysicalConstants(hbar=0.5)
+        grid = default_grid(LOR, 2.0, half)
+        X, h = grid.x_max, grid.step
+        reference = (sequential_run(LOR, 2.0, 2.0 * X, h, half)
+                     + sequential_run(LOR, 2.0, 4.0 * X, 2.0 * h, half)
+                     - sequential_run(LOR, 2.0, 2.0 * X, 2.0 * h, half))
+        res = numerov_reflection(LOR, 2.0, half)
+        assert res.log_prob == pytest.approx(reference, rel=1e-9)
+
+    @pytest.mark.parametrize("model", [SECH2, LOR], ids=["sech2", "lorentzian"])
+    @pytest.mark.parametrize("hbar", [1.0, 0.5])
+    def test_potential_is_even_on_the_grid(self, model, hbar):
+        # Each run is built from its left half and that half mirrored, which
+        # takes V(-x) = V(x) at every point, bit for bit: the fine and the
+        # coarse points and those of the first two window doublings.
+        grid = default_grid(model, 1.0, PhysicalConstants(hbar=hbar))
+        X, h, L = grid.x_max, grid.step, grid.quarter
+        x = np.concatenate([
+            -X + h * np.arange(2 * L + 1),
+            -2.0 * X + 2.0 * h * np.arange(L),
+            *(-2.0 * w + h * np.arange(2 * L * w / X + 1) for w in (X, 2.0 * X)),
+            *(-4.0 * w + 2.0 * h * np.arange(2 * L * w / X + 1) for w in (X, 2.0 * X)),
+        ])
+        assert np.array_equal(v(model, -x), v(model, x))
 
     def test_batched_energies_equal_single_runs(self):
         energies = [0.5, 0.75, 1.0, 1.5, 2.0]
