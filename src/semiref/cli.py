@@ -371,22 +371,18 @@ def _build_lz_config(args) -> RunConfig:
     if "closed" in methods and not linear:
         raise UsageError("the closed form applies to the linear profile only")
 
-    if args.scale_min is None:
-        flag = "T" if linear else "tau"
-        scale = getattr(args, flag)
-        if scale is None:
-            raise UsageError(f"a sweep scale is required (--{flag} or --scale-min)")
-        smin, smax, count = scale, scale, 1
-    else:
-        smin, smax, count = args.scale_min, args.scale_max or args.scale_min, args.n
-
+    flag = "T" if linear else "tau"
+    scale = getattr(args, flag)
+    if scale is None:
+        raise UsageError(f"a sweep scale is required (--{flag})")
     if args.eps is None:
         raise UsageError("a coupling is required (--eps)")
     if not linear and any(e >= args.esat for e in args.eps):
         raise UsageError("tanh profile requires eps < esat for every coupling")
 
-    return _run_config(args, methods=methods, grid_min=smin, grid_max=smax,
-                       grid_count=count, profile_kind=args.profile,
+    return _run_config(args, methods=methods, grid_min=scale,
+                       grid_max=args.scale_max or scale, grid_count=args.n,
+                       profile_kind=args.profile,
                        e_sat=None if linear else args.esat, epsilons=args.eps,
                        tdse_rel_tol=args.tdse_rtol)
 
@@ -444,13 +440,13 @@ def build_parser() -> argparse.ArgumentParser:
     lz_cmd = sub.add_parser("lz", help="Landau-Zener transition sweep")
     lz_cmd.add_argument("--profile", choices=["linear", "tanh"], default="linear",
                         help="sweep profile (default %(default)s)")
-    lz_cmd.add_argument("--T", type=_positive, help="linear sweep scale")
-    lz_cmd.add_argument("--tau", type=_positive, help="tanh sweep scale")
+    lz_cmd.add_argument("--T", type=_positive, help="linear sweep scale (first of the grid)")
+    lz_cmd.add_argument("--tau", type=_positive, help="tanh sweep scale (first of the grid)")
     lz_cmd.add_argument("--esat", type=_positive, default=1.0,
                         help="tanh saturation splitting (default %(default)s)")
     lz_cmd.add_argument("--eps", type=_positive_list, help="coupling(s), comma separated")
-    lz_cmd.add_argument("--scale-min", dest="scale_min", type=_positive)
-    lz_cmd.add_argument("--scale-max", dest="scale_max", type=_positive)
+    lz_cmd.add_argument("--scale-max", dest="scale_max", type=_positive,
+                        help="last sweep scale of the grid")
     _add_grid(lz_cmd)
     lz_cmd.add_argument("--methods", help=f"comma list: {','.join(LZ_METHODS)}")
     lz_cmd.add_argument("--tdse-rtol", dest="tdse_rtol", type=_positive, default=1e-10,

@@ -109,11 +109,6 @@ class CrossingProfile:
     def tanh(cls, tau: float, e_sat: float) -> "CrossingProfile":
         return cls(ProfileKind.TANH, tau=tau, e_sat=e_sat)
 
-    @property
-    def scale(self) -> float:
-        """The sweep time scale (T or tau)."""
-        return self.T if self.kind is ProfileKind.LINEAR else self.tau
-
     def value(self, t):
         """f(t), elementwise for an array t."""
         if self.kind is ProfileKind.LINEAR:
@@ -182,15 +177,17 @@ def adiabatic_reflection(
     """Semiclassical transition probability out of the adiabatic state.
 
     Shares the forbidden-zone quadrature kernel with the barrier problem:
-    the integrand is Im f^{-1} evaluated on sqrt(eps^2 - p^2), the rim
-    p0 = eps, and the analog energy eps^2 is reported in the result.
+    the integrand is Im f^{-1} evaluated on sqrt(eps^2 - p^2), and the
+    analog energy eps^2 is reported in the result.  The integral runs in
+    units of eps, p = eps q over the rim q0 = 1, so eps^2 is never formed
+    where it could underflow.
     """
     _check_tanh_coupling(profile, eps)
     epsilon = eps.epsilon
     (row,) = forbidden_zone_integral(
-        np.array([epsilon]), 1.0, lambda xi: profile.im_inverse(np.sqrt(xi)), quad
+        np.array([1.0]), 1.0, lambda xi: profile.im_inverse(epsilon * np.sqrt(xi)), quad
     )
-    row = _scaled_log(row, 2.0 / consts.hbar)
+    row = _scaled_log(row, 2.0 * epsilon / consts.hbar)
     if isinstance(row, ConvergenceError):
         raise row
     log_prob, err = row
@@ -212,9 +209,9 @@ def lz_closed_form(
 def default_t_span(
     profile: CrossingProfile, eps: CouplingSpec, consts: PhysicalConstants
 ) -> tuple[float, float]:
-    """Symmetric span +-20 s.
+    """Symmetric span +-20 s, s a time of the sweep's own.
 
-    tanh: s = max(tau, hbar/eps).  linear: s = max(T, sqrt(hbar T), eps T);
+    tanh: s = max(tau, hbar/eps).  linear: s = max(sqrt(hbar T), eps T);
     the ends must reach |f| = |t|/T >= 20 eps (the last term), and
     sqrt(hbar T) is the time the crossing takes when eps is too small to
     matter, where hbar/eps would grow without bound as eps -> 0.
@@ -223,29 +220,33 @@ def default_t_span(
         s = max(profile.tau, consts.hbar / eps.epsilon)
     else:
         T = profile.T
-        s = max(T, math.sqrt(consts.hbar * T), eps.epsilon * T)
+        s = max(_sqrt_product(consts.hbar, T), eps.epsilon * T)
     return (-20.0 * s, 20.0 * s)
 
 
-def _check_t_span(
-    profile: CrossingProfile, eps: CouplingSpec, t_span: tuple[float, float]
-) -> None:
-    t0, t1 = t_span
-    if not t0 < 0.0 < t1:
-        raise DomainError("t_span must straddle the crossing at t = 0")
+def _sqrt_product(x: float, y: float) -> float:
+    """sqrt(x y) with x first scaled near 1 by an even power of two, which
+    the root halves exactly: sqrt(x * y) wherever x y is a normal float."""
+    n = math.frexp(x)[1] // 2
+    return math.ldexp(math.sqrt(math.ldexp(x, -2 * n) * y), n)
+
+
+def _in_sweep_units(
+    profile: CrossingProfile, epsilon: float, hbar: float, t1: float
+) -> tuple[CrossingProfile, float, float, float]:
+    """(profile, epsilon, hbar, t1) in a time unit 2^k near t1 and an energy
+    unit 2^j near hbar / 2^k.  Powers of two rescale exactly, so ln P comes
+    out bit for bit the same wherever the inputs are normal floats, and the
+    stepping meets only numbers near 1."""
+    k = math.frexp(t1)[1]
+    j = math.frexp(hbar)[1] - k
     if profile.kind is ProfileKind.LINEAR:
-        if min(abs(profile.value(t0)), abs(profile.value(t1))) < 20.0 * eps.epsilon:
-            raise DomainError("t_span too narrow: need |f| >= 20 eps at the ends")
+        profile = CrossingProfile.linear(math.ldexp(profile.T, j - k))
     else:
-        for t, f_lim in ((t0, -profile.e_sat), (t1, profile.e_sat)):
-            drift = abs(
-                mixing_angle(profile, eps, t) - math.atan2(eps.epsilon, f_lim)
-            )
-            if drift > 1e-6:
-                raise DomainError(
-                    "t_span too narrow: mixing angle is "
-                    f"{drift:.2e} rad from its asymptote"
-                )
+        profile = CrossingProfile.tanh(math.ldexp(profile.tau, -k),
+                                       math.ldexp(profile.e_sat, -j))
+    return (profile, math.ldexp(epsilon, -j), math.ldexp(hbar, -j - k),
+            math.ldexp(t1, -k))
 
 
 def _integrate(
@@ -412,16 +413,16 @@ def _edge_states(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unit upper and lower superadiabatic states at t.
 
-    kappa is the third iterate, its kappa_2' a central difference.  Its
-    terms form an asymptotic series in hbar / (E * the time over which the
-    mixing angle changes); it is summed up to, not including, its smallest
-    term (the last term is taken if it still shrinks).  Where the terms
-    grow at once, as on a nearly diabatic crossing seen over a span much
-    shorter than hbar / E, the plain eigenstates are kept.  The lower state
+    kappa is the third iterate, its kappa_2' a central difference of step
+    1e-3 |t|, as t is a span's end, where the mixing angle changes over
+    times of order |t| or shorter.  Its terms form an asymptotic series in
+    hbar / (E * that time); it is summed up to, not including, its
+    smallest term (the last term is taken if it still shrinks).  Where the
+    terms grow at once, the plain eigenstates are kept.  The lower state
     phi_- - conj(kappa) phi_+ solves the mirrored recursion and is
     orthogonal to the upper one.
     """
-    delta = 1e-3 * min(abs(t), profile.scale)
+    delta = 1e-3 * abs(t)
     k1, k2, th1, energy = _kappa2(profile, epsilon, hbar, np.array([t, t - delta, t + delta]))
     dk2 = (k2[2] - k2[1]) / (2.0 * delta)
     k3 = k1[0] - 0.5j * hbar * (dk2 + 0.5 * th1[0] * k2[0] * k2[0]) / energy[0]
@@ -473,15 +474,17 @@ def evolve_tdse(
     profile: CrossingProfile,
     eps: CouplingSpec,
     consts: PhysicalConstants,
-    t_span: tuple[float, float] | None = None,
     rel_tol: float = 1e-10,
 ) -> ReflectionResult:
     """Exact two-level transition probability across the sweep.
 
-    Prepares the upper superadiabatic state at t_span[0], propagates it
-    with the CF4 Magnus scheme, and projects onto the lower superadiabatic
-    state at t_span[1]; the result is the probability of the non-adiabatic
-    flip, from the finer of two runs a step halving apart.
+    Prepares the upper superadiabatic state at default_t_span's start,
+    propagates it with the CF4 Magnus scheme, and projects onto the lower
+    superadiabatic state at its end; the result is the probability of the
+    non-adiabatic flip, from the finer of two runs a step halving apart.
+    The run takes time in units near the span and energy in units near
+    hbar over it, both powers of two, so the answer does not depend on the
+    units of the inputs.
     ``err_estimate`` is |Delta ln P| between those runs plus |Delta ln P|
     when the coarser run's span doubles, an absolute error on ``log_prob``.
     The steps per radian of swept phase start at a multiple of
@@ -489,28 +492,26 @@ def evolve_tdse(
     doubling no longer halves the estimate (rounding, as on a sweep slow
     enough that ln P is below what double precision resolves), a
     ConvergenceError carries the finer value and its estimate.  Scales that
-    double precision cannot hold, where placing the steps or forming the
-    edge states overflows, divides by zero or turns invalid, raise
-    DomainError before any stepping.
+    double precision cannot hold, where the span overflows, a rescaled input
+    underflows, or placing the steps or forming the edge states overflows,
+    divides by zero or turns invalid, raise DomainError before any stepping.
     """
     _positive_finite("rel_tol", rel_tol)
     _check_tanh_coupling(profile, eps)
-    if t_span is None:
-        t_span = default_t_span(profile, eps, consts)
-    _check_t_span(profile, eps, t_span)
-    epsilon, hbar = eps.epsilon, consts.hbar
     bound = 100.0 * rel_tol
-    t0, t1 = t_span
     # All but the stepping comes first, so a scale that double precision
     # cannot hold ends the row before any propagation.
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
+            profile, epsilon, hbar, t1 = _in_sweep_units(
+                profile, eps.epsilon, consts.hbar, default_t_span(profile, eps, consts)[1])
+            t0 = -t1
             table, *sides = (_phase_table(profile, epsilon, hbar, a, b)
                              for a, b in ((t0, t1), (2.0 * t0, t0), (t1, 2.0 * t1)))
             states = [_edge_states(profile, epsilon, hbar, t)
                       for t in (t0, t1, 2.0 * t0, 2.0 * t1)]
             steps = _steps(table, rel_tol)
-    except ArithmeticError as exc:
+    except (ArithmeticError, DomainError) as exc:  # DomainError: a scale underflowed to 0
         raise DomainError(f"the sweep's scales exceed double precision ({exc})") from None
     edges, wide_edges = states[:2], states[2:]
 
@@ -526,7 +527,8 @@ def evolve_tdse(
             err += _span_move(profile, epsilon, hbar, sides, wide_edges,
                               steps / table[1][-1], coarse_u, coarse)
             if err <= bound:
-                return ReflectionResult.from_log(epsilon * epsilon, fine, Method.TDSE, err)
+                return ReflectionResult.from_log(
+                    eps.epsilon * eps.epsilon, fine, Method.TDSE, err)
         # Refine while each level at least halves the estimate: a stall
         # means rounding (or the span) now sets the error.
         if err > 0.5 * last or 4 * steps > _MAX_STEPS:

@@ -482,7 +482,7 @@ class TestLz:
     def test_linear_closed_form_grid(self, capsys):
         code, out, _ = run_cli(
             [
-                "lz", "--profile", "linear", "--scale-min", "1",
+                "lz", "--profile", "linear", "--T", "1",
                 "--scale-max", "3", "--n", "3", "--eps", "1",
                 "--methods", "closed",
             ],
@@ -544,7 +544,7 @@ class TestLz:
     def test_multiple_couplings_row_order(self, capsys):
         code, out, _ = run_cli(
             [
-                "lz", "--profile", "linear", "--scale-min", "1",
+                "lz", "--profile", "linear", "--T", "1",
                 "--scale-max", "2", "--n", "2", "--eps", "0.5,1",
                 "--methods", "closed,adiabatic",
             ],
@@ -601,6 +601,43 @@ class TestLz:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            # The same sweep as --tau 1 --esat 1 --eps 0.3, whose eps^2
+            # underflows: it printed -0 as a good row.
+            (["--profile", "tanh", "--tau", "1e300", "--esat", "1e-300", "--eps", "3e-301"],
+             -0.276652738744),
+            # Its Landau-Zener exponent is -pi; it was flagged.
+            (["--profile", "linear", "--T", "1e20", "--eps", "1e-160", "--hbar", "1e-300"],
+             -math.pi),
+        ],
+    )
+    def test_adiabatic_runs_in_units_of_eps(self, argv, expected, capsys):
+        code, out, err = run_cli(["lz", *argv, "--methods", "adiabatic"], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        fields = out.splitlines()[1].split(",")
+        assert float(fields[3]) == pytest.approx(expected, rel=1e-11)
+        assert float(fields[5]) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--T", "1e-300", "--hbar", "1e-300", "--eps", "1"],
+            ["--T", "1e300", "--hbar", "1e300", "--eps", "1"],
+            ["--T", "1e-300", "--hbar", "1e300", "--eps", "1e300"],
+        ],
+    )
+    def test_tdse_row_in_extreme_units(self, argv, capsys):
+        # Each is T eps^2 / hbar = 1 in other units; the oracle steps in
+        # units of its own span, so only the dimensionless sweep matters.
+        code, out, err = run_cli(
+            ["lz", "--profile", "linear", *argv, "--methods", "closed,tdse"], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        rows = {row[2]: row for row in (line.split(",") for line in out.splitlines()[1:])}
+        assert float(rows["closed"][3]) == pytest.approx(-math.pi, rel=1e-15)
+        assert abs(float(rows["tdse"][3]) + math.pi) <= float(rows["tdse"][5]) <= 1e-8
+
 
 def build_flag(key: str) -> str:
     return "--" + key.replace("_", "-")
@@ -620,7 +657,7 @@ _SECH2 = {"model": "sech2", "v0": "2", "a": "1.5", "emin": "1", "emax": "2", "n"
           "methods": "closed,momentum"}
 _LINEAR = {"profile": "linear", "T": "2", "eps": "1", "methods": "adiabatic,closed"}
 _TANH = {"profile": "tanh", "tau": "2", "esat": "1", "eps": "0.3", "methods": "adiabatic"}
-_SWEEP = {"scale_min": "1", "scale_max": "3", "n": "3", "eps": "1", "methods": "closed"}
+_SWEEP = {"T": "1", "scale_max": "3", "n": "3", "eps": "1", "methods": "closed"}
 CONFIG_CASES = {
     "reflect": [
         (_SECH2, "model", "lorentzian", "sech2"),
@@ -648,7 +685,7 @@ CONFIG_CASES = {
         (_TANH, "tau", "3", "2"),
         (_TANH, "esat", "2", "1"),
         (_LINEAR, "eps", "0.5,1", "1"),
-        (_SWEEP, "scale_min", "0.5", "1"),
+        ({**_TANH, "n": "2"}, "scale_max", "8", "5"),
         (_SWEEP, "scale_max", "4", "3"),
         (_SWEEP, "n", "4", "3"),
         (_SWEEP, "spacing", "log", "linear"),
@@ -832,6 +869,21 @@ class TestConfigFile:
         code, out, err = run_cli([*argv, "--config", str(cfg)], capsys)
         assert (code, out) == (EXIT_USAGE, "")
         assert "cannot write output file" in err
+
+    def test_lz_grid_starts_at_the_profile_s_scale(self, tmp_path, capsys):
+        # --T (or --tau) is the grid's first scale and --scale-max its last,
+        # as --emin and --emax are for reflect; there is no other way in.
+        argv = ["lz", "--profile", "linear", "--T", "2", "--eps", "1", "--methods", "closed"]
+        code, out, _ = run_cli([*argv, "--scale-max", "3", "--n", "2"], capsys)
+        assert code == EXIT_OK
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["2", "3"]
+        assert run_cli([*argv, "--n", "3"], capsys)[:2] == (EXIT_USAGE, "")
+        assert run_cli([*argv, "--scale-min", "3"], capsys)[:2] == (EXIT_USAGE, "")
+        cfg = tmp_path / "run.toml"
+        cfg.write_text("scale_min = 3\n")
+        code, out, err = run_cli([*argv, "--config", str(cfg)], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "scale_min" in err
 
     def test_lz_scale_is_the_profile_s_own_flag(self, tmp_path, capsys):
         tanh = ["lz", "--profile", "tanh", "--esat", "1", "--eps", "0.3",
