@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -64,45 +62,22 @@ _positive.__name__ = "positive finite"
 _positive_list.__name__ = "positive finite list"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Normalized run description shared by ``reflect`` and ``lz``."""
-
-    constants: PhysicalConstants
-    quadrature: QuadratureSpec
-    methods: tuple[str, ...]
-    grid_min: float
-    grid_max: float
-    grid_count: int
-    spacing: str
-    out_format: str
-    output_path: str | None
-    model: PotentialModel | None = None
-    profile_kind: str | None = None
-    e_sat: float | None = None
-    epsilons: tuple[float, ...] = ()
-    tdse_rel_tol: float | None = None
-
-
-def _grid(cfg: RunConfig) -> np.ndarray:
-    if cfg.grid_count == 1:
-        return np.array([cfg.grid_min])
-    if cfg.spacing == "log":
-        return np.geomspace(cfg.grid_min, cfg.grid_max, cfg.grid_count)
-    return np.linspace(cfg.grid_min, cfg.grid_max, cfg.grid_count)
-
-
-def _validate_grid(cfg: RunConfig) -> None:
-    if cfg.grid_count < 1:
+def _grid(lo: float, hi: float, n: int, spacing: str) -> list[float]:
+    """The ``n`` points of the grid from ``lo`` to ``hi``, the grid checked."""
+    if n < 1:
         raise UsageError("grid count must be >= 1")
-    if cfg.grid_count > 1 and not cfg.grid_min < cfg.grid_max:
+    if n == 1:
+        return [lo]
+    if not lo < hi:
         raise UsageError("grid needs min < max when count > 1")
+    space = np.geomspace if spacing == "log" else np.linspace
+    return space(lo, hi, n).tolist()
 
 
-def _profile(cfg: RunConfig, scale: float) -> lz.CrossingProfile:
-    if cfg.profile_kind == "linear":
+def _profile(args, scale: float) -> lz.CrossingProfile:
+    if args.profile == "linear":
         return lz.CrossingProfile.linear(scale)
-    return lz.CrossingProfile.tanh(scale, cfg.e_sat)
+    return lz.CrossingProfile.tanh(scale, args.esat)
 
 
 def _outcome(route, *args):
@@ -115,31 +90,32 @@ def _outcome(route, *args):
 
 def _each(route):
     """A route over all points from one that takes a single point."""
-    return lambda cfg, *columns: [_outcome(route, cfg, *point) for point in zip(*columns)]
+    return lambda args, *columns: [_outcome(route, args, *point) for point in zip(*columns)]
 
 
-# Each command's routes, by method name: (cfg, *columns) -> one
-# ReflectionResult or SemirefError per point, where the columns hold the
-# points' coordinates, one sequence per label.  An entry looks its route up
-# when called (a module global or ``lz.<name>``), so a wrapper bound over
-# that name later is what runs.  Every ``reflect`` route takes all the
-# energies of an invocation in one call.
+# Each command's routes, by method name: (args, *columns) -> one
+# ReflectionResult or SemirefError per point, where ``args`` is the parsed
+# command line with the objects its builder made from it, and the columns
+# hold the points' coordinates, one sequence per label.  An entry looks its
+# route up when called (a module global or ``lz.<name>``), so a wrapper
+# bound over that name later is what runs.  Every ``reflect`` route takes
+# all the energies of an invocation in one call.
 REFLECT_METHODS = {
-    "closed": lambda cfg, E: reflection_closed_form(cfg.model, E, cfg.constants),
-    "contour": lambda cfg, E: reflection_contour_ll(
-        cfg.model, E, cfg.constants, cfg.quadrature),
-    "momentum": lambda cfg, E: reflection_momentum_space(
-        cfg.model, E, cfg.constants, cfg.quadrature),
-    "numerov": lambda cfg, E: numerov_reflection(cfg.model, E, cfg.constants),
+    "closed": lambda args, E: reflection_closed_form(args.potential, E, args.constants),
+    "contour": lambda args, E: reflection_contour_ll(
+        args.potential, E, args.constants, args.quadrature),
+    "momentum": lambda args, E: reflection_momentum_space(
+        args.potential, E, args.constants, args.quadrature),
+    "numerov": lambda args, E: numerov_reflection(args.potential, E, args.constants),
 }
 LZ_METHODS = {
-    "adiabatic": _each(lambda cfg, scale, eps: lz.adiabatic_reflection(
-        _profile(cfg, scale), lz.CouplingSpec(eps), cfg.constants, cfg.quadrature)),
-    "closed": _each(lambda cfg, scale, eps: lz.lz_closed_form(
-        scale, lz.CouplingSpec(eps), cfg.constants)),
-    "tdse": _each(lambda cfg, scale, eps: lz.evolve_tdse(
-        _profile(cfg, scale), lz.CouplingSpec(eps), cfg.constants,
-        rel_tol=cfg.tdse_rel_tol)),
+    "adiabatic": _each(lambda args, scale, eps: lz.adiabatic_reflection(
+        _profile(args, scale), lz.CouplingSpec(eps), args.constants, args.quadrature)),
+    "closed": _each(lambda args, scale, eps: lz.lz_closed_form(
+        scale, lz.CouplingSpec(eps), args.constants)),
+    "tdse": _each(lambda args, scale, eps: lz.evolve_tdse(
+        _profile(args, scale), lz.CouplingSpec(eps), args.constants,
+        rel_tol=args.tdse_rtol)),
 }
 
 
@@ -157,10 +133,11 @@ def _failed_row(exc: SemirefError) -> tuple[float, float, float]:
 
 
 def run_rows(
-    cfg: RunConfig, table: dict, labels: tuple[str, ...], points: list[tuple]
+    args, table: dict, methods: tuple[str, ...], labels: tuple[str, ...],
+    points: list[tuple],
 ) -> tuple[list[tuple], int]:
     """One row (*point, method, log_prob, prob, err_estimate) per point and
-    method, in the order of ``points``, then method name.
+    method, in the order of ``points``, then of ``methods``.
 
     Each method's route gets every point in one call, as one column per
     label.  A route that fails at a point gives a flagged row and a warning
@@ -168,14 +145,11 @@ def run_rows(
     the number flagged.
     """
     columns = list(zip(*points))
-    outcomes = {}
-    for method in cfg.methods:
-        out = _outcome(table[method], cfg, *columns)
-        outcomes[method] = [out] * len(points) if isinstance(out, SemirefError) else out
+    outcomes = {method: table[method](args, *columns) for method in methods}
     rows = []
     n_failed = 0
     for i, point in enumerate(points):
-        for method in cfg.methods:
+        for method in methods:
             res = outcomes[method][i]
             if isinstance(res, SemirefError):
                 n_failed += 1
@@ -204,11 +178,9 @@ def rows_to_csv(rows: list[tuple], columns: tuple[str, ...]) -> str:
 
 def _json_cell(value) -> str:
     # Strict JSON has no nan/inf; flagged fields become null.
-    if isinstance(value, float):
-        return float.__repr__(value) if math.isfinite(value) else "null"
     if isinstance(value, str):
         return encode_basestring_ascii(value)
-    return json.dumps(value)
+    return float.__repr__(value) if math.isfinite(value) else "null"
 
 
 def rows_to_json(rows: list[tuple], columns: tuple[str, ...]) -> str:
@@ -331,19 +303,11 @@ def _check_output_path(path: str | None) -> None:
         raise UsageError(f"cannot write output file {path!r}: {exc.strerror or exc}") from exc
 
 
-def _run_config(args, **fields) -> RunConfig:
-    """RunConfig of the shared inputs, the output and ``fields``, its grid and
-    output path checked."""
-    fmt = args.format or ("json" if (args.out or "").endswith(".json") else "csv")
-    constants, quadrature = _constants_and_quadrature(args)
-    cfg = RunConfig(constants, quadrature, out_format=fmt, output_path=args.out,
-                    spacing=args.spacing, **fields)
-    _validate_grid(cfg)
-    _check_output_path(cfg.output_path)
-    return cfg
+def _build_reflect_config(args) -> tuple[tuple[str, ...], list[tuple]]:
+    """The sorted methods and the (E,) points of a ``reflect`` run.
 
-
-def _build_reflect_config(args) -> RunConfig:
+    Sets ``args.potential``, ``args.constants`` and ``args.quadrature``.
+    """
     if args.model is None:
         raise UsageError("a model is required (--model or config file)")
     kind = PotentialKind(args.model)
@@ -361,11 +325,17 @@ def _build_reflect_config(args) -> RunConfig:
 
     if args.emin is None:
         raise UsageError("an energy grid is required (--emin)")
-    return _run_config(args, methods=methods, grid_min=args.emin,
-                       grid_max=args.emax or args.emin, grid_count=args.n, model=model)
+    args.potential = model
+    args.constants, args.quadrature = _constants_and_quadrature(args)
+    energies = _grid(args.emin, args.emax or args.emin, args.n, args.spacing)
+    return methods, [(E,) for E in energies]
 
 
-def _build_lz_config(args) -> RunConfig:
+def _build_lz_config(args) -> tuple[tuple[str, ...], list[tuple]]:
+    """The sorted methods and the (scale, eps) points of an ``lz`` run.
+
+    Sets ``args.constants`` and ``args.quadrature``.
+    """
     methods = _parse_methods(args.methods, LZ_METHODS)
     linear = args.profile == "linear"
     if "closed" in methods and not linear:
@@ -380,11 +350,9 @@ def _build_lz_config(args) -> RunConfig:
     if not linear and any(e >= args.esat for e in args.eps):
         raise UsageError("tanh profile requires eps < esat for every coupling")
 
-    return _run_config(args, methods=methods, grid_min=scale,
-                       grid_max=args.scale_max or scale, grid_count=args.n,
-                       profile_kind=args.profile,
-                       e_sat=None if linear else args.esat, epsilons=args.eps,
-                       tdse_rel_tol=args.tdse_rtol)
+    args.constants, args.quadrature = _constants_and_quadrature(args)
+    scales = _grid(scale, args.scale_max or scale, args.n, args.spacing)
+    return methods, [(s, eps) for s in scales for eps in args.eps]
 
 
 def _add_common(parser) -> None:
@@ -489,16 +457,16 @@ def main(argv=None) -> int:
             print(f"{len(results) - n_failed}/{len(results)} checks passed")
             return EXIT_NUMERICAL if n_failed else EXIT_OK
         if args.command == "reflect":
-            cfg = _build_reflect_config(args)
+            methods, points = _build_reflect_config(args)
             table, labels, columns = REFLECT_METHODS, ("E",), REFLECT_COLUMNS
-            points = [(float(E),) for E in _grid(cfg)]
         else:
-            cfg = _build_lz_config(args)
+            methods, points = _build_lz_config(args)
             table, labels, columns = LZ_METHODS, ("scale", "eps"), LZ_COLUMNS
-            points = [(float(s), eps) for s in _grid(cfg) for eps in cfg.epsilons]
-        rows, n_failed = run_rows(cfg, table, labels, points)
-        writer = rows_to_json if cfg.out_format == "json" else rows_to_csv
-        _write_output(writer(rows, columns), cfg.output_path)
+        _check_output_path(args.out)
+        rows, n_failed = run_rows(args, table, methods, labels, points)
+        fmt = args.format or ("json" if (args.out or "").endswith(".json") else "csv")
+        writer = rows_to_json if fmt == "json" else rows_to_csv
+        _write_output(writer(rows, columns), args.out)
         return EXIT_NUMERICAL if n_failed else EXIT_OK
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
