@@ -32,7 +32,7 @@ from .scattering_oracle import (
     exact_ho_reflection,
     numerov_reflection,
 )
-from .specfun import elliptic_e, elliptic_k
+from .specfun import elliptic_b, elliptic_e, elliptic_k
 from .wkb_reflection import (
     DEFAULT_QUADRATURE,
     Method,
@@ -60,6 +60,7 @@ __all__ = [
     "v_on_imaginary_axis",
     "elliptic_k",
     "elliptic_e",
+    "elliptic_b",
     "Method",
     "ReflectionResult",
     "QuadratureSpec",

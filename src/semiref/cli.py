@@ -177,7 +177,8 @@ def rows_to_csv(rows: list[tuple], columns: tuple[str, ...]) -> str:
 
 
 def _json_cell(value) -> str:
-    # Strict JSON has no nan/inf; flagged fields become null.
+    # Every cell is a str or a float.  Strict JSON has no nan/inf; flagged
+    # fields become null.
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     return float.__repr__(value) if math.isfinite(value) else "null"

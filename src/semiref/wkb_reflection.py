@@ -37,7 +37,7 @@ from .potentials import (
     im_v_inverse,
     v_on_imaginary_axis,
 )
-from .specfun import elliptic_e, elliptic_k
+from .specfun import elliptic_b
 
 __all__ = [
     "Method",
@@ -342,15 +342,10 @@ def _closed_form_log(model: PotentialModel, E: float, consts: PhysicalConstants)
         # sqrt(E+V0) - sqrt(V0) written without cancellation at small E.
         diff = E / (math.sqrt(E + model.v0) + math.sqrt(model.v0))
         return -(2.0 * math.pi * model.a / hbar) * math.sqrt(2.0 * mass) * diff
-    gamma = model.v0 / E
-    m_ell = E / (E + model.v0)
-    if m_ell == 1.0:
-        # E/V0 past ~2^53 rounds m to 1, where K diverges; there
-        # g < 2^-53, so g K(m) < 3e-15 and the bracket is 1 to rounding.
-        bracket = 1.0
-    else:
-        bracket = (1.0 + gamma) * elliptic_e(m_ell) - gamma * elliptic_k(m_ell)
-    return -(4.0 * model.a / hbar) * math.sqrt(2.0 * mass * E * m_ell) * bracket
+    # sqrt(2mE m_ell) with m_ell = E/(E+V0), written so that m E cannot
+    # underflow.
+    prefactor = math.sqrt(2.0 * mass) * (E / math.sqrt(E + model.v0))
+    return -(4.0 * model.a / hbar) * prefactor * elliptic_b(E / (E + model.v0))
 
 
 def reflection_closed_form(model: PotentialModel, E, consts: PhysicalConstants):
@@ -363,6 +358,9 @@ def reflection_closed_form(model: PotentialModel, E, consts: PhysicalConstants):
 
     The elliptic integrals take the parameter (modulus squared); this
     convention is pinned by agreement with the momentum-space quadrature.
+    The Lorentzian bracket is B(m) = (E(m) - (1-m) K(m)) / m at
+    m = 1/(1+g) = E/(E+V0), evaluated as ``elliptic_b``: the two terms of
+    the bracket are each about g pi/2 while their difference is about pi/4.
     ``E`` may be a scalar, which returns a ReflectionResult or raises, or a
     sequence, which returns each energy's ReflectionResult or SemirefError
     in order.

@@ -337,6 +337,27 @@ class TestFlaggedRows:
         assert logs["closed"] == pytest.approx(-17.88854382, abs=1e-8)
 
 
+    @pytest.mark.parametrize(
+        "scale, expected",
+        [
+            (["--hbar", "1e-16", "--emin", "1e-16"], "-4.44288293816"),
+            (["--hbar", "1e-10", "--emin", "1e-10"], "-4.44288293799"),
+            (["--mass", "1e-300", "--hbar", "1e-165", "--emin", "1e-20"],
+             "-4.44288293816e-05"),
+        ],
+    )
+    def test_lorentzian_closed_row_at_small_energy(self, scale, expected, capsys):
+        # The closed form's bracket cancelled at small E/V0 (these rows
+        # printed -0, -4.44287395785 and -0 with err_estimate 0).
+        code, out, _ = run_cli(
+            ["reflect", "--model", "lorentzian", "--v0", "1", "--a", "1", *scale,
+             "--methods", "closed"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert out.splitlines()[1].split(",")[1:3] == ["closed", expected]
+
+
 class TestBatchedQuadrature:
     # Each reflect route takes every energy in one call; these rows, and
     # their warnings, are pinned to what one call per energy printed.
@@ -837,6 +858,27 @@ class TestConfigFile:
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (EXIT_USAGE, "")
         assert "invalid" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["reflect", "--model", "sech2", "--emin", "1", "--n", "0", "--methods", "closed"],
+             "error: grid count must be >= 1"),
+            (["lz", "--T", "1", "--eps", "1", "--n", "0", "--methods", "closed"],
+             "error: grid count must be >= 1"),
+            (["reflect", "--emin", "1", "--methods", "closed"],
+             "error: a model is required (--model or config file)"),
+            (["reflect", "--model", "sech2", "--methods", "closed"],
+             "error: an energy grid is required (--emin)"),
+            (["lz", "--T", "1", "--eps", ",", "--methods", "closed"],
+             "semiref lz: error: argument --eps: invalid positive finite list value: ','"),
+        ],
+        ids=["reflect-n0", "lz-n0", "no-model", "no-emin", "empty-eps"],
+    )
+    def test_usage_error_names_its_check(self, argv, message, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.splitlines()[-1] == message
 
     def test_mass_is_reflect_s_and_validate_s_flag(self, tmp_path, capsys):
         # No lz route reads the mass, so lz has no --mass; a file's mass key

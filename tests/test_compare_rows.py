@@ -1,0 +1,40 @@
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "compare_rows.py"
+
+
+def compare(a, b, argvs_file):
+    return subprocess.run(
+        [sys.executable, str(TOOL), str(a), str(b), "--seeds", "--argvs", str(argvs_file)],
+        capture_output=True, text=True, check=False,
+    )
+
+
+def test_compare_rows_names_the_command_line_that_differs(tmp_path):
+    argvs = tmp_path / "argvs.txt"
+    argvs.write_text(
+        "# comments and blank lines are skipped\n"
+        "semiref reflect --model sech2 --emin 1 --methods closed\n"
+        "\n"
+        "lz --T 2 --eps 1 --methods closed --format json\n"
+    )
+    same = compare(ROOT, ROOT, argvs)
+    assert (same.returncode, same.stdout) == (0, "2/2 command lines identical\n"), same.stderr
+
+    # JSON cells are printed with repr, so only the CSV row changes.
+    copy = tmp_path / "copy"
+    shutil.copytree(ROOT / "src" / "semiref", copy / "src" / "semiref",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = copy / "src" / "semiref" / "cli.py"
+    assert '".12g"' in cli.read_text()
+    cli.write_text(cli.read_text().replace('".12g"', '".11g"'))
+    differ = compare(ROOT, copy, argvs)
+    assert differ.returncode == 1, differ.stderr
+    lines = differ.stdout.splitlines()
+    assert lines[0] == "differs: semiref reflect --model sech2 --emin 1 --methods closed"
+    assert lines[1] == "  stdout line 2:"
+    assert lines[-1] == "1/2 command lines identical"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from semiref import DomainError, elliptic_e, elliptic_k
+from semiref import DomainError, elliptic_b, elliptic_e, elliptic_k
 
 # Pinned by adaptive quadrature of the defining integrals (see oracles below).
 K_HALF = 1.8540746773013717
@@ -28,6 +28,17 @@ def e_by_quadrature(m: float) -> float:
         0.0,
         0.5 * math.pi,
         epsabs=1e-13,
+        epsrel=1e-13,
+    )
+    return val
+
+
+def b_by_quadrature(m: float) -> float:
+    val, _ = quad(
+        lambda t: math.cos(t) ** 2 / math.sqrt(1.0 - m * math.sin(t) ** 2),
+        0.0,
+        0.5 * math.pi,
+        epsabs=1e-15,
         epsrel=1e-13,
     )
     return val
@@ -85,3 +96,35 @@ def test_domain_errors():
         elliptic_e(1.0 + 1e-12)
     with pytest.raises(DomainError):
         elliptic_e(-1e-12)
+    with pytest.raises(DomainError):
+        elliptic_b(1.0 + 1e-12)
+    with pytest.raises(DomainError):
+        elliptic_b(-1e-12)
+
+
+def test_b_at_zero_and_one():
+    assert elliptic_b(0.0) == 0.25 * math.pi
+    assert elliptic_b(5e-324) == pytest.approx(0.25 * math.pi, rel=1e-15)
+    assert elliptic_b(1.0) == 1.0
+
+
+@pytest.mark.parametrize(
+    "m", [1e-16, 1e-10, 1e-6, 1e-3, *np.linspace(0.05, 0.95, 7), 1.0 - 1e-9]
+)
+def test_b_agrees_with_quadrature_oracle(m):
+    # At small m, E - (1 - m) K cancels to O(m): formed that way, as the
+    # bracket (1+g) E - g K at m = 1/(1+g), B(1e-10) is off by 3e-7.
+    assert elliptic_b(m) == pytest.approx(b_by_quadrature(m), rel=1e-12)
+
+
+def test_b_small_parameter_series():
+    # B(m) = (pi/4) (1 + m/8 + 9 m^2/192 + ...).
+    for m in (1e-20, 1e-12, 1e-6):
+        series = 0.25 * math.pi * (1.0 + m / 8.0 + 9.0 * m * m / 192.0)
+        assert elliptic_b(m) == pytest.approx(series, rel=1e-15)
+
+
+@pytest.mark.parametrize("m", np.linspace(0.1, 0.9, 9))
+def test_b_is_e_minus_k_over_m(m):
+    assert elliptic_b(m) == pytest.approx(
+        (elliptic_e(m) - (1.0 - m) * elliptic_k(m)) / m, rel=1e-13)

@@ -148,6 +148,28 @@ class TestClosedForm:
         assert closed.log_prob == pytest.approx(quad_res.log_prob, rel=1e-12)
         assert closed.log_prob == pytest.approx(-4.0 * math.sqrt(20.0), rel=1e-15)
 
+    @pytest.mark.parametrize("hbar", [1e-10, 1e-3, 1.0, 10.0])
+    def test_lorentzian_matches_momentum_over_decades_of_energy(self, hbar):
+        # At small E/V0 the bracket (1+g) E(m) - g K(m), g = V0/E, is two
+        # terms of about g pi/2 whose difference is about pi/4: formed that
+        # way it printed 0 at E/V0 = 1e-16 and was off by 2e-7 at 1e-10.
+        consts = PhysicalConstants(hbar=hbar)
+        energies = np.geomspace(1e-20, 1e6, 27)
+        closed = reflection_closed_form(LOR, energies, consts)
+        quad_res = reflection_momentum_space(LOR, energies, consts)
+        pairs = [(c, q) for c, q in zip(closed, quad_res)
+                 if not isinstance(c, SemirefError) and not isinstance(q, SemirefError)]
+        assert len(pairs) >= 12
+        for c, q in pairs:
+            assert c.log_prob == pytest.approx(q.log_prob, rel=1e-12, abs=0.0), c.energy
+
+    def test_lorentzian_where_m_times_e_underflows(self):
+        # 2 m E m_ell = 2e-340 underflows as one product; sqrt(2m) E /
+        # sqrt(E + V0) does not.
+        consts = PhysicalConstants(hbar=1e-165, mass=1e-300)
+        res = reflection_closed_form(LOR, 1e-20, consts)
+        assert res.log_prob == pytest.approx(-math.sqrt(2.0) * math.pi * 1e-5, rel=1e-14)
+
     def test_inverse_ho_where_omega_underflows(self):
         # omega = sqrt(alpha/m) underflows to 0; the exponent -2 pi E / (hbar
         # omega) is still formed, and flagged where exp of it underflows, as

@@ -1,0 +1,158 @@
+"""Compare what two semiref trees print for the same command lines.
+
+    python3 tools/compare_rows.py A B [--seeds 83 7] [--argvs FILE]
+
+A and B are each a directory that holds ``src/semiref`` or a git revision
+of this repository (its ``src/`` is extracted with ``git archive``).  The
+command lines are every workload argv that ``benchmarks/workloads.make``
+builds at each seed, then each line of FILE (shell words, an optional
+leading ``semiref``; blank lines and ``#`` comments are skipped).
+
+For each tree one child process imports ``semiref.cli`` from that tree
+and runs ``main`` in process on every command line, in order.  The exit
+code, stdout and stderr of each run are compared.  Prints how many command
+lines give identical output and, for each one that does not, the command
+line and its first differing line.  Exits 1 if any differs, 2 if a tree
+cannot be read or run, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import shlex
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Runs in the child: argv[1] is the tree's src/, argv[2] a JSON file of
+# command lines, argv[3] the file the (code, stdout, stderr) list goes to.
+_CHILD = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+src, argvs_path, out_path = sys.argv[1:4]
+sys.path.insert(0, src)
+import semiref.cli
+
+where = Path(semiref.cli.__file__).resolve().parent
+if where != (Path(src) / "semiref").resolve():
+    sys.exit(f"imported semiref from {where}, not {src}")
+results = []
+for argv in json.loads(Path(argvs_path).read_text()):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = semiref.cli.main(argv)
+    results.append((code, out.getvalue(), err.getvalue()))
+Path(out_path).write_text(json.dumps(results))
+"""
+
+
+def fail(message: str):
+    print(message, file=sys.stderr)
+    sys.exit(2)
+
+
+def workload_argvs(seeds: list[int]) -> list[list[str]]:
+    """Every workload's argvs at each seed, from this checkout's benchmark."""
+    sys.path.insert(0, str(ROOT / "benchmarks"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return [
+        list(inv.argv)
+        for seed in seeds
+        for name in workloads.WORKLOADS
+        for inv in workloads.make(name, seed)
+    ]
+
+
+def file_argvs(path: Path) -> list[list[str]]:
+    argvs = []
+    for line in path.read_text().splitlines():
+        words = shlex.split(line, comments=True)
+        if words[:1] == ["semiref"]:
+            words = words[1:]
+        if words:
+            argvs.append(words)
+    return argvs
+
+
+def tree_src(spec: str, scratch: Path) -> Path:
+    """The ``src`` directory of ``spec``: a directory, else a git revision."""
+    if (Path(spec) / "src" / "semiref").is_dir():
+        return Path(spec).resolve() / "src"
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", spec, "src"],
+        capture_output=True, check=False,
+    )
+    if archive.returncode != 0:
+        fail(f"{spec!r} is neither a directory holding src/semiref nor a "
+             f"revision: {archive.stderr.decode().strip()}")
+    dest = Path(tempfile.mkdtemp(prefix="tree-", dir=scratch))
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def run_tree(src: Path, argvs_file: Path, scratch: Path) -> list[tuple]:
+    """(exit code, stdout, stderr) of each command line, run under ``src``."""
+    run = Path(tempfile.mkdtemp(prefix="run-", dir=scratch))
+    out, workdir = run / "rows.json", run / "cwd"
+    workdir.mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(src), str(argvs_file), str(out)],
+        cwd=workdir, capture_output=True, text=True, check=False,
+    )
+    if proc.returncode != 0:
+        fail(f"the run under {src} failed:\n{proc.stderr}")
+    return [tuple(r) for r in json.loads(out.read_text())]
+
+
+def first_difference(a: tuple, b: tuple) -> str:
+    """Where two differing (exit code, stdout, stderr) triples first differ."""
+    if a[0] != b[0]:
+        return f"exit code {a[0]} != {b[0]}"
+    stream, x, y = ("stdout", a[1], b[1]) if a[1] != b[1] else ("stderr", a[2], b[2])
+    lines_a, lines_b = x.splitlines(keepends=True), y.splitlines(keepends=True)
+    i = next((i for i, pair in enumerate(zip(lines_a, lines_b)) if pair[0] != pair[1]),
+             min(len(lines_a), len(lines_b)))
+    la = repr(lines_a[i]) if i < len(lines_a) else "<end>"
+    lb = repr(lines_b[i]) if i < len(lines_b) else "<end>"
+    return f"{stream} line {i + 1}:\n    A: {la}\n    B: {lb}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("a", help="directory holding src/semiref, or a git revision")
+    parser.add_argument("b", help="directory holding src/semiref, or a git revision")
+    parser.add_argument("--seeds", type=int, nargs="*", default=[83, 7],
+                        help="workload seeds (default %(default)s; none for no workloads)")
+    parser.add_argument("--argvs", type=Path, help="file of extra command lines")
+    args = parser.parse_args(argv)
+
+    argvs = workload_argvs(args.seeds)
+    if args.argvs is not None:
+        argvs += file_argvs(args.argvs)
+    with tempfile.TemporaryDirectory(prefix="compare-rows-") as tmp:
+        scratch = Path(tmp)
+        argvs_file = scratch / "argvs.json"
+        argvs_file.write_text(json.dumps(argvs))
+        a = run_tree(tree_src(args.a, scratch), argvs_file, scratch)
+        b = run_tree(tree_src(args.b, scratch), argvs_file, scratch)
+    differ = [(argv, x, y) for argv, x, y in zip(argvs, a, b) if x != y]
+    for argv, x, y in differ:
+        print(f"differs: semiref {shlex.join(argv)}\n  {first_difference(x, y)}")
+    print(f"{len(argvs) - len(differ)}/{len(argvs)} command lines identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
