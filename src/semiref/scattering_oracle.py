@@ -5,8 +5,9 @@ direct integration of the stationary Schroedinger equation for the
 flat-tailed families with a fixed-step Numerov recurrence (fourth-order
 accurate).  The wave is launched as a pure outgoing discrete plane wave at
 the right edge and decomposed into incident and reflected discrete plane
-waves at the left edge; the error estimate comes from a coarser run and a
-wider window, and comparisons are made on ln of the probability.
+waves at the left edge.  The value is Richardson-extrapolated with a run
+at twice the step, the error estimate comes from that run and a wider
+window, and comparisons are made on ln of the probability.
 """
 
 from __future__ import annotations
@@ -28,7 +29,10 @@ __all__ = [
 ]
 
 _MAX_POINTS = 50_000_000
-_K_DX = 0.05  # k * dx of the default grid
+# k * dx of the default grid.  _solve rejects a grid past twice this: the
+# extrapolated value keeps the sech^2 rows of oracle-check's ranges within
+# 3e-11 of the exact formula at 0.1.
+_K_DX = 0.1
 # Starting half-window per family, in units of a.  The sech^2 tail is flat
 # to ~1e-10 at 12a; the Lorentzian's 1/x^2 tail leaves a window term of
 # at most ~1e-6 in ln R at 192a over v0 5-20, a 1-3, E 0.5-2, hbar 0.5-1.
@@ -103,7 +107,7 @@ def default_grid(
     consts: PhysicalConstants,
 ) -> ScatteringGrid:
     """The family's starting window (12a for sech^2, 192a for the
-    Lorentzian), step set so k * dx <= 0.05."""
+    Lorentzian), step set so k * dx <= 0.1."""
     _check_flat_tailed(model)
     if not E > 0.0:
         raise DomainError("E must be positive")
@@ -157,10 +161,12 @@ def numerov_reflection(
     left half of each product is multiplied, and the right half is its
     mirror image, formed exactly from it (``_Chains.mirrored``).
 
-    The value is the fine run's ln R plus the change that a run at twice
-    the step sees when its window doubles.  ``err_estimate`` is |Delta ln R|
-    between the fine and that coarse run, plus that window change, plus a
-    rounding term: a product of n steps moves the amplitudes by up to
+    The scheme is fourth order, so a fine run at k dx <= 0.1 and a coarse
+    one at twice the step give the value fine + (fine - coarse)/15
+    (Richardson extrapolation), plus the change the coarse run sees when its
+    window doubles.  ``err_estimate`` is the step term |fine - coarse|/15,
+    the fine run's own error, plus that window change, plus a rounding
+    term: a product of n steps moves the amplitudes by up to
     rho = eps sqrt(n) |A|, which moves ln R by up to -2 ln(1 - rho/|B|)
     (infinite once rho >= |B|).  While the window term exceeds 2.5e-7 both
     windows double (up to 16x), each around its own product.
@@ -169,7 +175,9 @@ def numerov_reflection(
     value and the estimate, unless R lies below the rounding floor R_f,
     where rounding alone puts 1e-6 on ln R (sqrt(R_f) = 2e6 rho / |A|): there
     the bound holds for the error on R itself, R (e^err - 1) <= 1e-6 R_f.
-    Such a row is returned with its estimate on ln R, above 1e-6.
+    Such a row is returned with its estimate on ln R, above 1e-6 and below
+    1: an estimate of 1 or more is flagged too, since the runs are then too
+    far from their asymptotic regime for it to hold.
 
     ``E`` may be a scalar, which returns a ReflectionResult or raises, or a
     sequence, which returns a list holding each energy's ReflectionResult
@@ -213,22 +221,24 @@ def _result(run):
     d_round = -2.0 * math.log1p(-x) if x < 1.0 else math.inf
     err = d_step + d_window + d_round
     # Below r_floor rounding alone puts more than the bound on ln R, so the
-    # bound is kept by the error on R itself.
+    # bound is kept by the error on R itself.  An estimate of 1 or more
+    # no longer holds: the 2*dx difference is not asymptotic there.
     r_floor = (2.0 * rho / _ERR_BOUND) ** 2
     r_err = math.exp(log_r) * math.expm1(min(err, 700.0))
-    if not (err <= _ERR_BOUND or r_err <= _ERR_BOUND * r_floor):
+    if err >= 1.0 or not (err <= _ERR_BOUND or r_err <= _ERR_BOUND * r_floor):
+        why = "is 1 or more" if err >= 1.0 else f"exceeds {_ERR_BOUND:g}"
         return ConvergenceError(
-            f"Numerov error estimate {err:.2e} exceeds {_ERR_BOUND:g} (2*dx moves "
-            f"ln R by {d_step:.1e}, window doubling by {d_window:.1e}, rounding "
-            f"{d_round:.1e})",
+            f"Numerov error estimate {err:.2e} {why} (step term {d_step:.1e}, "
+            f"window doubling {d_window:.1e}, rounding {d_round:.1e})",
             best=log_r, err_estimate=err,
         )
     return log_r, err
 
 
 def _solve_all(model, energies, consts, grid) -> list:
-    """Per energy, (ln R, step term, window term, unitarity defect, steps
-    in the fine and the wide run) or the SemirefError that stopped it."""
+    """Per energy, (extrapolated ln R, step term, window term, unitarity
+    defect, steps in the fine and the wide run) or the SemirefError that
+    stopped it."""
     out: list = [None] * energies.size
     own = []
     for i, E in enumerate(energies.tolist()):
@@ -261,11 +271,12 @@ def _solve_all(model, energies, consts, grid) -> list:
 def _solve(model, energies, consts, grid) -> list:
     """The runs of ``energies`` on ``grid``: a fine run on [-X, X], a coarse
     one at twice the step on [-X, X] and on [-2X, 2X], and window doublings
-    while the window term exceeds ``_WINDOW_TOL``."""
+    while the window term exceeds ``_WINDOW_TOL``, each combined by
+    ``_extrapolated``.  A grid with k dx > 0.2 is rejected."""
     L, h, X = grid.quarter, grid.step, grid.x_max
     k_max = _wavenumber(model, float(energies.max()), consts)
-    if k_max * h > 0.1:
-        raise DomainError(f"k*dx = {k_max * h:.3f} > 0.1 under-resolves the wave")
+    if k_max * h > 2.0 * _K_DX:
+        raise DomainError(f"k*dx = {k_max * h:.3f} > {2.0 * _K_DX:g} under-resolves the wave")
     if X < _WINDOW[model.kind] * model.a * (1.0 - 1e-12):
         raise DomainError(
             f"window x_max = {X:g} is shorter than {_WINDOW[model.kind]:g} a"
@@ -284,12 +295,8 @@ def _solve(model, energies, consts, grid) -> list:
     fine = chains.mirrored(0, 0)
     narrow = chains.mirrored(1, 1)
     wide = chains.mirrored(1, 0)
-    # The fine run carried to the doubled window: its ln R plus the change
-    # the coarse run sees when its window doubles.
-    log_r = fine.log_r + (wide.log_r - narrow.log_r)
+    log_r, d_step, d_window = _extrapolated(fine, narrow, wide)
     defect = np.maximum(np.maximum(fine.defect, narrow.defect), wide.defect)
-    d_step = np.abs(fine.log_r - narrow.log_r)
-    d_window = np.abs(wide.log_r - narrow.log_r)
     n_steps = np.full(energies.size, 8 * L)
 
     # Double the window of the fine and the coarse run alike, each around
@@ -307,17 +314,29 @@ def _solve(model, energies, consts, grid) -> list:
             (v(model, -4.0 * half + 2.0 * h * j), 4.0 * c),
         ], grid)
         fine, narrow, wide = ring.mirrored(0, 0, fine.p), wide, ring.mirrored(1, 0, wide.p)
-        log_r[todo] = fine.log_r + (wide.log_r - narrow.log_r)
-        defect[todo] = np.maximum(defect[todo], np.maximum(fine.defect, wide.defect))
-        d_step[todo] = np.abs(fine.log_r - narrow.log_r)
-        n_steps[todo] += 4 * (j.size - 1)
         last = d_window[todo]
-        d_window[todo] = np.abs(wide.log_r - narrow.log_r)
+        log_r[todo], d_step[todo], d_window[todo] = _extrapolated(fine, narrow, wide)
+        defect[todo] = np.maximum(defect[todo], np.maximum(fine.defect, wide.defect))
+        n_steps[todo] += 4 * (j.size - 1)
         keep = (d_window[todo] > _WINDOW_TOL) & (d_window[todo] <= 0.5 * last)
         todo, fine, wide = todo[keep], fine.take(keep), wide.take(keep)
         half *= 2.0
     return list(zip(log_r.tolist(), d_step.tolist(), d_window.tolist(),
                     defect.tolist(), n_steps.tolist()))
+
+
+def _extrapolated(fine, narrow, wide):
+    """(ln R, step term, window term) from a fine run, a run at twice its
+    step over the same window (narrow) and over twice the window (wide).
+
+    The scheme is fourth order, so the fine run's error is about
+    (fine - narrow) / 15: the value is the fine run Richardson-extrapolated
+    by that amount, carried to the doubled window by the change the coarse
+    run sees there, and the step term is that amount's magnitude.
+    """
+    step = (fine.log_r - narrow.log_r) / 15.0
+    window = wide.log_r - narrow.log_r
+    return fine.log_r + step + window, np.abs(step), np.abs(window)
 
 
 @dataclass
