@@ -13,6 +13,7 @@ window, and comparisons are made on ln of the probability.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,6 +292,11 @@ def _solve(model, energies, consts, grid) -> list:
     # right half steps over the fine run's even points, whose V it reuses.
     fine_v = v(model, -X + h * np.arange(2 * L + 1))
     coarse_v = np.concatenate([v(model, -2.0 * X + 2.0 * h * np.arange(L)), fine_v[::2]])
+    # V of a scale past double precision (x^2 + a^2 underflowing to 0) is
+    # NaN at the chains' ends too: their m stand for the whole grid.
+    if not all(np.isfinite(_numerov_m(energies, v_k[[0, -1], None], c_k)).all()
+               for v_k, c_k in ((fine_v, c), (coarse_v, 4.0 * c))):
+        raise DomainError("the Numerov coefficients are not finite")
     chains = _Chains(energies, [(fine_v, c), (coarse_v, 4.0 * c)], grid)
     fine = chains.mirrored(0, 0)
     narrow = chains.mirrored(1, 1)
@@ -491,16 +497,49 @@ def _ordered_product(a, b, c, d, tail=_IDENTITY):
     factors is kept.  An odd leftover is always the rightmost factor of its
     level; it is folded into ``tail``, the product of everything right of
     the current stack.  Returns the four entries of the product times
-    ``tail``.
+    ``tail``, in fresh arrays.
+
+    The levels are written into this thread's work array for the stack's
+    dtype (``_work_array``), each as its four entries and a scratch row,
+    alternately at the start and after the first level's four entries.
     """
+    rest = a.shape[1:]
+    row, half = math.prod(rest), len(a) // 2
+    # Level 1 takes 5 half rows from the start, level 2 5 (half // 2) rows
+    # after the first 4 half; the later levels fit in the same places.
+    work = _work_array(np.result_type(a, b, c, d),
+                       row * max(5 * half, 4 * half + 5 * (half // 2)))
+    at = 0
     while len(a) > 1:
         if len(a) % 2:
             tail = _mul2((a[-1], b[-1], c[-1], d[-1]), tail)
             a, b, c, d = a[:-1], b[:-1], c[:-1], d[:-1]
-        a, b, c, d = _mul2(
-            (a[0::2], b[0::2], c[0::2], d[0::2]), (a[1::2], b[1::2], c[1::2], d[1::2])
-        )
+        n = len(a) // 2
+        level = work[at : at + 5 * n * row].reshape(5, n, *rest)
+        _mul2_into((a[0::2], b[0::2], c[0::2], d[0::2]),
+                   (a[1::2], b[1::2], c[1::2], d[1::2]), level)
+        a, b, c, d = level[:4]
+        at = 4 * half * row - at
     return _mul2((a[0], b[0], c[0], d[0]), tail)
+
+
+_WORK = threading.local()
+
+
+def _work_array(dtype, size: int) -> np.ndarray:
+    """This thread's work array for ``dtype``, grown to at least ``size``.
+
+    It is kept between calls: the levels of a product are megabytes, and
+    arrays freshly allocated for them on every call are mapped, trimmed off
+    the heap and faulted in again each time.
+    """
+    arrays = getattr(_WORK, "arrays", None)
+    if arrays is None:
+        arrays = _WORK.arrays = {}
+    work = arrays.get(dtype)
+    if work is None or work.size < size:
+        work = arrays[dtype] = np.empty(size, dtype)
+    return work
 
 
 def _mul2(left, right):
@@ -514,3 +553,16 @@ def _mul2(left, right):
         c1 * a2 + d1 * c2,
         c1 * b2 + d1 * d2,
     )
+
+
+def _mul2_into(left, right, out):
+    """``_mul2`` written into ``out[:4]``, with ``out[4]`` as scratch: each
+    entry is the same sum of two rounded products, bit for bit."""
+    a1, b1, c1, d1 = left
+    a2, b2, c2, d2 = right
+    scratch = out[4]
+    for entry, (x1, x2, y1, y2) in zip(out, ((a1, a2, b1, c2), (a1, b2, b1, d2),
+                                             (c1, a2, d1, c2), (c1, b2, d1, d2))):
+        np.multiply(x1, x2, out=entry)
+        np.multiply(y1, y2, out=scratch)
+        entry += scratch

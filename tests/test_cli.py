@@ -187,6 +187,25 @@ class TestFlaggedRows:
         assert [row[1] for row in rows] == ["closed", "numerov"]
         assert float(rows[1][4]) > 1e-6
 
+    def test_nan_numerov_coefficients_name_their_cause(self, capsys):
+        # x^2 + a^2 underflows to 0 at a = 1e-300, so V is 0/0 on the grid:
+        # every row is flagged as a domain error, not by a NaN estimate.
+        code, out, err = run_cli(
+            [
+                "reflect", "--model", "lorentzian", "--v0", "1e300", "--a", "1e-300",
+                "--mass", "1e-300", "--hbar", "1e-300", *_WIDE_ENERGIES,
+                "--methods", "numerov",
+            ],
+            capsys,
+        )
+        assert code == EXIT_NUMERICAL
+        energies = ["1e-300", "1e-200", "1e-100", "1", "1e+100", "1e+200", "1e+300"]
+        assert err.splitlines() == [
+            f"warning: numerov failed at E={E}: the Numerov coefficients are not finite"
+            for E in energies
+        ]
+        assert [line.split(",")[2] for line in out.strip().splitlines()[1:]] == ["nan"] * 7
+
     def test_batched_numerov_keeps_row_and_warning_order(self, monkeypatch, capsys):
         # Each method runs over all energies in one call; rows and warnings
         # still come point by point, then by method name, as from one call

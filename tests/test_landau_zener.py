@@ -231,6 +231,14 @@ class TestTDSE:
             assert abs(res.log_prob - target) <= res.err_estimate <= 100.0 * 1e-10
             assert res.method is Method.TDSE
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "from T eps^2/hbar ~ 6.45 (ln P ~ -20) some linear rows are returned "
+        "outside their estimate; here 3.1e-9 off against 1.6e-9"))
+    def test_deep_linear_row_within_its_estimate(self):
+        T = 7.275
+        res = evolve_tdse(CrossingProfile.linear(T), CouplingSpec(1.0), UNIT)
+        assert abs(res.log_prob + math.pi * T) <= res.err_estimate
+
     def test_reflection_decreases_with_sweep_time(self, linear_tdse_runs):
         refls = [linear_tdse_runs[T].prob for T in (1.0, 2.0, 3.0)]
         assert refls[0] > refls[1] > refls[2]

@@ -1,25 +1,29 @@
 import functools
 import math
 import random
+import threading
 
 import numpy as np
 import pytest
 
 from semiref import (
     ConvergenceError,
+    CouplingSpec,
+    CrossingProfile,
     DomainError,
     Method,
     PhysicalConstants,
     PotentialModel,
     ScatteringGrid,
     default_grid,
+    evolve_tdse,
     exact_ho_reflection,
     numerov_reflection,
     reflection_closed_form,
     v,
 )
 from semiref.scattering_oracle import (
-    _companion_product, _ordered_product, _reversed, _unitarity_defect)
+    _companion_product, _mul2, _ordered_product, _reversed, _unitarity_defect)
 
 UNIT = PhysicalConstants()
 
@@ -155,6 +159,72 @@ class TestOrderedProduct:
         got = np.array(_companion_product(coef))
         for j in range(5):
             assert np.array_equal(got[:, j], np.array(_companion_product(coef[:, j].copy())))
+
+    @pytest.mark.parametrize("m", [1, 2, 37])
+    def test_results_outlive_the_work_arrays(self, m):
+        # A real column stack, a complex stack and a longer real column
+        # stack run through the same per-thread work arrays (the last one
+        # grows the real array); each result is bit for bit the
+        # level-by-level product of fresh arrays, and none is overwritten by
+        # a later call.
+        rng = np.random.default_rng(5000 + m)
+        real = np.stack([_random_stack(rng, m, float) for _ in range(2)], axis=1)
+        cplx = _random_stack(rng, 2 * m + 1, complex)
+        cols = np.stack([_random_stack(rng, 4 * m + 3, float) for _ in range(3)], axis=1)
+        first = _ordered_product(*_entries(real))
+        kept = [x.copy() for x in first]
+        for mats, got in ((real, first),
+                          (cplx, _ordered_product(*_entries(cplx))),
+                          (cols, _ordered_product(*_entries(cols)))):
+            expected = functools.reduce(np.matmul, mats)
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(np.array(got) - _entries(expected))) <= 1e-12 * scale
+            assert all(np.array_equal(x, y) for x, y in zip(got, _fresh_product(*_entries(mats))))
+        assert all(np.array_equal(x, y) for x, y in zip(first, kept))
+
+
+def _entries(mats):
+    """The four entry arrays of a stack of 2x2 matrices in its last two axes."""
+    return mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1]
+
+
+def _fresh_product(a, b, c, d):
+    """``_ordered_product``'s pairing with a fresh array for every entry."""
+    tail = (1.0, 0.0, 0.0, 1.0)
+    while len(a) > 1:
+        if len(a) % 2:
+            tail = _mul2((a[-1], b[-1], c[-1], d[-1]), tail)
+            a, b, c, d = a[:-1], b[:-1], c[:-1], d[:-1]
+        a, b, c, d = _mul2((a[0::2], b[0::2], c[0::2], d[0::2]),
+                           (a[1::2], b[1::2], c[1::2], d[1::2]))
+    return _mul2((a[0], b[0], c[0], d[0]), tail)
+
+
+def test_oracles_in_two_threads_match_serial_runs():
+    # Each thread has its own work arrays: two threads, each running both
+    # oracles (so the real and the complex array alike are in use in both
+    # at once), give the serial results bit for bit.
+    energies = [0.5, 1.0, 2.0]
+
+    def both():
+        numerov = numerov_reflection(SECH2, energies, UNIT)
+        tdse = evolve_tdse(CrossingProfile.linear(2.0), CouplingSpec(1.0), UNIT)
+        return [(r.log_prob, r.err_estimate) for r in (*numerov, tdse)]
+
+    serial = both()
+    start = threading.Barrier(2)
+    results = [[], []]
+
+    def worker(out):
+        start.wait()
+        out.extend(both() for _ in range(4))
+
+    threads = [threading.Thread(target=worker, args=(out,)) for out in results]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert results == [[serial] * 4] * 2
 
 
 class TestExactHO:
