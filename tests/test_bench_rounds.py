@@ -30,7 +30,7 @@ def test_one_pair_writes_runs_quartiles_and_wins(tmp_path):
     after = arms["after"]["sweep_s"]
     assert after["wins"] == int(result["runs"][1]["sweep_s"] < result["runs"][0]["sweep_s"])
     assert after["clear"] == bool(after["wins"])  # a single run has no quartile range
-    assert "after  " in proc.stdout and "wins" in proc.stdout
+    assert f"wins {after['wins']}/1" in proc.stdout
 
 
 def test_unknown_tree_exits_2(tmp_path):

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import sys
 import threading
 
 import numpy as np
@@ -212,7 +213,7 @@ def test_oracles_in_two_threads_match_serial_runs():
         return [(r.log_prob, r.err_estimate) for r in (*numerov, tdse)]
 
     serial = both()
-    start = threading.Barrier(2)
+    start = threading.Barrier(2, timeout=60)
     results = [[], []]
 
     def worker(out):
@@ -220,10 +221,16 @@ def test_oracles_in_two_threads_match_serial_runs():
         out.extend(both() for _ in range(4))
 
     threads = [threading.Thread(target=worker, args=(out,)) for out in results]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert results == [[serial] * 4] * 2
 
 

@@ -1,7 +1,7 @@
 """Time semiref trees against each other in alternating benchmark rounds.
 
     python3 tools/bench_rounds.py A B [C ...] --out BENCH_<n>.json
-        [--labels parent change ...] [--workloads W ...] [--seeds 83 7]
+        [--labels parent change ...] [--workloads W ...] [--seeds 83 ...]
         [--pairs 10] [--seconds 25] [--size full] [--traced]
 
 A, B, ... are each a directory that holds ``src/semiref`` or a git revision
@@ -36,6 +36,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from compare_rows import ROOT, fail, tree_src  # noqa: E402
@@ -164,8 +166,6 @@ def main(argv=None) -> int:
                             "arm": label, "workload": workload, "seed": seed,
                             "metrics": {n: m["value"] for n, m in result["metrics"].items()},
                         })
-    import numpy
-
     out = {
         "what": (f"{args.pairs} alternating rounds of benchmarks/run.py --seconds "
                  f"{args.seconds:g} --size {args.size} --trace 0 per workload and seed"
@@ -184,8 +184,8 @@ def main(argv=None) -> int:
         out["traced"] = traced
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     for workload, seeds in out["summary"].items():
-        for seed, arms_ in seeds.items():
-            for label, stats in arms_.items():
+        for seed, by_label in seeds.items():
+            for label, stats in by_label.items():
                 s = stats["sweep_s"]
                 extra = f"  wins {s['wins']}/{args.pairs} clear {s['clear']}" if "wins" in s else ""
                 print(f"{workload:<14} seed {seed:<4} {label:<10} sweep_s median "
