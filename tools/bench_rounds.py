@@ -2,26 +2,32 @@
 
     python3 tools/bench_rounds.py A B [C ...] --out BENCH_<n>.json
         [--labels parent change ...] [--workloads W ...] [--seeds 83 ...]
-        [--pairs 10] [--seconds 25] [--size full] [--traced]
+        [--pairs 10] [--seconds 25] [--size full]
 
 A, B, ... are each a directory that holds ``src/semiref`` or a git revision
 of this repository (``compare_rows.tree_src``).  Each tree gets a run
 directory of its own: its ``src/`` beside this checkout's ``benchmarks/``
-and ``BENCHMARK.json``, so the trees differ only in the program.
+and ``BENCHMARK.json``, so the trees differ only in the program.  A no-op
+control, labelled ``control``, is built from the last tree: its ``src/``
+with one never-called function appended to ``semiref/wkb_reflection.py``.
+It moves the code layout only, so its distance from the last tree is what
+layout alone does to the timings.
 
 Each round runs ``benchmarks/run.py --trace 0`` once per tree, workload and
 seed, the trees of a workload back to back in an order rotated by one each
-round (with two trees: A B, B A, A B, ...), so every tree meets the same
-spells of a shared host.  ``--traced`` adds one ``--trace 1`` run per tree,
-workload and seed after the rounds.
+round (with A B and the control: A B C, B C A, C A B, ...), so every tree
+meets the same spells of a shared host.  After the rounds, one
+``benchmarks/run.py --trace 1`` run per tree, workload and seed records
+where the time goes (``traced``).
 
 The output file holds every run's end-to-end metrics; per workload, seed,
 tree and metric the median and quartiles; and for each tree after the
 first, per metric, in how many rounds it did better than the first tree
 (``wins``) and whether the medians lie further apart, in its favour, than
-the first tree's interquartile range (``clear``).  "Better" is each
-metric's direction in ``BENCHMARK.json``.  Exits 2 if a tree cannot be
-read or a run fails.
+the first tree's interquartile range (``clear``); and for the control, per
+metric, its median over the last tree's, less one (``layout_shift``).
+"Better" is each metric's direction in ``BENCHMARK.json``.  Exits 2 if a
+tree cannot be read or a run fails.
 """
 
 from __future__ import annotations
@@ -43,6 +49,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from compare_rows import ROOT, fail, tree_src  # noqa: E402
 
 _IGNORE = shutil.ignore_patterns("__pycache__", ".bench_out")
+CONTROL = "control"
+_NOOP = '\n\ndef _unused_control():\n    """Never called: moves the code layout only."""\n    return None\n'
 
 
 def run_dir(src: Path, dest: Path) -> Path:
@@ -50,6 +58,14 @@ def run_dir(src: Path, dest: Path) -> Path:
     shutil.copytree(src, dest / "src", ignore=_IGNORE)
     shutil.copytree(ROOT / "benchmarks", dest / "benchmarks", ignore=_IGNORE)
     shutil.copy(ROOT / "BENCHMARK.json", dest)
+    return dest
+
+
+def control_dir(run: Path, dest: Path) -> Path:
+    """A copy of the run directory ``run`` with the no-op function added."""
+    shutil.copytree(run, dest, ignore=_IGNORE)
+    with open(dest / "src" / "semiref" / "wkb_reflection.py", "a") as module:
+        module.write(_NOOP)
     return dest
 
 
@@ -121,14 +137,13 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--seconds", type=float, default=25.0,
                         help="run.py --seconds (default %(default)s)")
     parser.add_argument("--size", default="full", help="run.py --size (default %(default)s)")
-    parser.add_argument("--traced", action="store_true",
-                        help="add one --trace 1 run per tree, workload and seed")
     args = parser.parse_args(argv)
     if len(args.trees) < 2:
         parser.error("give at least two trees")
     args.labels = args.labels or args.trees
-    if len(args.labels) != len(args.trees) or len(set(args.labels)) != len(args.labels):
-        parser.error("give one distinct label per tree")
+    if (len(args.labels) != len(args.trees) or len(set(args.labels)) != len(args.labels)
+            or CONTROL in args.labels):
+        parser.error(f"give one distinct label per tree, none of them {CONTROL!r}")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     return args
@@ -143,7 +158,8 @@ def main(argv=None) -> int:
         scratch = Path(tmp)
         dirs = [run_dir(tree_src(tree, scratch), scratch / f"arm-{i}")
                 for i, tree in enumerate(args.trees)]
-        arms = list(zip(args.labels, dirs))
+        dirs.append(control_dir(dirs[-1], scratch / "arm-control"))
+        arms = list(zip(args.labels + [CONTROL], dirs))
         for rnd in range(args.pairs):
             order = arms[rnd % len(arms):] + arms[: rnd % len(arms)]
             for seed in args.seeds:
@@ -157,37 +173,45 @@ def main(argv=None) -> int:
                         })
                         print(f"round {rnd} {workload} seed {seed} {label}: sweep_s "
                               f"{runs[-1]['sweep_s']:.4g}", file=sys.stderr)
-        if args.traced:
-            for seed in args.seeds:
-                for workload in args.workloads:
-                    for label, where in arms:
-                        result = bench(where, workload, seed, args, trace=1)
-                        traced.append({
-                            "arm": label, "workload": workload, "seed": seed,
-                            "metrics": {n: m["value"] for n, m in result["metrics"].items()},
-                        })
+        for seed in args.seeds:
+            for workload in args.workloads:
+                for label, where in arms:
+                    result = bench(where, workload, seed, args, trace=1)
+                    traced.append({
+                        "arm": label, "workload": workload, "seed": seed,
+                        "metrics": {n: m["value"] for n, m in result["metrics"].items()},
+                    })
     out = {
         "what": (f"{args.pairs} alternating rounds of benchmarks/run.py --seconds "
-                 f"{args.seconds:g} --size {args.size} --trace 0 per workload and seed"
-                 + (", then one --trace 1 run each" if args.traced else "")
-                 + "; every tree runs this checkout's benchmarks/"),
+                 f"{args.seconds:g} --size {args.size} --trace 0 per workload and seed, "
+                 "then one --trace 1 run each; every tree runs this checkout's benchmarks/"),
         "machine": {
             "python": platform.python_version(), "numpy": numpy.__version__,
             "nproc": os.cpu_count(), "processor": platform.processor() or platform.machine(),
             "malloc_env": {k: v for k, v in os.environ.items() if k.startswith("MALLOC_")},
         },
-        "trees": dict(zip(args.labels, map(describe, args.trees))),
+        "trees": {
+            **dict(zip(args.labels, map(describe, args.trees))),
+            CONTROL: f"{describe(args.trees[-1])} plus a never-called function at the end "
+                     "of semiref/wkb_reflection.py",
+        },
         "runs": runs,
-        "summary": summarize(runs, args.labels, metrics),
+        "summary": summarize(runs, args.labels + [CONTROL], metrics),
+        "traced": traced,
     }
-    if args.traced:
-        out["traced"] = traced
+    for seeds in out["summary"].values():
+        for by_label in seeds.values():
+            for name, stats in by_label[CONTROL].items():
+                source = by_label[args.labels[-1]][name]["median"]
+                stats["layout_shift"] = stats["median"] / source - 1 if source else None
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     for workload, seeds in out["summary"].items():
         for seed, by_label in seeds.items():
             for label, stats in by_label.items():
                 s = stats["sweep_s"]
                 extra = f"  wins {s['wins']}/{args.pairs} clear {s['clear']}" if "wins" in s else ""
+                if label == CONTROL and s["layout_shift"] is not None:
+                    extra += f"  layout_shift {s['layout_shift']:+.1%}"
                 print(f"{workload:<14} seed {seed:<4} {label:<10} sweep_s median "
                       f"{s['median']:.4g} [{s['q1']:.4g}, {s['q3']:.4g}]{extra}")
     return 0
