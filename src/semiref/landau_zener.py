@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .potentials import PhysicalConstants, _positive_finite
-from .scattering_oracle import _IDENTITY, _mul2, _ordered_product
+from .scattering_oracle import _PAIR, _mul2, _ordered_product, _work_array
 from .wkb_reflection import (
     DEFAULT_QUADRATURE,
     Method,
@@ -306,7 +306,10 @@ _A1, _A2 = 0.25 - math.sqrt(3.0) / 6.0, 0.25 + math.sqrt(3.0) / 6.0
 _PER_RADIAN = 0.06
 _MIN_STEPS = 64
 _MAX_STEPS = 2**21  # in the finest run; ~1 s of work
-_CHUNK = 2**16  # steps multiplied per array pass, to bound memory
+# Steps multiplied per array pass.  At 2^13 every per-chunk temporary
+# (64-128 KiB) is reused from the heap call after call; at 2^16 they were
+# mapped, trimmed off and faulted in again on every chunk.
+_CHUNK = 2**13
 _TABLE = 1025  # samples of the phase table that places the steps
 
 
@@ -346,34 +349,86 @@ def _propagator(
     """Entries (u00, u01, u10, u11) of the CF4 propagator over ``table``'s
     span, in ``steps`` steps equally spaced in its phase.
 
+    Every factor is an SU(2) matrix [[a, b], [-conj(b), conj(a)]], so the
+    steps are multiplied as pairs (a, b) by ``_ordered_product`` with the
+    pair rule, ``_CHUNK`` steps at a time (``_step_pairs``), later steps to
+    the left; u10 = -conj(u01) and u11 = conj(u00).
+    """
+    t_tab, phase = table
+    per_step = phase[-1] / steps
+    total = _PAIR.identity
+    for start in range(0, steps, _CHUNK):
+        stop = min(start + _CHUNK, steps)
+        # The phases of np.linspace(0, phase[-1], steps + 1), bit for bit.
+        x = np.arange(start, stop + 1, dtype=float)
+        x *= per_step
+        if stop == steps:
+            x[-1] = phase[-1]
+        a, b = _step_pairs(profile, epsilon, hbar, np.interp(x, phase, t_tab))
+        total = _ordered_product(a[::-1], b[::-1], tail=total, rule=_PAIR)
+    a, b = total
+    return a, b, -np.conj(b), np.conj(a)
+
+
+def _step_pairs(profile: CrossingProfile, epsilon: float, hbar: float, t: np.ndarray):
+    """Pairs (a, b) of the CF4 steps between the times ``t``, in time
+    order, in this thread's work arrays.
+
     A step from t to t + h is exp(-ih/hbar (alpha_1 H_1 + alpha_2 H_2))
     exp(-ih/hbar (alpha_2 H_1 + alpha_1 H_2)) with H_k = H(t + c_k h).
     Each factor is exp(-i (v_z sigma_z + v_x sigma_x)) = cos w - i sin(w)/w
-    (v_z sigma_z + v_x sigma_x), w = |v|, formed for all factors at once and
-    multiplied in time order, later factors to the left.
+    (v_z sigma_z + v_x sigma_x), w = |v|: the pair a = c - iz, b = -ix with
+    c = cos w, z = s v_z, x = s v_x, s = sin(w)/w.  The second factor times
+    the first is, in closed form, a = c1 c2 - z1 z2 - x1 x2 - i(c1 z2 +
+    c2 z1), b = z1 x2 - x1 z2 - i(c1 x2 + c2 x1), written into the real and
+    imaginary parts.  Every array here is a row of a work array kept
+    between calls, so that the only step-sized arrays a chunk allocates are
+    ``t`` and the profile's values.
     """
-    t_tab, phase = table
-    nodes = np.interp(np.linspace(0.0, phase[-1], steps + 1), phase, t_tab)
-    total = _IDENTITY
-    for start in range(0, steps, _CHUNK):
-        t = nodes[start : start + _CHUNK + 1]
-        h = np.diff(t)
-        f1 = profile.value(t[:-1] + _C1 * h)
-        f2 = profile.value(t[:-1] + _C2 * h)
-        dt = h / hbar
-        # Factors in order of application, reversed so the latest is first.
-        vz = np.empty((dt.size, 2))
-        vz[:, 0] = (_A2 * f1 + _A1 * f2) * dt
-        vz[:, 1] = (_A1 * f1 + _A2 * f2) * dt
-        vz = vz.ravel()[::-1]
-        vx = np.repeat(0.5 * epsilon * dt, 2)[::-1]
-        w = np.hypot(vz, vx)  # > 0, as vx is
-        sinc = np.sin(w) / w
-        diag = np.cos(w) - 1j * (sinc * vz)
-        off = -1j * (sinc * vx)
-        chunk = _ordered_product(diag, off, off, diag.conj())
-        total = _mul2(chunk, total)
-    return total
+    n = t.size - 1
+    rows = _work_array(float, 9 * n, "cf4")[: 9 * n].reshape(9, n)
+    dt, vx, scratch, c1, z1, x1, c2, z2, x2 = rows
+    np.subtract(t[1:], t[:-1], out=dt)
+    # f at the nodes t + c_k h (held in x1) goes to c1 and c2 for now.
+    for f, node in ((c1, _C1), (c2, _C2)):
+        np.multiply(node, dt, out=x1)
+        x1 += t[:-1]
+        f[...] = profile.value(x1)
+    dt /= hbar
+    np.multiply(0.5 * epsilon, dt, out=vx)
+    # Factor 1 weighs f1 by alpha_2 and f2 by alpha_1, factor 2 the reverse.
+    np.multiply(_A2, c1, out=z1)
+    np.multiply(_A1, c2, out=scratch)
+    z1 += scratch
+    np.multiply(_A1, c1, out=z2)
+    np.multiply(_A2, c2, out=scratch)
+    z2 += scratch
+    for c, z, x in ((c1, z1, x1), (c2, z2, x2)):
+        z *= dt  # v_z
+        np.hypot(z, vx, out=c)  # w > 0, as vx is
+        np.sin(c, out=scratch)
+        scratch /= c  # s
+        np.cos(c, out=c)
+        z *= scratch
+        np.multiply(scratch, vx, out=x)
+    a, b = _work_array(complex, 2 * n, "cf4")[: 2 * n].reshape(2, n)
+    np.multiply(c1, c2, out=a.real)
+    np.multiply(z1, z2, out=scratch)
+    a.real -= scratch
+    np.multiply(x1, x2, out=scratch)
+    a.real -= scratch
+    np.multiply(c1, z2, out=scratch)
+    np.multiply(c2, z1, out=a.imag)
+    a.imag += scratch
+    np.negative(a.imag, out=a.imag)
+    np.multiply(z1, x2, out=b.real)
+    np.multiply(x1, z2, out=scratch)
+    b.real -= scratch
+    np.multiply(c1, x2, out=scratch)
+    np.multiply(c2, x1, out=b.imag)
+    b.imag += scratch
+    np.negative(b.imag, out=b.imag)
+    return a, b
 
 
 def _derivatives(profile: CrossingProfile, t: np.ndarray):

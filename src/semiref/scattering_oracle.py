@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -485,61 +486,7 @@ def _companion_product(m: np.ndarray):
     a += m2
     c = m1 * p2
     c += m2
-    return _ordered_product(a, p1 + 1.0, c, p1, tail)
-
-
-def _ordered_product(a, b, c, d, tail=_IDENTITY):
-    """Ordered product M_0 M_1 ... M_{m-1} of 2x2 matrices [[a, b], [c, d]]
-    along axis 0, so a stack of columns gives one product per column.
-
-    The stack is held as four component arrays (real or complex) and
-    halved level by level, pairing [0::2] with [1::2] so the order of the
-    factors is kept.  An odd leftover is always the rightmost factor of its
-    level; it is folded into ``tail``, the product of everything right of
-    the current stack.  Returns the four entries of the product times
-    ``tail``, in fresh arrays.
-
-    The levels are written into this thread's work array for the stack's
-    dtype (``_work_array``), each as its four entries and a scratch row,
-    alternately at the start and after the first level's four entries.
-    """
-    rest = a.shape[1:]
-    row, half = math.prod(rest), len(a) // 2
-    # Level 1 takes 5 half rows from the start, level 2 5 (half // 2) rows
-    # after the first 4 half; the later levels fit in the same places.
-    work = _work_array(np.result_type(a, b, c, d),
-                       row * max(5 * half, 4 * half + 5 * (half // 2)))
-    at = 0
-    while len(a) > 1:
-        if len(a) % 2:
-            tail = _mul2((a[-1], b[-1], c[-1], d[-1]), tail)
-            a, b, c, d = a[:-1], b[:-1], c[:-1], d[:-1]
-        n = len(a) // 2
-        level = work[at : at + 5 * n * row].reshape(5, n, *rest)
-        _mul2_into((a[0::2], b[0::2], c[0::2], d[0::2]),
-                   (a[1::2], b[1::2], c[1::2], d[1::2]), level)
-        a, b, c, d = level[:4]
-        at = 4 * half * row - at
-    return _mul2((a[0], b[0], c[0], d[0]), tail)
-
-
-_WORK = threading.local()
-
-
-def _work_array(dtype, size: int) -> np.ndarray:
-    """This thread's work array for ``dtype``, grown to at least ``size``.
-
-    It is kept between calls: the levels of a product are megabytes, and
-    arrays freshly allocated for them on every call are mapped, trimmed off
-    the heap and faulted in again each time.
-    """
-    arrays = getattr(_WORK, "arrays", None)
-    if arrays is None:
-        arrays = _WORK.arrays = {}
-    work = arrays.get(dtype)
-    if work is None or work.size < size:
-        work = arrays[dtype] = np.empty(size, dtype)
-    return work
+    return _ordered_product(a, p1 + 1.0, c, p1, tail=tail)
 
 
 def _mul2(left, right):
@@ -566,3 +513,100 @@ def _mul2_into(left, right, out):
         np.multiply(x1, x2, out=entry)
         np.multiply(y1, y2, out=scratch)
         entry += scratch
+
+
+def _pair_mul(left, right):
+    """Product left @ right of SU(2) matrices [[a, b], [-conj(b), conj(a)]]
+    held as pairs (a, b), entrywise over arrays."""
+    a1, b1 = left
+    a2, b2 = right
+    return a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
+
+
+def _pair_mul_into(left, right, out):
+    """``_pair_mul`` written into ``out[:2]``, with ``out[2]`` as scratch,
+    bit for bit."""
+    a1, b1 = left
+    a2, b2 = right
+    a, b, scratch = out
+    np.multiply(a1, a2, out=a)
+    np.multiply(b1, np.conjugate(b2, out=scratch), out=scratch)
+    a -= scratch
+    np.multiply(a1, b2, out=b)
+    np.multiply(b1, np.conjugate(a2, out=scratch), out=scratch)
+    b += scratch
+
+
+class _Rule(NamedTuple):
+    """How ``_ordered_product`` multiplies matrices held as
+    ``len(identity)`` entry arrays: ``mul`` gives left @ right in fresh
+    arrays, ``into`` writes the same, bit for bit, into ``out[:-1]`` with
+    ``out[-1]`` as scratch."""
+
+    identity: tuple
+    mul: Callable
+    into: Callable
+
+
+_MATRIX = _Rule(_IDENTITY, _mul2, _mul2_into)  # general 2x2: (a, b, c, d)
+_PAIR = _Rule((1.0, 0.0), _pair_mul, _pair_mul_into)  # SU(2): (a, b)
+
+
+def _ordered_product(*entries, tail=None, rule=_MATRIX):
+    """Ordered product M_0 M_1 ... M_{m-1} of 2x2 matrices along axis 0,
+    so a stack of columns gives one product per column.
+
+    The stack is held as ``rule``'s entry arrays (real or complex): the
+    four entries [[a, b], [c, d]] of ``_MATRIX``, or the pair (a, b) of
+    ``_PAIR``, which carries an SU(2) stack in half the arrays.  It is
+    halved level by level, pairing [0::2] with [1::2] so the order of the
+    factors is kept.  An odd leftover is always the rightmost factor of its
+    level; it is folded into ``tail`` (default: the identity), the product
+    of everything right of the current stack.  Returns the entries of the
+    product times ``tail``, in fresh arrays.
+
+    The levels are written into this thread's work array for the stack's
+    dtype (``_work_array``), each as its k entries and a scratch row,
+    alternately at the start and after the first level's k entries.
+    """
+    k = len(entries)
+    tail = rule.identity if tail is None else tail
+    rest = entries[0].shape[1:]
+    row, half = math.prod(rest), len(entries[0]) // 2
+    # Level 1 takes k + 1 half rows from the start, level 2 k + 1 (half // 2)
+    # rows after the first k half; the later levels fit in the same places.
+    work = _work_array(np.result_type(*entries),
+                       row * max((k + 1) * half, k * half + (k + 1) * (half // 2)))
+    at = 0
+    while len(entries[0]) > 1:
+        if len(entries[0]) % 2:
+            tail = rule.mul(tuple(x[-1] for x in entries), tail)
+            entries = tuple(x[:-1] for x in entries)
+        n = len(entries[0]) // 2
+        level = work[at : at + (k + 1) * n * row].reshape(k + 1, n, *rest)
+        rule.into(tuple(x[0::2] for x in entries), tuple(x[1::2] for x in entries), level)
+        entries = tuple(level[:k])
+        at = k * half * row - at
+    return rule.mul(tuple(x[0] for x in entries), tail)
+
+
+_WORK = threading.local()
+
+
+def _work_array(dtype, size: int, use: str = "product") -> np.ndarray:
+    """This thread's work array for ``use`` and ``dtype``, grown to at
+    least ``size``.
+
+    It is kept between calls: the levels of a product are megabytes, and
+    arrays freshly allocated for them on every call are mapped, trimmed off
+    the heap and faulted in again each time.  Callers that fill arrays the
+    product then reads take a ``use`` of their own.
+    """
+    arrays = getattr(_WORK, "arrays", None)
+    if arrays is None:
+        arrays = _WORK.arrays = {}
+    key = (use, np.dtype(dtype))
+    work = arrays.get(key)
+    if work is None or work.size < size:
+        work = arrays[key] = np.empty(size, dtype)
+    return work

@@ -311,6 +311,28 @@ class TestTDSE:
         assert info.value.err_estimate > 1e-8
         assert abs(info.value.best + 20.0 * math.pi) <= info.value.err_estimate
 
+    def test_chunks_multiply_to_the_unchunked_propagator(self, monkeypatch):
+        # 3 full chunks and 5 steps more, against one chunk of all the steps.
+        profile, epsilon = CrossingProfile.tanh(5.0, 1.0), 0.4
+        table = lz._phase_table(profile, epsilon, 1.0,
+                                *default_t_span(profile, CouplingSpec(epsilon), UNIT))
+        steps = 3 * lz._CHUNK + 5
+        chunked = lz._propagator(profile, epsilon, 1.0, table, steps)
+        monkeypatch.setattr(lz, "_CHUNK", steps)
+        whole = lz._propagator(profile, epsilon, 1.0, table, steps)
+        assert max(abs(x - y) for x, y in zip(chunked, whole)) <= 1e-13
+
+    @pytest.mark.parametrize("steps", [1, 2, 37, 4097])
+    def test_propagator_is_special_unitary(self, steps):
+        # u10 = -conj(u01) and u11 = conj(u00) hold exactly; the
+        # determinant is 1 to rounding.
+        profile = CrossingProfile.linear(2.0)
+        table = lz._phase_table(profile, 1.0, 1.0,
+                                *default_t_span(profile, CouplingSpec(1.0), UNIT))
+        u00, u01, u10, u11 = lz._propagator(profile, 1.0, 1.0, table, steps)
+        assert u10 == -np.conj(u01) and u11 == np.conj(u00)
+        assert abs(u00 * u11 - u01 * u10 - 1.0) <= 1e-13
+
     def test_edge_states_orthonormal(self):
         profile = CrossingProfile.linear(2.0)
         for t in (-40.0, 40.0, 0.3):

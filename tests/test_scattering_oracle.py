@@ -24,7 +24,7 @@ from semiref import (
     v,
 )
 from semiref.scattering_oracle import (
-    _companion_product, _mul2, _ordered_product, _reversed, _unitarity_defect)
+    _PAIR, _companion_product, _mul2, _ordered_product, _reversed, _unitarity_defect)
 
 UNIT = PhysicalConstants()
 
@@ -182,6 +182,36 @@ class TestOrderedProduct:
             assert np.max(np.abs(np.array(got) - _entries(expected))) <= 1e-12 * scale
             assert all(np.array_equal(x, y) for x, y in zip(got, _fresh_product(*_entries(mats))))
         assert all(np.array_equal(x, y) for x, y in zip(first, kept))
+
+    @pytest.mark.parametrize("m", [1, 2, 37])
+    def test_pair_product_matches_the_matrix_product(self, m):
+        # An SU(2) stack held as pairs (a, b) multiplies to the pair of the
+        # complex 2x2 product of the same stack held as four entries.
+        a, b = _random_pairs(np.random.default_rng(6000 + m), m)
+        got_a, got_b = _ordered_product(a, b, rule=_PAIR)
+        p00, p01, p10, p11 = _fresh_product(a, b, -np.conj(b), np.conj(a))
+        assert abs(got_a - p00) <= 1e-13 and abs(got_b - p01) <= 1e-13
+        assert abs(-np.conj(got_b) - p10) <= 1e-13 and abs(np.conj(got_a) - p11) <= 1e-13
+        assert abs(abs(got_a) ** 2 + abs(got_b) ** 2 - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("m", [1, 2, 37])
+    def test_pair_results_outlive_the_work_arrays(self, m):
+        # A pair stack, a longer pair stack (which grows the complex work
+        # array) and a four-entry complex stack run through the same work
+        # arrays; the first result is not overwritten by the later calls.
+        rng = np.random.default_rng(7000 + m)
+        first = _ordered_product(*_random_pairs(rng, m), rule=_PAIR)
+        kept = [x.copy() for x in first]
+        _ordered_product(*_random_pairs(rng, 64 * m + 3), rule=_PAIR)
+        _ordered_product(*_entries(_random_stack(rng, 2 * m + 1, complex)))
+        assert all(np.array_equal(x, y) for x, y in zip(first, kept))
+
+
+def _random_pairs(rng, m):
+    """Pairs (a, b) of m random SU(2) matrices [[a, b], [-conj(b), conj(a)]]."""
+    theta = rng.uniform(0.0, 0.5 * math.pi, m)
+    alpha, beta = rng.uniform(0.0, 2.0 * math.pi, (2, m))
+    return np.cos(theta) * np.exp(1j * alpha), np.sin(theta) * np.exp(1j * beta)
 
 
 def _entries(mats):
