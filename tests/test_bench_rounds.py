@@ -76,3 +76,48 @@ def test_unknown_tree_exits_2(tmp_path):
     assert proc.returncode == 2
     assert "neither a directory" in proc.stderr
     assert not (tmp_path / "B.json").exists()
+
+
+def _summarize(*args):
+    sys.path.insert(0, str(TOOL.parent))
+    try:
+        import bench_rounds
+    finally:
+        sys.path.pop(0)
+    return bench_rounds.summarize(*args)
+
+
+def _synthetic_runs(parent, change):
+    """One run per round of each arm on one workload and seed, with these
+    sweep_s values."""
+    return [{"round": rnd, "arm": arm, "workload": "w", "seed": 1, "sweep_s": value}
+            for arm, values in (("parent", parent), ("change", change))
+            for rnd, value in enumerate(values)]
+
+
+def test_summary_holds_only_with_nine_tenths_of_the_wins_and_a_clear_gap():
+    # The parent's median is 1.05 and its quartiles 1.0125 and 1.0875: a
+    # change's median of 0.8 clears that range, one of 0.99 does not.
+    parent = [1.0, 1.0, 1.0, 1.05, 1.05, 1.05, 1.05, 1.1, 1.1, 1.1]
+    cases = {
+        "ten wins": ([0.8] * 10, 10, True, True),
+        "nine wins": ([1.2] + [0.8] * 9, 9, True, True),
+        "eight wins": ([1.2, 1.2] + [0.8] * 8, 8, True, False),
+        "ten wins inside the quartiles": ([0.99] * 10, 10, False, False),
+    }
+    for case, (change, wins, clear, holds) in cases.items():
+        stats = _summarize(_synthetic_runs(parent, change), ["parent", "change"],
+                           {"sweep_s": "lower"})["w"]["1"]
+        assert "holds" not in stats["parent"]["sweep_s"], case
+        assert (stats["change"]["sweep_s"]["wins"], stats["change"]["sweep_s"]["clear"],
+                stats["change"]["sweep_s"]["holds"]) == (wins, clear, holds), case
+
+
+def test_summary_counts_higher_is_better_metrics_the_other_way():
+    parent = [0.9] * 5 + [0.95] * 5
+    runs = _synthetic_runs(parent, [1.0] * 10)
+    for run in runs:
+        run["ok_share"] = run.pop("sweep_s")
+    stats = _summarize(runs, ["parent", "change"], {"ok_share": "higher"})["w"]["1"]
+    assert stats["change"]["ok_share"]["wins"] == 10
+    assert stats["change"]["ok_share"]["holds"] is True

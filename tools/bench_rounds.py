@@ -23,9 +23,11 @@ where the time goes (``traced``).
 The output file holds every run's end-to-end metrics; per workload, seed,
 tree and metric the median and quartiles; and for each tree after the
 first, per metric, in how many rounds it did better than the first tree
-(``wins``) and whether the medians lie further apart, in its favour, than
-the first tree's interquartile range (``clear``); and for the control, per
-metric, its median over the last tree's, less one (``layout_shift``).
+(``wins``), whether the medians lie further apart, in its favour, than
+the first tree's interquartile range (``clear``), and whether both make a
+gain: at least nine tenths of the rounds won and ``clear`` (``holds``); and
+for the control, per metric, its median over the last tree's, less one
+(``layout_shift``).
 "Better" is each metric's direction in ``BENCHMARK.json``.  Exits 2 if a
 tree cannot be read or a run fails.
 """
@@ -97,7 +99,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def summarize(runs: list[dict], labels: list[str], metrics: dict) -> dict:
     """Per workload, seed, tree and metric: median, quartiles and, against
-    the first tree, wins and whether the gap clears its quartile range."""
+    the first tree, wins, whether the gap clears its quartile range, and
+    whether the two together make a gain (wins in 9/10 of the rounds)."""
     summary: dict = {}
     for run in runs:
         summary.setdefault(run["workload"], {}).setdefault(str(run["seed"]), {})
@@ -119,6 +122,8 @@ def summarize(runs: list[dict], labels: list[str], metrics: dict) -> dict:
                     b_q1, b_median, b_q3 = quartiles(base)
                     stats[name]["wins"] = sum(sign * (b - x) > 0 for b, x in zip(base, values))
                     stats[name]["clear"] = sign * (b_median - median) > b_q3 - b_q1
+                    stats[name]["holds"] = (stats[name]["wins"] >= 0.9 * min(len(base), len(values))
+                                            and stats[name]["clear"])
                 seeds[seed][label] = stats
     return summary
 
@@ -209,7 +214,8 @@ def main(argv=None) -> int:
         for seed, by_label in seeds.items():
             for label, stats in by_label.items():
                 s = stats["sweep_s"]
-                extra = f"  wins {s['wins']}/{args.pairs} clear {s['clear']}" if "wins" in s else ""
+                extra = (f"  wins {s['wins']}/{args.pairs} clear {s['clear']} holds {s['holds']}"
+                         if "wins" in s else "")
                 if label == CONTROL and s["layout_shift"] is not None:
                     extra += f"  layout_shift {s['layout_shift']:+.1%}"
                 print(f"{workload:<14} seed {seed:<4} {label:<10} sweep_s median "
