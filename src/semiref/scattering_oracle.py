@@ -530,10 +530,10 @@ def _pair_mul_into(left, right, out):
     a2, b2 = right
     a, b, scratch = out
     np.multiply(a1, a2, out=a)
-    np.multiply(b1, np.conjugate(b2, out=scratch), out=scratch)
+    np.multiply(b1, np.conj(b2, out=scratch), out=scratch)
     a -= scratch
     np.multiply(a1, b2, out=b)
-    np.multiply(b1, np.conjugate(a2, out=scratch), out=scratch)
+    np.multiply(b1, np.conj(a2, out=scratch), out=scratch)
     b += scratch
 
 
@@ -580,14 +580,14 @@ def _ordered_product(*entries, tail=None, rule=_MATRIX):
     at = 0
     while len(entries[0]) > 1:
         if len(entries[0]) % 2:
-            tail = rule.mul(tuple(x[-1] for x in entries), tail)
-            entries = tuple(x[:-1] for x in entries)
+            tail = rule.mul([x[-1] for x in entries], tail)
+            entries = [x[:-1] for x in entries]
         n = len(entries[0]) // 2
         level = work[at : at + (k + 1) * n * row].reshape(k + 1, n, *rest)
-        rule.into(tuple(x[0::2] for x in entries), tuple(x[1::2] for x in entries), level)
-        entries = tuple(level[:k])
+        rule.into([x[0::2] for x in entries], [x[1::2] for x in entries], level)
+        entries = list(level[:k])
         at = k * half * row - at
-    return rule.mul(tuple(x[0] for x in entries), tail)
+    return rule.mul([x[0] for x in entries], tail)
 
 
 _WORK = threading.local()

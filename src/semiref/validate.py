@@ -128,6 +128,8 @@ def _check_unitarity(consts, quad):
 def _check_tdse_norm(consts, quad, rel_tol=1e-10):
     # The CF4 propagator that ``lz`` runs, as partial products from the
     # start of the span to 9 equally spaced times, applied to the start state.
+    # Its lower row is built from its upper row, (u10, u11) = (-conj(u01),
+    # conj(u00)), so the drift is the rounding of the SU(2) pair (u00, u01).
     profile = lz.CrossingProfile.linear(2.0)
     epsilon, hbar = 1.0, consts.hbar
     span = lz.default_t_span(profile, lz.CouplingSpec(epsilon), consts)
