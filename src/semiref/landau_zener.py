@@ -306,9 +306,11 @@ _A1, _A2 = 0.25 - math.sqrt(3.0) / 6.0, 0.25 + math.sqrt(3.0) / 6.0
 _PER_RADIAN = 0.06
 _MIN_STEPS = 64
 _MAX_STEPS = 2**21  # in the finest run; ~1 s of work
-# Steps multiplied per array pass.  At 2^13 every per-chunk temporary
-# (64-128 KiB) is reused from the heap call after call; at 2^16 they were
-# mapped, trimmed off and faulted in again on every chunk.
+# Steps multiplied per array pass.  It sizes the per-thread rows of
+# _step_pairs (832 KiB) and the arrays a chunk still allocates, its phases,
+# times and profile values (64 KiB each, small enough that the heap
+# keeps reusing them where 2^16-step arrays were trimmed off and faulted in
+# again on every chunk).  2^12 pays numpy's per-call overhead twice as often.
 _CHUNK = 2**13
 _TABLE = 1025  # samples of the phase table that places the steps
 
@@ -383,7 +385,7 @@ def _step_pairs(profile: CrossingProfile, epsilon: float, hbar: float, t: np.nda
     c2 z1), b = z1 x2 - x1 z2 - i(c1 x2 + c2 x1), written into the real and
     imaginary parts.  Every array here is a row of a work array kept
     between calls, so that the only step-sized arrays a chunk allocates are
-    ``t`` and the profile's values.
+    its phases, ``t`` and the profile's values.
     """
     n = t.size - 1
     rows = _work_array(float, 9 * n, "cf4")[: 9 * n].reshape(9, n)

@@ -196,9 +196,9 @@ class TestOrderedProduct:
 
     @pytest.mark.parametrize("m", [1, 2, 37])
     def test_pair_results_outlive_the_work_arrays(self, m):
-        # A pair stack, a longer pair stack (which grows the complex work
-        # array) and a four-entry complex stack run through the same work
-        # arrays; the first result is not overwritten by the later calls.
+        # A pair stack, a longer pair stack and a four-entry complex stack
+        # run through the same complex work array; the first result is not
+        # overwritten by the later calls.
         rng = np.random.default_rng(7000 + m)
         first = _ordered_product(*_random_pairs(rng, m), rule=_PAIR)
         kept = [x.copy() for x in first]
