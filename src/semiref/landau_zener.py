@@ -29,6 +29,7 @@ sweep is irrelevant.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .potentials import PhysicalConstants, _positive_finite
-from .scattering_oracle import _PAIR, _mul2, _ordered_product, _work_array
+from .scattering_oracle import _PAIR, _ordered_product, _work_array
 from .wkb_reflection import (
     DEFAULT_QUADRATURE,
     Method,
@@ -307,10 +308,11 @@ _PER_RADIAN = 0.06
 _MIN_STEPS = 64
 _MAX_STEPS = 2**21  # in the finest run; ~1 s of work
 # Steps multiplied per array pass.  It sizes the per-thread rows of
-# _step_pairs (832 KiB) and the arrays a chunk still allocates, its phases,
-# times and profile values (64 KiB each, small enough that the heap
-# keeps reusing them where 2^16-step arrays were trimmed off and faulted in
-# again on every chunk).  2^12 pays numpy's per-call overhead twice as often.
+# _step_pairs (4 real and 7 complex, 1,152 KiB) and the arrays a chunk
+# still allocates, its phases, times and profile values (64 KiB each, small
+# enough that the heap keeps reusing them where 2^16-step arrays were
+# trimmed off and faulted in again on every chunk).  2^12 pays numpy's
+# per-call overhead twice as often.
 _CHUNK = 2**13
 _TABLE = 1025  # samples of the phase table that places the steps
 
@@ -348,13 +350,12 @@ def _propagator(
     table: tuple[np.ndarray, np.ndarray],
     steps: int,
 ):
-    """Entries (u00, u01, u10, u11) of the CF4 propagator over ``table``'s
-    span, in ``steps`` steps equally spaced in its phase.
+    """Pair (a, b) of the CF4 propagator [[a, b], [-conj(b), conj(a)]] over
+    ``table``'s span, in ``steps`` steps equally spaced in its phase.
 
-    Every factor is an SU(2) matrix [[a, b], [-conj(b), conj(a)]], so the
-    steps are multiplied as pairs (a, b) by ``_ordered_product`` with the
-    pair rule, ``_CHUNK`` steps at a time (``_step_pairs``), later steps to
-    the left; u10 = -conj(u01) and u11 = conj(u00).
+    Every factor is an SU(2) matrix, so the steps are multiplied as pairs
+    by ``_ordered_product`` with the pair rule, ``_CHUNK`` steps at a time
+    (``_step_pairs``), later steps to the left.
     """
     t_tab, phase = table
     per_step = phase[-1] / steps
@@ -368,8 +369,7 @@ def _propagator(
             x[-1] = phase[-1]
         a, b = _step_pairs(profile, epsilon, hbar, np.interp(x, phase, t_tab))
         total = _ordered_product(a[::-1], b[::-1], tail=total, rule=_PAIR)
-    a, b = total
-    return a, b, -np.conj(b), np.conj(a)
+    return total
 
 
 def _step_pairs(profile: CrossingProfile, epsilon: float, hbar: float, t: np.ndarray):
@@ -379,58 +379,40 @@ def _step_pairs(profile: CrossingProfile, epsilon: float, hbar: float, t: np.nda
     A step from t to t + h is exp(-ih/hbar (alpha_1 H_1 + alpha_2 H_2))
     exp(-ih/hbar (alpha_2 H_1 + alpha_1 H_2)) with H_k = H(t + c_k h).
     Each factor is exp(-i (v_z sigma_z + v_x sigma_x)) = cos w - i sin(w)/w
-    (v_z sigma_z + v_x sigma_x), w = |v|: the pair a = c - iz, b = -ix with
-    c = cos w, z = s v_z, x = s v_x, s = sin(w)/w.  The second factor times
-    the first is, in closed form, a = c1 c2 - z1 z2 - x1 x2 - i(c1 z2 +
-    c2 z1), b = z1 x2 - x1 z2 - i(c1 x2 + c2 x1), written into the real and
-    imaginary parts.  Every array here is a row of a work array kept
-    between calls, so that the only step-sized arrays a chunk allocates are
-    its phases, ``t`` and the profile's values.
+    (v_z sigma_z + v_x sigma_x), w = |v|: the pair (cos w - i s v_z,
+    -i s v_x) with s = sin(w)/w, formed from -v so that no pass negates it.
+    The two pairs are fused by the pair rule, the second factor times the
+    first.  Every array here is a row of a work array kept between calls,
+    so that the only step-sized arrays a chunk allocates are its phases,
+    ``t`` and the profile's values.
     """
     n = t.size - 1
-    rows = _work_array(float, 9 * n, "cf4")[: 9 * n].reshape(9, n)
-    dt, vx, scratch, c1, z1, x1, c2, z2, x2 = rows
+    dt, vx, f1, f2 = _work_array(float, 4 * n, "cf4")[: 4 * n].reshape(4, n)
+    pairs = _work_array(complex, 7 * n, "cf4")[: 7 * n].reshape(7, n)
     np.subtract(t[1:], t[:-1], out=dt)
-    # f at the nodes t + c_k h (held in x1) goes to c1 and c2 for now.
-    for f, node in ((c1, _C1), (c2, _C2)):
-        np.multiply(node, dt, out=x1)
-        x1 += t[:-1]
-        f[...] = profile.value(x1)
+    for f, node in ((f1, _C1), (f2, _C2)):
+        np.multiply(node, dt, out=vx)  # the node times t + c_k h
+        vx += t[:-1]
+        f[...] = profile.value(vx)
     dt /= hbar
-    np.multiply(0.5 * epsilon, dt, out=vx)
+    np.multiply(-0.5 * epsilon, dt, out=vx)  # -v_x
     # Factor 1 weighs f1 by alpha_2 and f2 by alpha_1, factor 2 the reverse.
-    np.multiply(_A2, c1, out=z1)
-    np.multiply(_A1, c2, out=scratch)
-    z1 += scratch
-    np.multiply(_A1, c1, out=z2)
-    np.multiply(_A2, c2, out=scratch)
-    z2 += scratch
-    for c, z, x in ((c1, z1, x1), (c2, z2, x2)):
-        z *= dt  # v_z
-        np.hypot(z, vx, out=c)  # w > 0, as vx is
-        np.sin(c, out=scratch)
-        scratch /= c  # s
-        np.cos(c, out=c)
-        z *= scratch
-        np.multiply(scratch, vx, out=x)
-    a, b = _work_array(complex, 2 * n, "cf4")[: 2 * n].reshape(2, n)
-    np.multiply(c1, c2, out=a.real)
-    np.multiply(z1, z2, out=scratch)
-    a.real -= scratch
-    np.multiply(x1, x2, out=scratch)
-    a.real -= scratch
-    np.multiply(c1, z2, out=scratch)
-    np.multiply(c2, z1, out=a.imag)
-    a.imag += scratch
-    np.negative(a.imag, out=a.imag)
-    np.multiply(z1, x2, out=b.real)
-    np.multiply(x1, z2, out=scratch)
-    b.real -= scratch
-    np.multiply(c1, x2, out=scratch)
-    np.multiply(c2, x1, out=b.imag)
-    b.imag += scratch
-    np.negative(b.imag, out=b.imag)
-    return a, b
+    for (a, b), (k1, k2) in (((pairs[0], pairs[1]), (_A2, _A1)),
+                             ((pairs[2], pairs[3]), (_A1, _A2))):
+        z, w, s = a.imag, a.real, b.real
+        np.multiply(-k1, f1, out=z)
+        np.multiply(-k2, f2, out=s)
+        z += s
+        z *= dt  # -v_z
+        np.hypot(z, vx, out=w)  # w > 0, as vx is not 0
+        np.sin(w, out=s)
+        s /= w
+        np.cos(w, out=w)
+        z *= s
+        np.multiply(s, vx, out=b.imag)
+        s[...] = 0.0
+    _PAIR.into(pairs[2:4], pairs[0:2], pairs[4:])
+    return pairs[4], pairs[5]
 
 
 def _derivatives(profile: CrossingProfile, t: np.ndarray):
@@ -500,9 +482,9 @@ def _log_flip(edges, u) -> float:
     ``edges``, the edge states at the start and the end of its span, to
     the lower one at the end."""
     (upper, _), (_, lower) = edges
-    u00, u01, u10, u11 = u
-    amp = (np.conj(lower[0]) * (u00 * upper[0] + u01 * upper[1])
-           + np.conj(lower[1]) * (u10 * upper[0] + u11 * upper[1]))
+    a, b = u
+    amp = (np.conj(lower[0]) * (a * upper[0] + b * upper[1])
+           + np.conj(lower[1]) * (-np.conj(b) * upper[0] + np.conj(a) * upper[1]))
     return min(math.log(max(abs(amp) ** 2, np.finfo(float).tiny)), 0.0)
 
 
@@ -523,8 +505,20 @@ def _span_move(
     outer = [_propagator(profile, epsilon, hbar, side,
                          max(_MIN_STEPS, math.ceil(side[1][-1] * density)))
              for side in sides]
-    wide_u = _mul2(outer[1], _mul2(inner_u, outer[0]))
+    wide_u = _PAIR.mul(outer[1], _PAIR.mul(inner_u, outer[0]))
     return abs(_log_flip(edges, wide_u) - inner)
+
+
+@contextmanager
+def _in_double_precision():
+    """Raise DomainError where the block overflows, divides by zero, turns
+    invalid or finds a scale underflowed to 0 (a DomainError of its own):
+    the sweep's scales exceed double precision."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except (ArithmeticError, DomainError) as exc:
+        raise DomainError(f"the sweep's scales exceed double precision ({exc})") from None
 
 
 def evolve_tdse(
@@ -558,18 +552,15 @@ def evolve_tdse(
     bound = 100.0 * rel_tol
     # All but the stepping comes first, so a scale that double precision
     # cannot hold ends the row before any propagation.
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            profile, epsilon, hbar, t1 = _in_sweep_units(
-                profile, eps.epsilon, consts.hbar, default_t_span(profile, eps, consts)[1])
-            t0 = -t1
-            table, *sides = (_phase_table(profile, epsilon, hbar, a, b)
-                             for a, b in ((t0, t1), (2.0 * t0, t0), (t1, 2.0 * t1)))
-            states = [_edge_states(profile, epsilon, hbar, t)
-                      for t in (t0, t1, 2.0 * t0, 2.0 * t1)]
-            steps = _steps(table, rel_tol)
-    except (ArithmeticError, DomainError) as exc:  # DomainError: a scale underflowed to 0
-        raise DomainError(f"the sweep's scales exceed double precision ({exc})") from None
+    with _in_double_precision():
+        profile, epsilon, hbar, t1 = _in_sweep_units(
+            profile, eps.epsilon, consts.hbar, default_t_span(profile, eps, consts)[1])
+        t0 = -t1
+        table, *sides = (_phase_table(profile, epsilon, hbar, a, b)
+                         for a, b in ((t0, t1), (2.0 * t0, t0), (t1, 2.0 * t1)))
+        states = [_edge_states(profile, epsilon, hbar, t)
+                  for t in (t0, t1, 2.0 * t0, 2.0 * t1)]
+        steps = _steps(table, rel_tol)
     edges, wide_edges = states[:2], states[2:]
 
     coarse_u = _propagator(profile, epsilon, hbar, table, steps)

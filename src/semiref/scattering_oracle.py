@@ -471,22 +471,12 @@ def _companion_product(m: np.ndarray):
     M_i maps (y_i, y_i - y_{i+1}) to (y_{i-1}, y_{i-1} - y_i).  In these
     differences the product's entries stay well scaled, where products of
     the plain companion steps [[2 - e_i, -1], [1, 0]] lose ~1/theta^2 to
-    rounding.  The first pairing level uses the unit entries; the rest is
-    ``_ordered_product``.  Returns the four entries (p00, p01, p10, p11).
+    rounding.  The steps go to ``_ordered_product`` as they are, their unit
+    entries as broadcast views; multiplying by an exact 1 rounds nothing.
+    Returns the four entries (p00, p01, p10, p11).
     """
-    p = m + 1.0
-    tail = _IDENTITY
-    if len(m) % 2:
-        tail = (p[-1], 1.0, m[-1], 1.0)
-        p, m = p[:-1], m[:-1]
-    if len(m) == 0:
-        return tail
-    p1, p2, m1, m2 = p[0::2], p[1::2], m[0::2], m[1::2]
-    a = p1 * p2
-    a += m2
-    c = m1 * p2
-    c += m2
-    return _ordered_product(a, p1 + 1.0, c, p1, tail=tail)
+    one = np.broadcast_to(1.0, m.shape)
+    return _ordered_product(m + 1.0, one, m, one)
 
 
 def _mul2(left, right):

@@ -998,6 +998,23 @@ class TestValidate:
         assert res.passed, res.detail
         assert len(calls) == 8
 
+    @pytest.mark.parametrize("mass", ["1e-300", "1e300"])
+    @pytest.mark.parametrize("hbar", ["1e-300", "1e300"])
+    def test_extreme_scales_end_every_check_with_a_reason(self, hbar, mass):
+        # A log_prob of -0 divided the cross-method check, and the norm
+        # check's edge states overflowed outside any guard: every check now
+        # ends as PASS or FAIL, with nothing on stderr.
+        proc = subprocess.run(
+            [sys.executable, "-m", "semiref", "validate", "--hbar", hbar, "--mass", mass],
+            capture_output=True, text=True,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin:/usr/local/bin"},
+        )
+        assert proc.returncode in (EXIT_OK, EXIT_NUMERICAL), proc.stderr
+        assert proc.stderr == ""
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 12 and lines[-1].endswith("/11 checks passed")
+        assert all(line.split()[0] in ("PASS", "FAIL") for line in lines[:-1])
+
     def test_halved_hbar_still_passes_scaling(self, capsys):
         code, out, _ = run_cli(["validate", "--hbar", "0.5"], capsys)
         assert code == EXIT_OK

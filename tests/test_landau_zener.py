@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from semiref import (
     ConvergenceError,
@@ -46,10 +47,10 @@ def edge_probabilities(profile, epsilon, rel_tol=1e-10):
     span = default_t_span(profile, CouplingSpec(epsilon), UNIT)
     table = lz._phase_table(profile, epsilon, 1.0, *span)
     steps = math.ceil(table[1][-1] * lz._PER_RADIAN * rel_tol**-0.25)
-    u00, u01, u10, u11 = lz._propagator(profile, epsilon, 1.0, table, steps)
+    a, b = lz._propagator(profile, epsilon, 1.0, table, steps)
     upper, _ = lz._edge_states(profile, epsilon, 1.0, span[0])
     final_upper, final_lower = lz._edge_states(profile, epsilon, 1.0, span[1])
-    psi = np.array([u00 * upper[0] + u01 * upper[1], u10 * upper[0] + u11 * upper[1]])
+    psi = np.array([a * upper[0] + b * upper[1], -np.conj(b) * upper[0] + np.conj(a) * upper[1]])
     return abs(np.vdot(final_upper, psi)) ** 2, abs(np.vdot(final_lower, psi)) ** 2
 
 
@@ -322,16 +323,35 @@ class TestTDSE:
         whole = lz._propagator(profile, epsilon, 1.0, table, steps)
         assert max(abs(x - y) for x, y in zip(chunked, whole)) <= 1e-13
 
+    @pytest.mark.parametrize("hbar", [1.0, 0.7])
+    @pytest.mark.parametrize("profile, epsilon", [
+        (CrossingProfile.linear(2.0), 1.0), (CrossingProfile.tanh(5.0, 1.0), 0.3)])
+    def test_step_pairs_match_the_matrix_exponentials(self, profile, epsilon, hbar):
+        # Each CF4 step, at the crossing and far out on the plateau, is the
+        # product of its two exponentials taken by scipy.
+        def h_at(t):
+            f = profile.value(t)
+            return np.array([[f, epsilon], [epsilon, -f]])
+
+        for t in (np.array([-0.4, -0.1, 0.05, 0.3, 0.9]),
+                  np.array([30.0, 30.2, 30.7, 32.0, 36.0])):
+            a, b = (x.copy() for x in lz._step_pairs(profile, epsilon, hbar, t))
+            for i, (t0, t1) in enumerate(zip(t, t[1:])):
+                h = t1 - t0
+                h1, h2 = h_at(t0 + lz._C1 * h), h_at(t0 + lz._C2 * h)
+                u = (expm(-1j * h / hbar * (lz._A1 * h1 + lz._A2 * h2))
+                     @ expm(-1j * h / hbar * (lz._A2 * h1 + lz._A1 * h2)))
+                assert abs(a[i] - u[0, 0]) <= 1e-13 and abs(b[i] - u[0, 1]) <= 1e-13
+
     @pytest.mark.parametrize("steps", [1, 2, 37, 4097])
     def test_propagator_is_special_unitary(self, steps):
-        # u10 = -conj(u01) and u11 = conj(u00) hold exactly; the
-        # determinant is 1 to rounding.
+        # The pair (a, b) stands for [[a, b], [-conj(b), conj(a)]]; its
+        # determinant |a|^2 + |b|^2 is 1 to rounding.
         profile = CrossingProfile.linear(2.0)
         table = lz._phase_table(profile, 1.0, 1.0,
                                 *default_t_span(profile, CouplingSpec(1.0), UNIT))
-        u00, u01, u10, u11 = lz._propagator(profile, 1.0, 1.0, table, steps)
-        assert u10 == -np.conj(u01) and u11 == np.conj(u00)
-        assert abs(u00 * u11 - u01 * u10 - 1.0) <= 1e-13
+        a, b = lz._propagator(profile, 1.0, 1.0, table, steps)
+        assert abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-13
 
     def test_edge_states_orthonormal(self):
         profile = CrossingProfile.linear(2.0)

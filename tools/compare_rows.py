@@ -12,14 +12,19 @@ For each tree one child process imports ``semiref.cli`` from that tree
 and runs ``main`` in process on every command line, in order.  The exit
 code, stdout and stderr of each run are compared.  Prints how many command
 lines give identical output and, for each one that does not, the command
-line and its first differing line.  Exits 1 if any differs, 2 if a tree
-cannot be read or run, else 0.
+line and its first differing line.  Where the two runs agree in exit code
+and stderr and print the same rows (CSV or JSON, the same in every column
+but log_prob, prob and err_estimate), it also prints how far log_prob
+moves at most, absolutely and relative to the row's err_estimate in A.
+Exits 1 if any differs, 2 if a tree cannot be read or run, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import io
+import math
 import json
 import shlex
 import subprocess
@@ -129,6 +134,51 @@ def first_difference(a: tuple, b: tuple) -> str:
     return f"{stream} line {i + 1}:\n    A: {la}\n    B: {lb}"
 
 
+_VALUES = ("log_prob", "prob", "err_estimate")  # the columns a route computes
+
+
+def parse_rows(text: str) -> list[dict] | None:
+    """The rows of a CLI's CSV or JSON output, or None if it holds none."""
+    try:
+        rows = json.loads(text)
+    except ValueError:
+        rows = list(csv.DictReader(io.StringIO(text)))
+    if not (isinstance(rows, list) and rows and all(
+            isinstance(row, dict) and set(_VALUES) <= row.keys() for row in rows)):
+        return None
+    return rows
+
+
+def _number(cell) -> float:
+    """A CSV or JSON cell as a float; JSON's null is nan."""
+    return math.nan if cell is None else float(cell)
+
+
+def log_prob_moves(a: tuple, b: tuple) -> tuple[float, float] | None:
+    """(largest |Delta log_prob|, largest |Delta log_prob| / err_estimate)
+    over the rows of two (exit code, stdout, stderr) triples that agree but
+    for the values of the same rows, else None.  A value that turns nan, or
+    any move of a row with no positive err_estimate, is infinitely far."""
+    if a[0] != b[0] or a[2] != b[2]:
+        return None
+    rows_a, rows_b = parse_rows(a[1]), parse_rows(b[1])
+    if rows_a is None or rows_b is None or len(rows_a) != len(rows_b):
+        return None
+    largest = ratio = 0.0
+    for row_a, row_b in zip(rows_a, rows_b):
+        if row_a.keys() != row_b.keys() or any(
+                row_a[k] != row_b[k] for k in row_a if k not in _VALUES):
+            return None
+        x, y = _number(row_a["log_prob"]), _number(row_b["log_prob"])
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        move = abs(x - y) if not math.isnan(x - y) else math.inf
+        err = _number(row_a["err_estimate"])
+        largest = max(largest, move)
+        ratio = max(ratio, move / err if err > 0.0 else math.inf)
+    return largest, ratio
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a", help="directory holding src/semiref, or a git revision")
@@ -150,6 +200,10 @@ def main(argv=None) -> int:
     differ = [(argv, x, y) for argv, x, y in zip(argvs, a, b) if x != y]
     for argv, x, y in differ:
         print(f"differs: semiref {shlex.join(argv)}\n  {first_difference(x, y)}")
+        moves = log_prob_moves(x, y)
+        if moves is not None:
+            print(f"  log_prob moves by at most {moves[0]:.3g}, "
+                  f"{moves[1]:.3g} times its err_estimate")
     print(f"{len(argvs) - len(differ)}/{len(argvs)} command lines identical")
     return 1 if differ else 0
 
