@@ -37,7 +37,7 @@ def test_compare_rows_names_the_command_line_that_differs(tmp_path):
     lines = differ.stdout.splitlines()
     assert lines[0] == "differs: semiref reflect --model sech2 --emin 1 --methods closed"
     assert lines[1] == "  stdout line 2:"
-    # The closed form's err_estimate is 0, so any move is infinitely many.
+    # The closed form's err_estimate is 0, so its move is inf times that.
     move = lines[4].split()
     assert move[:5] == ["log_prob", "moves", "by", "at", "most"]
     assert 0.0 < float(move[5].rstrip(",")) <= 1e-10

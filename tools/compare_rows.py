@@ -24,8 +24,8 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import math
 import json
+import math
 import shlex
 import subprocess
 import sys
