@@ -38,6 +38,7 @@ from .wkb_reflection import (
     Method,
     QuadratureSpec,
     ReflectionResult,
+    Rows,
     forbidden_zone_integral,
     gauss_refined,
     low_energy_effective_omega,
@@ -63,6 +64,7 @@ __all__ = [
     "elliptic_b",
     "Method",
     "ReflectionResult",
+    "Rows",
     "QuadratureSpec",
     "DEFAULT_QUADRATURE",
     "forbidden_zone_integral",

@@ -12,18 +12,21 @@ import argparse
 import functools
 import math
 import sys
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import landau_zener as lz
 from . import validate as validate_mod
-from .errors import ConvergenceError, DomainError, SemirefError
+from .errors import DomainError, SemirefError
 from .potentials import PhysicalConstants, PotentialKind, PotentialModel
 from .scattering_oracle import numerov_reflection
 from .wkb_reflection import (
     DEFAULT_QUADRATURE,
+    Method,
     QuadratureSpec,
+    Rows,
     reflection_closed_form,
     reflection_contour_ll,
     reflection_momentum_space,
@@ -93,13 +96,14 @@ def _each(route):
     return lambda args, *columns: [_outcome(route, args, *point) for point in zip(*columns)]
 
 
-# Each command's routes, by method name: (args, *columns) -> one
-# ReflectionResult or SemirefError per point, where ``args`` is the parsed
-# command line with the objects its builder made from it, and the columns
-# hold the points' coordinates, one sequence per label.  An entry looks its
-# route up when called (a module global or ``lz.<name>``), so a wrapper
-# bound over that name later is what runs.  Every ``reflect`` route takes
-# all the energies of an invocation in one call.
+# Each command's routes, by method name: (args, *columns) -> the Rows of
+# the points, or a list of one ReflectionResult or SemirefError per point,
+# where ``args`` is the parsed command line with the objects its builder
+# made from it, and the columns hold the points' coordinates, one sequence
+# per label.  An entry looks its route up when called (a module global or
+# ``lz.<name>``), so a wrapper bound over that name later is what runs.
+# Every ``reflect`` route takes all the energies of an invocation in one
+# call.
 REFLECT_METHODS = {
     "closed": lambda args, E: reflection_closed_form(args.potential, E, args.constants),
     "contour": lambda args, E: reflection_contour_ll(
@@ -119,85 +123,86 @@ LZ_METHODS = {
 }
 
 
-def _failed_row(exc: SemirefError) -> tuple[float, float, float]:
-    """(log_prob, prob, err) for a flagged row, using the best estimate if any.
+def _as_rows(outcomes, method: str) -> Rows:
+    """A table entry's result as one Rows record: a Rows as it is, a list
+    of outcomes (``_each``, or a wrapper that returns one) packed into one."""
+    return outcomes if isinstance(outcomes, Rows) else Rows.pack(outcomes, Method(method))
 
-    ``prob`` is nan where exp(best) underflows, as on a converged row that
-    underflows.
-    """
-    if isinstance(exc, ConvergenceError) and exc.best is not None:
-        err = exc.err_estimate if exc.err_estimate is not None else math.nan
-        prob = math.exp(min(exc.best, 0.0))
-        return exc.best, prob if prob > 0.0 else math.nan, err
-    return math.nan, math.nan, math.nan
+
+def _interleaved(columns: list[list]) -> list:
+    """One list of the columns' cells taken row by row: the cells of row i
+    of each column in turn, then those of row i + 1."""
+    out = [None] * sum(map(len, columns))
+    for j, column in enumerate(columns):
+        out[j :: len(columns)] = column
+    return out
 
 
 def run_rows(
     args, table: dict, methods: tuple[str, ...], labels: tuple[str, ...],
     points: list[tuple],
-) -> tuple[list[tuple], int]:
-    """One row (*point, method, log_prob, prob, err_estimate) per point and
-    method, in the order of ``points``, then of ``methods``.
+) -> tuple[list[list], int]:
+    """The columns (*point, method, log_prob, prob, err_estimate) of one row
+    per point and method, in the order of ``points``, then of ``methods``.
 
     Each method's route gets every point in one call, as one column per
-    label.  A route that fails at a point gives a flagged row and a warning
-    naming the point by ``labels``; the run continues.  Returns the rows and
-    the number flagged.
+    label.  A route that fails at a point gives a flagged row (its best
+    value and estimate on a ConvergenceError, nan otherwise) and a warning
+    naming the point by ``labels``; the run continues.  Returns the columns
+    and the number of rows flagged.
     """
     columns = list(zip(*points))
-    outcomes = {method: table[method](args, *columns) for method in methods}
-    rows = []
-    n_failed = 0
-    for i, point in enumerate(points):
-        for method in methods:
-            res = outcomes[method][i]
-            if isinstance(res, SemirefError):
-                n_failed += 1
-                where = ", ".join(f"{k}={v:g}" for k, v in zip(labels, point))
-                print(f"warning: {method} failed at {where}: {res}", file=sys.stderr)
-                values = _failed_row(res)
-            else:
-                values = res.log_prob, res.prob, res.err_estimate
-            rows.append((*point, method, *values))
-    return rows, n_failed
+    records = [_as_rows(table[method](args, *columns), method) for method in methods]
+    failed = sorted((i, j) for j, rec in enumerate(records) for i in rec.flagged)
+    for i, j in failed:
+        where = ", ".join(f"{k}={v:g}" for k, v in zip(labels, points[i]))
+        print(f"warning: {methods[j]} failed at {where}: {records[j].flagged[i]}",
+              file=sys.stderr)
+    k = len(methods)
+    cells = [_interleaved([list(c)] * k) for c in columns]
+    cells.append(list(methods) * len(points))
+    cells += [_interleaved([getattr(rec, name) for rec in records])
+              for name in ("log_prob", "prob", "err_estimate")]
+    return cells, len(failed)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if value != value:  # nan
-        return "nan"
-    return format(value, ".12g")
+def _is_text(column: list) -> bool:
+    # A column holds strs only (the method) or floats only.
+    return bool(column) and isinstance(column[0], str)
 
 
-def rows_to_csv(rows: list[tuple], columns: tuple[str, ...]) -> str:
-    lines = [",".join(columns)]
-    lines += [",".join(map(_fmt, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+def rows_to_csv(cells: list[list], columns: tuple[str, ...]) -> str:
+    """The columns ``cells``, one list per name in ``columns``, as CSV rows;
+    floats at 12 significant digits."""
+    text = [c if _is_text(c) else list(map(format, c, repeat(".12g"))) for c in cells]
+    return "\n".join([",".join(columns), *map(",".join, zip(*text))]) + "\n"
 
 
-def _json_cell(value) -> str:
-    # Every cell is a str or a float.  Strict JSON has no nan/inf; flagged
+def _json_column(column: list) -> list[str]:
+    # Each string is encoded once.  Strict JSON has no nan/inf; flagged
     # fields become null.
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    return float.__repr__(value) if math.isfinite(value) else "null"
+    if _is_text(column):
+        codes = {s: encode_basestring_ascii(s) for s in set(column)}
+        return list(map(codes.__getitem__, column))
+    if all(map(math.isfinite, column)):
+        return list(map(float.__repr__, column))
+    return [float.__repr__(v) if math.isfinite(v) else "null" for v in column]
 
 
-def rows_to_json(rows: list[tuple], columns: tuple[str, ...]) -> str:
-    """The rows as a JSON list of objects keyed by ``columns``.
+def rows_to_json(cells: list[list], columns: tuple[str, ...]) -> str:
+    """The columns ``cells``, one list per name in ``columns``, as a JSON
+    list of objects keyed by ``columns``.
 
     Written directly in the layout of ``json.dumps(..., indent=2)``, byte
     for byte, because with ``indent`` set ``json`` runs its pure-Python
-    encoder, which takes about twice as long.
+    encoder, which takes about twice as long.  Each column is formatted
+    once, then each object fills one template.
     """
-    if not rows:
+    if not cells or not cells[0]:
         return "[]\n"
-    keys = [f"    {encode_basestring_ascii(c)}: " for c in columns]
-    objects = [
-        "  {\n" + ",\n".join(k + _json_cell(v) for k, v in zip(keys, row)) + "\n  }"
-        for row in rows
-    ]
+    keys = (encode_basestring_ascii(c).replace("%", "%%") for c in columns)
+    template = "  {\n" + ",\n".join(f"    {k}: %s" for k in keys) + "\n  }"
+    objects = map(template.__mod__, zip(*map(_json_column, cells)))
     return "[\n" + ",\n".join(objects) + "\n]\n"
 
 
@@ -464,10 +469,10 @@ def main(argv=None) -> int:
             methods, points = _build_lz_config(args)
             table, labels, columns = LZ_METHODS, ("scale", "eps"), LZ_COLUMNS
         _check_output_path(args.out)
-        rows, n_failed = run_rows(args, table, methods, labels, points)
+        cells, n_failed = run_rows(args, table, methods, labels, points)
         fmt = args.format or ("json" if (args.out or "").endswith(".json") else "csv")
         writer = rows_to_json if fmt == "json" else rows_to_csv
-        _write_output(writer(rows, columns), args.out)
+        _write_output(writer(cells, columns), args.out)
         return EXIT_NUMERICAL if n_failed else EXIT_OK
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,8 +43,8 @@ from .wkb_reflection import (
     Method,
     QuadratureSpec,
     ReflectionResult,
+    _log_columns,
     forbidden_zone_integral,
-    _scaled_log,
 )
 
 __all__ = [
@@ -185,13 +185,12 @@ def adiabatic_reflection(
     """
     _check_tanh_coupling(profile, eps)
     epsilon = eps.epsilon
-    (row,) = forbidden_zone_integral(
+    rows = forbidden_zone_integral(
         np.array([1.0]), 1.0, lambda xi: profile.im_inverse(epsilon * np.sqrt(xi)), quad
     )
-    row = _scaled_log(row, 2.0 * epsilon / consts.hbar)
-    if isinstance(row, ConvergenceError):
-        raise row
-    log_prob, err = row
+    (log_prob,), (err,), flagged = _log_columns(rows, 2.0 * epsilon / consts.hbar)
+    if flagged:
+        raise flagged[0]
     return ReflectionResult.from_log(
         epsilon * epsilon, log_prob, Method.ADIABATIC, err
     )
@@ -337,10 +336,15 @@ def _phase_table(
     return t, phase
 
 
+def _needed_steps(table: tuple[np.ndarray, np.ndarray], rel_tol: float) -> float:
+    """Steps the first, coarser run over ``table``'s span needs, before
+    ``_steps`` rounds it up and bounds it."""
+    return table[1][-1] * _PER_RADIAN * rel_tol**-0.25
+
+
 def _steps(table: tuple[np.ndarray, np.ndarray], rel_tol: float) -> int:
     """Steps of the first, coarser run over ``table``'s span."""
-    steps = math.ceil(table[1][-1] * _PER_RADIAN * rel_tol**-0.25)
-    return min(max(steps, _MIN_STEPS), _MAX_STEPS // 2)
+    return min(max(math.ceil(_needed_steps(table, rel_tol)), _MIN_STEPS), _MAX_STEPS // 2)
 
 
 def _propagator(

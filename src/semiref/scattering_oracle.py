@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, SemirefError
 from .potentials import PhysicalConstants, PotentialKind, PotentialModel, v
-from .wkb_reflection import Method, ReflectionResult, _reflections
+from .wkb_reflection import Method, ReflectionResult, _log_columns, _reflections
 
 __all__ = [
     "ScatteringGrid",
@@ -182,16 +182,16 @@ def numerov_reflection(
     far from their asymptotic regime for it to hold.
 
     ``E`` may be a scalar, which returns a ReflectionResult or raises, or a
-    sequence, which returns a list holding each energy's ReflectionResult
-    or SemirefError.  The energies are run together, one stacked product
+    sequence, which returns the Rows of its energies, each a
+    ReflectionResult or flagged with a SemirefError.  The energies are run together, one stacked product
     per shared grid; energies share a grid while none steps more than 2x
     finer than its own k needs.  ``grid`` fixes one grid for all of them.
     A shared grid steps as finely as its largest k needs, so a row's value
     depends, within its estimate, on the other energies of the call.
     """
     _check_flat_tailed(model)
-    return _reflections(E, Method.NUMEROV_ORACLE, lambda energies: [
-        _result(run) for run in _solve_all(model, energies, consts, grid)])
+    return _reflections(E, Method.NUMEROV_ORACLE, lambda energies: _log_columns(
+        [_result(run) for run in _solve_all(model, energies, consts, grid)]))
 
 
 def _unitarity_defect(

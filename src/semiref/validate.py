@@ -13,7 +13,7 @@ import numpy as np
 
 from . import landau_zener as lz
 from . import scattering_oracle as oracle
-from .errors import SemirefError
+from .errors import DomainError, SemirefError
 from .potentials import PhysicalConstants, PotentialModel
 from .specfun import elliptic_e, elliptic_k
 from .wkb_reflection import (
@@ -131,7 +131,9 @@ def _check_tdse_norm(consts, quad, rel_tol=1e-10):
     # It is held as the SU(2) pair (a, b) of its upper row and its lower row
     # is (-conj(b), conj(a)), so the drift is the rounding of the pair.  The
     # setup raises DomainError where double precision cannot hold the sweep,
-    # as in ``evolve_tdse``; a drift that is not finite fails.
+    # as in ``evolve_tdse``, or where a stretch needs as many steps as the
+    # cap ``_steps`` puts on them (at hbar = 1e-300 each needs ~1e300), so
+    # nothing is stepped; a drift that is not finite fails.
     profile = lz.CrossingProfile.linear(2.0)
     epsilon, hbar = 1.0, consts.hbar
     with lz._in_double_precision():
@@ -140,7 +142,12 @@ def _check_tdse_norm(consts, quad, rel_tol=1e-10):
         psi, _ = lz._edge_states(profile, epsilon, hbar, span[0])
         tables = [lz._phase_table(profile, epsilon, hbar, a, b)
                   for a, b in zip(t_eval, t_eval[1:])]
-        steps = [lz._steps(table, rel_tol) for table in tables]
+        need = max(lz._needed_steps(table, rel_tol) for table in tables)
+    cap = lz._MAX_STEPS // 2
+    if need > cap - 1:  # rounded up, the count reaches the cap
+        raise DomainError(
+            f"a stretch of the sweep needs {need:.3g} CF4 steps, at or past the cap of {cap}")
+    steps = [lz._steps(table, rel_tol) for table in tables]
     drifts = [abs(np.vdot(psi, psi).real - 1.0)]
     for table, n in zip(tables, steps):
         u_a, u_b = lz._propagator(profile, epsilon, hbar, table, n)

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -42,6 +43,7 @@ from .specfun import elliptic_b
 __all__ = [
     "Method",
     "ReflectionResult",
+    "Rows",
     "QuadratureSpec",
     "DEFAULT_QUADRATURE",
     "MAX_NODES",
@@ -100,18 +102,103 @@ class ReflectionResult:
         method: Method,
         err_estimate: float = 0.0,
     ) -> "ReflectionResult":
-        prob = math.exp(log_prob)
-        if prob == 0.0:
-            raise DomainError(
-                f"probability underflows double precision (log_prob={log_prob:.6g})"
-            )
-        return cls(
-            energy=float(energy),
-            log_prob=float(log_prob),
-            prob=prob,
-            method=Method(method),
-            err_estimate=float(err_estimate),
+        """The result of one row, or the DomainError that flags it: a
+        one-row ``Rows.from_logs``."""
+        rows = Rows.from_logs([energy], method, [log_prob], [err_estimate])
+        if rows.flagged:
+            raise rows.flagged[0]
+        return rows[0]
+
+
+def _flagged_logs(exc: SemirefError) -> tuple[float, float]:
+    """(log_prob, err_estimate) of a flagged row: a ConvergenceError's best
+    value and estimate, nan where it has none and for other errors."""
+    if isinstance(exc, ConvergenceError) and exc.best is not None:
+        return exc.best, math.nan if exc.err_estimate is None else exc.err_estimate
+    return math.nan, math.nan
+
+
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """The rows of one route call over a sequence of energies, as columns.
+
+    ``rows[i]``, iteration and ``len`` give each energy's ReflectionResult,
+    or the SemirefError in ``flagged`` that flags it.  A flagged row's
+    columns hold its best value and estimate on a ConvergenceError that
+    carries them, with ``prob`` exp(best) (nan where that underflows), and
+    nan otherwise.
+    """
+
+    energy: list
+    method: Method
+    log_prob: list
+    prob: list
+    err_estimate: list
+    flagged: dict  # row index -> SemirefError
+
+    @classmethod
+    def from_logs(
+        cls, energy, method: Method, log_prob, err_estimate, flagged=None,
+    ) -> "Rows":
+        """The rows of the columns ``log_prob`` and ``err_estimate``.  Each
+        row not in ``flagged`` (row index -> SemirefError, whose columns
+        hold what ``_flagged_logs`` gives) is checked: a probability that
+        underflows, a log_prob above 0 or nan, or an estimate below 0 or
+        nan flags the row with a DomainError."""
+        flagged = dict(flagged or {})
+        log_prob, err_estimate = list(log_prob), list(err_estimate)
+        # exp(min(l, 0)): a not-converged row's best value may lie above 0.
+        prob = list(map(math.exp, map(min, log_prob, repeat(0.0))))
+        for i, (lp, p, err) in enumerate(zip(log_prob, prob, err_estimate)):
+            if (p > 0.0 and lp <= 0.0 and err >= 0.0) or i in flagged:
+                continue
+            if p == 0.0:
+                why = f"probability underflows double precision (log_prob={lp:.6g})"
+            elif not lp <= 0.0:
+                why = f"log_prob must be <= 0, got {float(lp)!r}"
+            else:
+                why = "err_estimate must be non-negative"
+            flagged[i] = DomainError(why)
+            log_prob[i] = prob[i] = err_estimate[i] = math.nan
+        for i in flagged:
+            if not prob[i] > 0.0:
+                prob[i] = math.nan
+        return cls(list(energy), Method(method), log_prob, prob, err_estimate, flagged)
+
+    @classmethod
+    def pack(cls, outcomes, method: Method) -> "Rows":
+        """One record of a list of outcomes, each a ReflectionResult or
+        SemirefError."""
+        flagged = {i: r for i, r in enumerate(outcomes) if isinstance(r, SemirefError)}
+        energy, log_prob, err = [], [], []
+        for i, r in enumerate(outcomes):
+            if i in flagged:
+                lp, e = _flagged_logs(r)
+                energy.append(math.nan)
+            else:
+                lp, e = r.log_prob, r.err_estimate
+                energy.append(r.energy)
+            log_prob.append(lp)
+            err.append(e)
+        return cls.from_logs(energy, method, log_prob, err, flagged)
+
+    def __len__(self) -> int:
+        return len(self.log_prob)
+
+    def __getitem__(self, i: int):
+        i = range(len(self))[i]
+        if i in self.flagged:
+            return self.flagged[i]
+        return ReflectionResult(
+            energy=float(self.energy[i]),
+            log_prob=float(self.log_prob[i]),
+            prob=self.prob[i],
+            method=self.method,
+            err_estimate=float(self.err_estimate[i]),
         )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -251,56 +338,77 @@ def forbidden_zone_integral(
                          rows=len(col), select=select)
 
 
-def _scaled_log(outcome, scale: float):
-    """A quadrature outcome (value, err) as (-scale*value, scale*err); a
-    ConvergenceError as one with its best value and estimate scaled alike."""
-    if isinstance(outcome, ConvergenceError):
-        best = None if outcome.best is None else -scale * outcome.best
-        return ConvergenceError(
-            str(outcome), best=best, err_estimate=scale * outcome.err_estimate
-        )
-    value, err = outcome
-    return -scale * value, scale * err
+def _log_columns(outcomes, scale: float | None = None) -> tuple[list, list, dict]:
+    """The columns (log_prob, err, flagged) of per-row outcomes, each a pair
+    or a SemirefError, which is flagged (``_flagged_logs``).  Without a
+    scale a pair is (log_prob, err); with one, a quadrature outcome
+    (value, err) gives (-scale*value, scale*err) and a ConvergenceError's
+    best value and estimate are scaled alike."""
+    log_prob, err, flagged = [], [], {}
+    for i, r in enumerate(outcomes):
+        if isinstance(r, SemirefError):
+            if scale is not None and isinstance(r, ConvergenceError):
+                best = None if r.best is None else -scale * r.best
+                r = ConvergenceError(str(r), best=best, err_estimate=scale * r.err_estimate)
+            flagged[i] = r
+            value, e = _flagged_logs(r)
+        elif scale is None:
+            value, e = r
+        else:
+            value, e = -scale * r[0], scale * r[1]
+        log_prob.append(value)
+        err.append(e)
+    return log_prob, err, flagged
 
 
-def _outcomes(log_rows, energies: np.ndarray) -> list:
+def _outcomes(log_rows, energies: np.ndarray) -> tuple[list, list, dict]:
     """``log_rows(energies)``; if it raises, each energy runs alone, so an
     energy's outcome never depends on the energies beside it."""
     try:
         return log_rows(energies)
     except SemirefError as exc:
         if energies.size == 1:
-            return [exc]
-    return [r for E in energies for r in _outcomes(log_rows, np.array([E]))]
+            return _log_columns([exc])
+    log_prob, err, flagged = [], [], {}
+    for i in range(energies.size):
+        (value,), (e,), own = _outcomes(log_rows, energies[i : i + 1])
+        log_prob.append(value)
+        err.append(e)
+        flagged.update((i, exc) for exc in own.values())
+    return log_prob, err, flagged
 
 
 def _reflections(E, method: Method, log_rows):
     """The routes' contract: ``E`` a scalar returns a ReflectionResult or
-    raises; a sequence returns each energy's ReflectionResult or
-    SemirefError, in order.
+    raises; a sequence returns the Rows of its energies, in order, each a
+    ReflectionResult or flagged with a SemirefError.
 
-    ``log_rows`` maps an array of positive energies to one (log_prob, err)
-    or SemirefError each; all the energies of a call run in it together.
+    ``log_rows`` maps an array of positive energies to the columns
+    (log_prob, err, flagged) of ``_log_columns``; all the energies of a call
+    run in it together.
     """
     energies = np.atleast_1d(np.asarray(E, dtype=float))
-    out: list = [
-        None if e > 0.0 else DomainError("E must be positive for above-barrier reflection")
-        for e in energies.tolist()
-    ]
-    positive = [i for i, r in enumerate(out) if r is None]
-    if positive:
-        for i, r in zip(positive, _outcomes(log_rows, energies[positive])):
-            if not isinstance(r, SemirefError):
-                try:
-                    r = ReflectionResult.from_log(energies[i], r[0], method, r[1])
-                except SemirefError as exc:
-                    r = exc
-            out[i] = r
+    positive = energies > 0.0
+    if positive.all():
+        log_prob, err, flagged = _outcomes(log_rows, energies)
+    else:
+        log_prob, err = [math.nan] * energies.size, [math.nan] * energies.size
+        flagged = {
+            i: DomainError("E must be positive for above-barrier reflection")
+            for i in np.flatnonzero(~positive).tolist()
+        }
+        index = np.flatnonzero(positive).tolist()
+        if index:
+            values, errs, own = _outcomes(log_rows, energies[index])
+            for i, value, e in zip(index, values, errs):
+                log_prob[i], err[i] = value, e
+            flagged.update((index[k], exc) for k, exc in own.items())
+    rows = Rows.from_logs(energies.tolist(), method, log_prob, err, flagged)
     if np.ndim(E) != 0:
-        return out
-    if isinstance(out[0], SemirefError):
-        raise out[0]
-    return out[0]
+        return rows
+    if rows.flagged:
+        raise rows.flagged[0]
+    return rows[0]
 
 
 def reflection_momentum_space(
@@ -313,9 +421,9 @@ def reflection_momentum_space(
 
     On ConvergenceError the exception's ``best`` attribute carries the
     non-converged log-probability estimate.  ``E`` may be a scalar, which
-    returns a ReflectionResult or raises, or a sequence, which returns each
-    energy's ReflectionResult or SemirefError in order; the energies run as
-    the rows of one quadrature ladder.
+    returns a ReflectionResult or raises, or a sequence, which returns the
+    Rows of its energies in order; the energies run as the rows of one
+    quadrature ladder.
     """
     scale = 2.0 / consts.hbar
 
@@ -325,7 +433,7 @@ def reflection_momentum_space(
             p0 = np.sqrt(2.0 * consts.mass * energies)
         rows = forbidden_zone_integral(p0, 0.5 / consts.mass,
                                        lambda xi: im_v_inverse(model, xi), quad)
-        return [_scaled_log(r, scale) for r in rows]
+        return _log_columns(rows, scale)
 
     return _reflections(E, Method.MOMENTUM_QUADRATURE, log_rows)
 
@@ -362,11 +470,11 @@ def reflection_closed_form(model: PotentialModel, E, consts: PhysicalConstants):
     m = 1/(1+g) = E/(E+V0), evaluated as ``elliptic_b``: the two terms of
     the bracket are each about g pi/2 while their difference is about pi/4.
     ``E`` may be a scalar, which returns a ReflectionResult or raises, or a
-    sequence, which returns each energy's ReflectionResult or SemirefError
-    in order.
+    sequence, which returns the Rows of its energies in order.
     """
-    return _reflections(E, Method.CLOSED_FORM, lambda energies: [
-        (_closed_form_log(model, e, consts), 0.0) for e in energies.tolist()])
+    return _reflections(E, Method.CLOSED_FORM, lambda energies: (
+        [_closed_form_log(model, e, consts) for e in energies.tolist()],
+        [0.0] * energies.size, {}))
 
 
 def reflection_contour_ll(
@@ -382,8 +490,8 @@ def reflection_contour_ll(
     -(4/hbar) * integral_0^{y0} dy sqrt(2m(E - V(iy))) with y = y0 sin^2(phi)
     absorbing the square-root endpoint behaviour.  ``E`` may be a scalar,
     which returns a ReflectionResult or raises, or a sequence, which returns
-    each energy's ReflectionResult or SemirefError in order; the energies
-    run as the rows of one quadrature ladder.
+    the Rows of its energies in order; the energies run as the rows of one
+    quadrature ladder.
     """
     two_m = 2.0 * consts.mass
     scale = 4.0 / consts.hbar
@@ -406,7 +514,7 @@ def reflection_contour_ll(
 
         rows = gauss_refined(f, 0.0, 0.5 * math.pi, quad,
                              rows=energies.size, select=select)
-        return [_scaled_log(r, scale) for r in rows]
+        return _log_columns(rows, scale)
 
     return _reflections(E, Method.CONTOUR_LL, log_rows)
 

@@ -2,9 +2,11 @@
 
 ``benchmarks/test_benchmark.py`` lets a metric be ``null`` (a count whose
 source is gone); a consumer that wants a number per metric does not.  This
-runs the lz-sweep workload, the one whose TDSE oracle feeds a count that can
-go ``null``, and the oracle-check workload, whose Numerov metrics are split
-by barrier family, in both modes as a user would, in a child process.
+runs each workload in both modes as a user would, in a child process: the
+reflect-sweep workload, whose rows all go through the CLI's column writers;
+the lz-sweep workload, the one whose TDSE oracle feeds a count that can go
+``null``; and the oracle-check workload, whose Numerov metrics are split by
+barrier family.
 """
 
 import json
@@ -36,6 +38,11 @@ def _check_result_line(workload, trace):
         assert isinstance(value, (int, float)) and not isinstance(value, bool), name
         assert math.isfinite(value), name
     assert result["failed"] == 0 and result["correct"]
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_reflect_sweep_result_line_is_finite(trace):
+    _check_result_line("reflect-sweep", trace)
 
 
 @pytest.mark.parametrize("trace", ["0", "1"])

@@ -18,6 +18,7 @@ from semiref.cli import (
     main,
     parse_flat_config,
 )
+from semiref.errors import ConvergenceError
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -212,7 +213,6 @@ class TestFlaggedRows:
         # per row.  numerov flags E = 40; closed is made to fail at E = 14.
         import semiref.cli
         from semiref import ConvergenceError, PhysicalConstants, PotentialModel, numerov_reflection
-        from semiref.cli import _failed_row, _fmt
 
         closed = semiref.cli.reflection_closed_form
 
@@ -243,7 +243,7 @@ class TestFlaggedRows:
         ]
         assert lines[2] == "14,closed,-30,9.35762296884e-14,1"
         for E, res in zip(energies, results):
-            values = (_failed_row(res) if isinstance(res, Exception)
+            values = (_printed_flagged(res) if isinstance(res, Exception)
                       else (res.log_prob, res.prob, res.err_estimate))
             assert f"{_fmt(E)},numerov,{','.join(map(_fmt, values))}" in lines
         assert err.strip().splitlines() == [
@@ -492,7 +492,37 @@ def _json_dumps_rows(rows, columns):
     return json.dumps([dict(zip(columns, map(cell, row))) for row in rows], indent=2) + "\n"
 
 
-@pytest.mark.parametrize(
+def _fmt(value) -> str:
+    # The CSV writer's reference for one cell: strs as they are, floats at
+    # 12 significant digits.
+    if isinstance(value, str):
+        return value
+    if value != value:  # nan
+        return "nan"
+    return format(value, ".12g")
+
+
+def _printed_flagged(exc):
+    # (log_prob, prob, err_estimate) printed for a flagged row: the best
+    # value and its estimate on a ConvergenceError, prob nan where exp(best)
+    # underflows, and nan otherwise.
+    if isinstance(exc, ConvergenceError) and exc.best is not None:
+        err = math.nan if exc.err_estimate is None else exc.err_estimate
+        prob = math.exp(min(exc.best, 0.0))
+        return exc.best, prob if prob > 0.0 else math.nan, err
+    return math.nan, math.nan, math.nan
+
+
+def _csv_join_rows(rows, columns):
+    return "\n".join([",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]) + "\n"
+
+
+def _cells(rows, columns):
+    # The writers' input: one list per column.
+    return [list(column) for column in zip(*rows)] if rows else [[] for _ in columns]
+
+
+WRITER_CASES = pytest.mark.parametrize(
     "rows",
     [
         [],
@@ -505,17 +535,34 @@ def _json_dumps_rows(rows, columns):
     ],
     ids=["no rows", "one row", "nan inf strings"],
 )
+
+
+def _as_numpy(rows):
+    import numpy as np
+
+    return [tuple(np.float64(v) if isinstance(v, float) else v for v in row) for row in rows]
+
+
+@WRITER_CASES
 def test_json_writer_matches_json_dumps(rows):
     from semiref.cli import REFLECT_COLUMNS, rows_to_json
 
-    assert rows_to_json(rows, REFLECT_COLUMNS) == _json_dumps_rows(rows, REFLECT_COLUMNS)
+    cells = _cells(rows, REFLECT_COLUMNS)
+    assert rows_to_json(cells, REFLECT_COLUMNS) == _json_dumps_rows(rows, REFLECT_COLUMNS)
     if rows:
-        import numpy as np
+        cells = _cells(_as_numpy(rows), REFLECT_COLUMNS)
+        assert rows_to_json(cells, REFLECT_COLUMNS) == _json_dumps_rows(rows, REFLECT_COLUMNS)
 
-        as_numpy = [tuple(np.float64(v) if isinstance(v, float) else v for v in row)
-                    for row in rows]
-        assert rows_to_json(as_numpy, REFLECT_COLUMNS) == _json_dumps_rows(
-            rows, REFLECT_COLUMNS)
+
+@WRITER_CASES
+def test_csv_writer_matches_the_per_cell_join(rows):
+    from semiref.cli import REFLECT_COLUMNS, rows_to_csv
+
+    cells = _cells(rows, REFLECT_COLUMNS)
+    assert rows_to_csv(cells, REFLECT_COLUMNS) == _csv_join_rows(rows, REFLECT_COLUMNS)
+    if rows:
+        cells = _cells(_as_numpy(rows), REFLECT_COLUMNS)
+        assert rows_to_csv(cells, REFLECT_COLUMNS) == _csv_join_rows(rows, REFLECT_COLUMNS)
 
 
 class TestLz:
@@ -997,6 +1044,24 @@ class TestValidate:
         (res,) = [r for r in run_all() if r.name == "tdse_norm_conservation"]
         assert res.passed, res.detail
         assert len(calls) == 8
+
+    def test_tdse_norm_check_stops_at_the_step_cap_before_stepping(self, monkeypatch):
+        # At hbar = 1e-300 each stretch needs ~1e303 CF4 steps, past the
+        # cap: the check ends with a verdict naming the cap and steps nothing.
+        import semiref.landau_zener as lz
+        from semiref import PhysicalConstants
+        from semiref.validate import run_all
+
+        calls = []
+        propagator = lz._propagator
+        monkeypatch.setattr(
+            lz, "_propagator", lambda *a: calls.append(a) or propagator(*a))
+        (res,) = [r for r in run_all(PhysicalConstants(hbar=1e-300))
+                  if r.name == "tdse_norm_conservation"]
+        assert not res.passed
+        assert res.detail.startswith("error: a stretch of the sweep needs")
+        assert res.detail.endswith(f"at or past the cap of {lz._MAX_STEPS // 2}")
+        assert calls == []
 
     @pytest.mark.parametrize("mass", ["1e-300", "1e300"])
     @pytest.mark.parametrize("hbar", ["1e-300", "1e300"])

@@ -441,7 +441,7 @@ class TestNumerov:
         grid = default_grid(SECH2, 2.0, UNIT)
         batch = numerov_reflection(SECH2, energies, UNIT, grid)
         singles = [numerov_reflection(SECH2, E, UNIT, grid) for E in energies]
-        assert batch == singles
+        assert list(batch) == singles
         # Default grids: each energy alone gets its own step, the batch the
         # step of its largest k; they agree within their estimates.
         batch = numerov_reflection(SECH2, energies, UNIT)

@@ -14,10 +14,13 @@ from semiref import (
     PotentialModel,
     QuadratureSpec,
     ReflectionResult,
+    Rows,
+    default_grid,
     elliptic_e,
     elliptic_k,
     im_v_inverse,
     low_energy_effective_omega,
+    numerov_reflection,
     reflection_closed_form,
     reflection_contour_ll,
     reflection_momentum_space,
@@ -394,6 +397,70 @@ class TestSequenceContract:
         monkeypatch.setattr(wkb_reflection, "gauss_refined", counting)
         route(SECH2, list(np.geomspace(0.1, 100.0, 9)), UNIT)
         assert calls == [9]
+
+
+def _printed(outcome):
+    """(log_prob, prob, err_estimate) the CLI prints for an outcome: a
+    flagged row's best value and estimate on a ConvergenceError, prob nan
+    where exp(best) underflows, and nan otherwise."""
+    if isinstance(outcome, ConvergenceError) and outcome.best is not None:
+        prob = math.exp(min(outcome.best, 0.0))
+        err = math.nan if outcome.err_estimate is None else outcome.err_estimate
+        return outcome.best, prob if prob > 0.0 else math.nan, err
+    if isinstance(outcome, SemirefError):
+        return math.nan, math.nan, math.nan
+    return outcome.log_prob, outcome.prob, outcome.err_estimate
+
+
+# Ordinary energies, E = 0 and E = -1, and inverse_ho's E = 200, where
+# exp(-2 pi E) underflows; a single quadrature level flags every row it
+# runs as not converged.
+HO_ENERGIES = [0.5, 2.0, 0.0, 200.0, -1.0, 7.0]
+ONE_LEVEL = QuadratureSpec(refinement_levels=1)
+NUMEROV_MODEL = PotentialModel.sech2(10.0, 2.0)
+# Numerov flags E = 40 as not converged; one fixed grid for the batch and
+# the scalar calls, since a batch's shared grid depends on its energies.
+NUMEROV_GRID = default_grid(NUMEROV_MODEL, 40.0, UNIT)
+
+
+@pytest.mark.parametrize(
+    "route, model, energies, expected",
+    [
+        (lambda m, E, c: reflection_closed_form(m, E, c), HO, HO_ENERGIES,
+         {"ReflectionResult", "DomainError"}),
+        *(
+            (lambda m, E, c, r=route, q=quad: r(m, E, c, q), HO, HO_ENERGIES, kinds)
+            for route in (reflection_contour_ll, reflection_momentum_space)
+            for quad, kinds in (
+                (wkb_reflection.DEFAULT_QUADRATURE, {"ReflectionResult", "DomainError"}),
+                (ONE_LEVEL, {"ConvergenceError", "DomainError"}),
+            )
+        ),
+        (lambda m, E, c: numerov_reflection(m, E, c, NUMEROV_GRID), NUMEROV_MODEL,
+         [1.0, 14.0, 0.0, 40.0, -1.0, 2.0],
+         {"ReflectionResult", "DomainError", "ConvergenceError"}),
+    ],
+    ids=["closed", "contour", "contour-one-level", "momentum", "momentum-one-level",
+         "numerov"],
+)
+def test_rows_match_the_scalar_calls(route, model, energies, expected):
+    rows = route(model, energies, UNIT)
+    assert isinstance(rows, Rows)
+    assert len(rows) == len(energies)
+    kinds = set()
+    for i, (E, got) in enumerate(zip(energies, rows)):
+        want = _scalar_outcome(route, model, E, UNIT)
+        _same_outcome(rows[i], want)
+        _same_outcome(got, want)
+        printed = (rows.log_prob[i], rows.prob[i], rows.err_estimate[i])
+        assert repr(printed) == repr(_printed(want))
+        kinds.add(type(want).__name__)
+    assert kinds == expected
+    _same_outcome(rows[-1], rows[len(rows) - 1])
+    assert set(rows.flagged) == {
+        i for i, r in enumerate(rows) if isinstance(r, SemirefError)}
+    if model is HO and "ReflectionResult" in expected:
+        assert str(rows[3]).startswith("probability underflows double precision")
 
 
 class TestGaussRefined:
