@@ -159,7 +159,7 @@ def run_rows(
         print(f"warning: {methods[j]} failed at {where}: {records[j].flagged[i]}",
               file=sys.stderr)
     k = len(methods)
-    cells = [_interleaved([list(c)] * k) for c in columns]
+    cells = [_interleaved([c] * k) for c in columns]
     cells.append(list(methods) * len(points))
     cells += [_interleaved([getattr(rec, name) for rec in records])
               for name in ("log_prob", "prob", "err_estimate")]

@@ -104,7 +104,7 @@ class ReflectionResult:
     ) -> "ReflectionResult":
         """The result of one row, or the DomainError that flags it: a
         one-row ``Rows.from_logs``."""
-        rows = Rows.from_logs([energy], method, [log_prob], [err_estimate])
+        rows = Rows.from_logs([energy], Method(method), [log_prob], [err_estimate])
         if rows.flagged:
             raise rows.flagged[0]
         return rows[0]
@@ -118,7 +118,7 @@ def _flagged_logs(exc: SemirefError) -> tuple[float, float]:
     return math.nan, math.nan
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Rows:
     """The rows of one route call over a sequence of energies, as columns.
 
@@ -163,23 +163,22 @@ class Rows:
         for i in flagged:
             if not prob[i] > 0.0:
                 prob[i] = math.nan
-        return cls(list(energy), Method(method), log_prob, prob, err_estimate, flagged)
+        return cls(list(energy), method, log_prob, prob, err_estimate, flagged)
 
     @classmethod
     def pack(cls, outcomes, method: Method) -> "Rows":
         """One record of a list of outcomes, each a ReflectionResult or
         SemirefError."""
-        flagged = {i: r for i, r in enumerate(outcomes) if isinstance(r, SemirefError)}
-        energy, log_prob, err = [], [], []
+        energy, log_prob, err, flagged = [], [], [], {}
         for i, r in enumerate(outcomes):
-            if i in flagged:
-                lp, e = _flagged_logs(r)
-                energy.append(math.nan)
+            if isinstance(r, SemirefError):
+                flagged[i] = r
+                e, (lp, de) = math.nan, _flagged_logs(r)
             else:
-                lp, e = r.log_prob, r.err_estimate
-                energy.append(r.energy)
+                e, lp, de = r.energy, r.log_prob, r.err_estimate
+            energy.append(e)
             log_prob.append(lp)
-            err.append(e)
+            err.append(de)
         return cls.from_logs(energy, method, log_prob, err, flagged)
 
     def __len__(self) -> int:
