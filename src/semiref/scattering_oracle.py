@@ -185,7 +185,8 @@ def numerov_reflection(
     sequence, which returns the Rows of its energies, each a
     ReflectionResult or flagged with a SemirefError.  The energies are run
     together, one stacked product per shared grid; energies share a grid
-    while none steps more than 2x finer than its own k needs.  ``grid`` fixes one grid for all of them.
+    while none steps more than 2x finer than its own k needs.  ``grid``
+    fixes one grid for all of them.
     A shared grid steps as finely as its largest k needs, so a row's value
     depends, within its estimate, on the other energies of the call.
     """

@@ -102,12 +102,20 @@ class ReflectionResult:
         method: Method,
         err_estimate: float = 0.0,
     ) -> "ReflectionResult":
-        """The result of one row, or the DomainError that flags it: a
-        one-row ``Rows.from_logs``."""
-        rows = Rows.from_logs([energy], Method(method), [log_prob], [err_estimate])
-        if rows.flagged:
-            raise rows.flagged[0]
-        return rows[0]
+        # exp(min(l, 0)): a log_prob above 0 is flagged by __post_init__,
+        # even where exp(log_prob) would overflow.
+        prob = math.exp(min(log_prob, 0.0))
+        if prob == 0.0:
+            raise DomainError(
+                f"probability underflows double precision (log_prob={log_prob:.6g})"
+            )
+        return cls(
+            energy=float(energy),
+            log_prob=float(log_prob),
+            prob=prob,
+            method=Method(method),
+            err_estimate=float(err_estimate),
+        )
 
 
 def _flagged_logs(exc: SemirefError) -> tuple[float, float]:
@@ -123,10 +131,11 @@ class Rows:
     """The rows of one route call over a sequence of energies, as columns.
 
     ``rows[i]``, iteration and ``len`` give each energy's ReflectionResult,
-    or the SemirefError in ``flagged`` that flags it.  A flagged row's
-    columns hold its best value and estimate on a ConvergenceError that
-    carries them, with ``prob`` exp(best) (nan where that underflows), and
-    nan otherwise.
+    or the SemirefError in ``flagged`` that flags it; a slice gives a list
+    of them.  A Rows is not a list: ``==`` compares identity.  A flagged
+    row's columns hold its best value and estimate on a ConvergenceError
+    that carries them, with ``prob`` exp(best) (nan where that underflows),
+    and nan otherwise.
     """
 
     energy: list
@@ -167,24 +176,29 @@ class Rows:
 
     @classmethod
     def pack(cls, outcomes, method: Method) -> "Rows":
-        """One record of a list of outcomes, each a ReflectionResult or
-        SemirefError."""
-        energy, log_prob, err, flagged = [], [], [], {}
+        """One record of a list of outcomes, each a ReflectionResult, whose
+        fields are its columns as it checked them, or a SemirefError."""
+        energy, log_prob, prob, err, flagged = [], [], [], [], {}
         for i, r in enumerate(outcomes):
             if isinstance(r, SemirefError):
                 flagged[i] = r
-                e, (lp, de) = math.nan, _flagged_logs(r)
+                lp, de = _flagged_logs(r)
+                p = math.exp(min(lp, 0.0))
+                e, p = math.nan, p if p > 0.0 else math.nan
             else:
-                e, lp, de = r.energy, r.log_prob, r.err_estimate
+                e, lp, p, de = r.energy, r.log_prob, r.prob, r.err_estimate
             energy.append(e)
             log_prob.append(lp)
+            prob.append(p)
             err.append(de)
-        return cls.from_logs(energy, method, log_prob, err, flagged)
+        return cls(energy, method, log_prob, prob, err, flagged)
 
     def __len__(self) -> int:
         return len(self.log_prob)
 
-    def __getitem__(self, i: int):
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(self.__getitem__, range(len(self))[i]))
         i = range(len(self))[i]
         if i in self.flagged:
             return self.flagged[i]
@@ -388,20 +402,17 @@ def _reflections(E, method: Method, log_rows):
     """
     energies = np.atleast_1d(np.asarray(E, dtype=float))
     positive = energies > 0.0
-    if positive.all():
-        log_prob, err, flagged = _outcomes(log_rows, energies)
-    else:
-        log_prob, err = [math.nan] * energies.size, [math.nan] * energies.size
-        flagged = {
-            i: DomainError("E must be positive for above-barrier reflection")
-            for i in np.flatnonzero(~positive).tolist()
-        }
-        index = np.flatnonzero(positive).tolist()
-        if index:
-            values, errs, own = _outcomes(log_rows, energies[index])
-            for i, value, e in zip(index, values, errs):
-                log_prob[i], err[i] = value, e
-            flagged.update((index[k], exc) for k, exc in own.items())
+    log_prob, err = [math.nan] * energies.size, [math.nan] * energies.size
+    flagged = {
+        i: DomainError("E must be positive for above-barrier reflection")
+        for i in np.flatnonzero(~positive).tolist()
+    }
+    index = np.flatnonzero(positive).tolist()
+    if index:
+        values, errs, own = _outcomes(log_rows, energies[index])
+        for i, value, e in zip(index, values, errs):
+            log_prob[i], err[i] = value, e
+        flagged.update((index[k], exc) for k, exc in own.items())
     rows = Rows.from_logs(energies.tolist(), method, log_prob, err, flagged)
     if np.ndim(E) != 0:
         return rows

@@ -18,7 +18,7 @@ from semiref.cli import (
     main,
     parse_flat_config,
 )
-from semiref.errors import ConvergenceError
+from test_wkb_reflection import _printed
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -243,9 +243,7 @@ class TestFlaggedRows:
         ]
         assert lines[2] == "14,closed,-30,9.35762296884e-14,1"
         for E, res in zip(energies, results):
-            values = (_printed_flagged(res) if isinstance(res, Exception)
-                      else (res.log_prob, res.prob, res.err_estimate))
-            assert f"{_fmt(E)},numerov,{','.join(map(_fmt, values))}" in lines
+            assert f"{_fmt(E)},numerov,{','.join(map(_fmt, _printed(res)))}" in lines
         assert err.strip().splitlines() == [
             "warning: closed failed at E=14: closed form made to fail",
             f"warning: numerov failed at E=40: {results[3]}",
@@ -500,17 +498,6 @@ def _fmt(value) -> str:
     if value != value:  # nan
         return "nan"
     return format(value, ".12g")
-
-
-def _printed_flagged(exc):
-    # (log_prob, prob, err_estimate) printed for a flagged row: the best
-    # value and its estimate on a ConvergenceError, prob nan where exp(best)
-    # underflows, and nan otherwise.
-    if isinstance(exc, ConvergenceError) and exc.best is not None:
-        err = math.nan if exc.err_estimate is None else exc.err_estimate
-        prob = math.exp(min(exc.best, 0.0))
-        return exc.best, prob if prob > 0.0 else math.nan, err
-    return math.nan, math.nan, math.nan
 
 
 def _csv_join_rows(rows, columns):

@@ -49,6 +49,9 @@ class TestResultAndSpec:
     def test_positive_log_rejected(self):
         with pytest.raises(DomainError):
             ReflectionResult.from_log(1.0, 0.1, Method.CLOSED_FORM)
+        # Past exp's range the row is flagged the same way, not overflowed.
+        with pytest.raises(DomainError, match="log_prob must be <= 0, got 800.0"):
+            ReflectionResult.from_log(1.0, 800.0, Method.CLOSED_FORM)
 
     def test_quadrature_spec_validation(self):
         with pytest.raises(DomainError):
@@ -457,6 +460,10 @@ def test_rows_match_the_scalar_calls(route, model, energies, expected):
         kinds.add(type(want).__name__)
     assert kinds == expected
     _same_outcome(rows[-1], rows[len(rows) - 1])
+    sliced = rows[1::2]
+    assert isinstance(sliced, list) and len(sliced) == len(range(1, len(rows), 2))
+    for got, want in zip(sliced, list(rows)[1::2]):
+        _same_outcome(got, want)
     assert set(rows.flagged) == {
         i for i, r in enumerate(rows) if isinstance(r, SemirefError)}
     if model is HO and "ReflectionResult" in expected:
