@@ -102,9 +102,9 @@ class ReflectionResult:
         method: Method,
         err_estimate: float = 0.0,
     ) -> "ReflectionResult":
-        # exp(min(l, 0)): a log_prob above 0 is flagged by __post_init__,
-        # even where exp(log_prob) would overflow.
-        prob = math.exp(min(log_prob, 0.0))
+        # A log_prob above 0 or nan is flagged by __post_init__, also where
+        # exp(log_prob) would overflow.
+        prob = math.exp(log_prob) if log_prob <= 0.0 else 1.0
         if prob == 0.0:
             raise DomainError(
                 f"probability underflows double precision (log_prob={log_prob:.6g})"
