@@ -83,27 +83,31 @@ def _profile(args, scale: float) -> lz.CrossingProfile:
     return lz.CrossingProfile.tanh(scale, args.esat)
 
 
-def _outcome(route, *args):
-    """``route(*args)``, or the SemirefError it raised."""
-    try:
-        return route(*args)
-    except SemirefError as exc:
-        return exc
-
-
-def _each(route):
-    """A route over all points from one that takes a single point."""
-    return lambda args, *columns: [_outcome(route, args, *point) for point in zip(*columns)]
+def _each(route, method: Method):
+    """A route over all points, whose Rows it returns, from one that takes
+    a single point and returns its ReflectionResult or raises."""
+    def rows(args, *columns) -> Rows:
+        energy, outcomes = [], []
+        for point in zip(*columns):
+            try:
+                r = route(args, *point)
+            except SemirefError as exc:
+                energy.append(math.nan)
+                outcomes.append(exc)
+            else:
+                energy.append(r.energy)
+                outcomes.append((r.log_prob, r.err_estimate))
+        return Rows.from_outcomes(energy, method, outcomes)
+    return rows
 
 
 # Each command's routes, by method name: (args, *columns) -> the Rows of
-# the points, or a list of one ReflectionResult or SemirefError per point,
-# where ``args`` is the parsed command line with the objects its builder
-# made from it, and the columns hold the points' coordinates, one sequence
-# per label.  An entry looks its route up when called (a module global or
-# ``lz.<name>``), so a wrapper bound over that name later is what runs.
-# Every ``reflect`` route takes all the energies of an invocation in one
-# call.
+# the points, where ``args`` is the parsed command line with the objects
+# its builder made from it, and the columns hold the points' coordinates,
+# one sequence per label.  An entry looks its route up when called (a
+# module global or ``lz.<name>``), so a wrapper bound over that name later
+# is what runs.  Every ``reflect`` route takes all the energies of an
+# invocation in one call.
 REFLECT_METHODS = {
     "closed": lambda args, E: reflection_closed_form(args.potential, E, args.constants),
     "contour": lambda args, E: reflection_contour_ll(
@@ -114,19 +118,14 @@ REFLECT_METHODS = {
 }
 LZ_METHODS = {
     "adiabatic": _each(lambda args, scale, eps: lz.adiabatic_reflection(
-        _profile(args, scale), lz.CouplingSpec(eps), args.constants, args.quadrature)),
+        _profile(args, scale), lz.CouplingSpec(eps), args.constants, args.quadrature),
+        Method.ADIABATIC),
     "closed": _each(lambda args, scale, eps: lz.lz_closed_form(
-        scale, lz.CouplingSpec(eps), args.constants)),
+        scale, lz.CouplingSpec(eps), args.constants), Method.CLOSED_FORM),
     "tdse": _each(lambda args, scale, eps: lz.evolve_tdse(
         _profile(args, scale), lz.CouplingSpec(eps), args.constants,
-        rel_tol=args.tdse_rtol)),
+        rel_tol=args.tdse_rtol), Method.TDSE),
 }
-
-
-def _as_rows(outcomes, method: str) -> Rows:
-    """A table entry's result as one Rows record: a Rows as it is, a list
-    of outcomes (``_each``, or a wrapper that returns one) packed into one."""
-    return outcomes if isinstance(outcomes, Rows) else Rows.pack(outcomes, Method(method))
 
 
 def _interleaved(columns: list[list]) -> list:
@@ -152,7 +151,7 @@ def run_rows(
     and the number of rows flagged.
     """
     columns = list(zip(*points))
-    records = [_as_rows(table[method](args, *columns), method) for method in methods]
+    records = [table[method](args, *columns) for method in methods]
     failed = sorted((i, j) for j, rec in enumerate(records) for i in rec.flagged)
     for i, j in failed:
         where = ", ".join(f"{k}={v:g}" for k, v in zip(labels, points[i]))

@@ -43,7 +43,7 @@ from .wkb_reflection import (
     Method,
     QuadratureSpec,
     ReflectionResult,
-    _log_columns,
+    _scaled,
     forbidden_zone_integral,
 )
 
@@ -188,9 +188,10 @@ def adiabatic_reflection(
     rows = forbidden_zone_integral(
         np.array([1.0]), 1.0, lambda xi: profile.im_inverse(epsilon * np.sqrt(xi)), quad
     )
-    (log_prob,), (err,), flagged = _log_columns(rows, 2.0 * epsilon / consts.hbar)
-    if flagged:
-        raise flagged[0]
+    (row,) = _scaled(rows, 2.0 * epsilon / consts.hbar)
+    if isinstance(row, ConvergenceError):
+        raise row
+    log_prob, err = row
     return ReflectionResult.from_log(
         epsilon * epsilon, log_prob, Method.ADIABATIC, err
     )

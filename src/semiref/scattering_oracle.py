@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, SemirefError
 from .potentials import PhysicalConstants, PotentialKind, PotentialModel, v
-from .wkb_reflection import Method, ReflectionResult, _log_columns, _reflections
+from .wkb_reflection import Method, ReflectionResult, _reflections
 
 __all__ = [
     "ScatteringGrid",
@@ -191,8 +191,8 @@ def numerov_reflection(
     depends, within its estimate, on the other energies of the call.
     """
     _check_flat_tailed(model)
-    return _reflections(E, Method.NUMEROV_ORACLE, lambda energies: _log_columns(
-        [_result(run) for run in _solve_all(model, energies, consts, grid)]))
+    return _reflections(E, Method.NUMEROV_ORACLE, lambda energies: [
+        _result(run) for run in _solve_all(model, energies, consts, grid)])
 
 
 def _unitarity_defect(

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -118,14 +117,6 @@ class ReflectionResult:
         )
 
 
-def _flagged_logs(exc: SemirefError) -> tuple[float, float]:
-    """(log_prob, err_estimate) of a flagged row: a ConvergenceError's best
-    value and estimate, nan where it has none and for other errors."""
-    if isinstance(exc, ConvergenceError) and exc.best is not None:
-        return exc.best, math.nan if exc.err_estimate is None else exc.err_estimate
-    return math.nan, math.nan
-
-
 @dataclass(eq=False, slots=True)
 class Rows:
     """The rows of one route call over a sequence of energies, as columns.
@@ -146,52 +137,41 @@ class Rows:
     flagged: dict  # row index -> SemirefError
 
     @classmethod
-    def from_logs(
-        cls, energy, method: Method, log_prob, err_estimate, flagged=None,
-    ) -> "Rows":
-        """The rows of the columns ``log_prob`` and ``err_estimate``.  Each
-        row not in ``flagged`` (row index -> SemirefError, whose columns
-        hold what ``_flagged_logs`` gives) is checked: a probability that
-        underflows, a log_prob above 0 or nan, or an estimate below 0 or
-        nan flags the row with a DomainError."""
-        flagged = dict(flagged or {})
-        log_prob, err_estimate = list(log_prob), list(err_estimate)
-        # exp(min(l, 0)): a not-converged row's best value may lie above 0.
-        prob = list(map(math.exp, map(min, log_prob, repeat(0.0))))
-        for i, (lp, p, err) in enumerate(zip(log_prob, prob, err_estimate)):
-            if (p > 0.0 and lp <= 0.0 and err >= 0.0) or i in flagged:
-                continue
-            if p == 0.0:
-                why = f"probability underflows double precision (log_prob={lp:.6g})"
-            elif not lp <= 0.0:
-                why = f"log_prob must be <= 0, got {float(lp)!r}"
-            else:
-                why = "err_estimate must be non-negative"
-            flagged[i] = DomainError(why)
-            log_prob[i] = prob[i] = err_estimate[i] = math.nan
-        for i in flagged:
-            if not prob[i] > 0.0:
-                prob[i] = math.nan
-        return cls(list(energy), method, log_prob, prob, err_estimate, flagged)
-
-    @classmethod
-    def pack(cls, outcomes, method: Method) -> "Rows":
-        """One record of a list of outcomes, each a ReflectionResult, whose
-        fields are its columns as it checked them, or a SemirefError."""
-        energy, log_prob, prob, err, flagged = [], [], [], [], {}
+    def from_outcomes(cls, energy, method: Method, outcomes) -> "Rows":
+        """The rows of ``outcomes``, one per energy, each a (log_prob,
+        err_estimate) pair or the SemirefError that flags the row.  A pair
+        is checked as ``ReflectionResult.from_log`` checks it: a probability
+        that underflows, a log_prob above 0 or nan, or an estimate below 0
+        or nan flags the row with a DomainError, whose columns are nan."""
+        log_prob, prob, err, flagged = [], [], [], {}
         for i, r in enumerate(outcomes):
-            if isinstance(r, SemirefError):
-                flagged[i] = r
-                lp, de = _flagged_logs(r)
-                p = math.exp(min(lp, 0.0))
-                e, p = math.nan, p if p > 0.0 else math.nan
-            else:
-                e, lp, p, de = r.energy, r.log_prob, r.prob, r.err_estimate
-            energy.append(e)
+            if not isinstance(r, SemirefError):
+                lp, e = r
+                p = math.exp(lp) if lp <= 0.0 else 1.0
+                if p > 0.0 and lp <= 0.0 and e >= 0.0:
+                    log_prob.append(lp)
+                    prob.append(p)
+                    err.append(e)
+                    continue
+                if p == 0.0:
+                    r = DomainError(
+                        f"probability underflows double precision (log_prob={lp:.6g})")
+                elif not lp <= 0.0:
+                    r = DomainError(f"log_prob must be <= 0, got {float(lp)!r}")
+                else:
+                    r = DomainError("err_estimate must be non-negative")
+            flagged[i] = r
+            lp = p = e = math.nan
+            if isinstance(r, ConvergenceError) and r.best is not None:
+                lp = r.best
+                # A not-converged row's best may lie above 0; nan where exp underflows.
+                p = math.exp(min(lp, 0.0)) or math.nan
+                if r.err_estimate is not None:
+                    e = r.err_estimate
             log_prob.append(lp)
             prob.append(p)
-            err.append(de)
-        return cls(energy, method, log_prob, prob, err, flagged)
+            err.append(e)
+        return cls(list(energy), method, log_prob, prob, err, flagged)
 
     def __len__(self) -> int:
         return len(self.log_prob)
@@ -351,44 +331,26 @@ def forbidden_zone_integral(
                          rows=len(col), select=select)
 
 
-def _log_columns(outcomes, scale: float | None = None) -> tuple[list, list, dict]:
-    """The columns (log_prob, err, flagged) of per-row outcomes, each a pair
-    or a SemirefError, which is flagged (``_flagged_logs``).  Without a
-    scale a pair is (log_prob, err); with one, a quadrature outcome
-    (value, err) gives (-scale*value, scale*err) and a ConvergenceError's
-    best value and estimate are scaled alike."""
-    log_prob, err, flagged = [], [], {}
-    for i, r in enumerate(outcomes):
-        if isinstance(r, SemirefError):
-            if scale is not None and isinstance(r, ConvergenceError):
-                best = None if r.best is None else -scale * r.best
-                r = ConvergenceError(str(r), best=best, err_estimate=scale * r.err_estimate)
-            flagged[i] = r
-            value, e = _flagged_logs(r)
-        elif scale is None:
-            value, e = r
-        else:
-            value, e = -scale * r[0], scale * r[1]
-        log_prob.append(value)
-        err.append(e)
-    return log_prob, err, flagged
+def _scaled(outcomes, scale: float) -> list:
+    """``gauss_refined`` outcomes as log_prob outcomes: (value, err) gives
+    (-scale*value, scale*err), and a ConvergenceError's best value and
+    estimate are scaled alike."""
+    return [
+        ConvergenceError(str(r), best=-scale * r.best, err_estimate=scale * r.err_estimate)
+        if isinstance(r, ConvergenceError) else (-scale * r[0], scale * r[1])
+        for r in outcomes
+    ]
 
 
-def _outcomes(log_rows, energies: np.ndarray) -> tuple[list, list, dict]:
+def _outcomes(log_rows, energies: np.ndarray) -> list:
     """``log_rows(energies)``; if it raises, each energy runs alone, so an
     energy's outcome never depends on the energies beside it."""
     try:
         return log_rows(energies)
     except SemirefError as exc:
         if energies.size == 1:
-            return _log_columns([exc])
-    log_prob, err, flagged = [], [], {}
-    for i in range(energies.size):
-        (value,), (e,), own = _outcomes(log_rows, energies[i : i + 1])
-        log_prob.append(value)
-        err.append(e)
-        flagged.update((i, exc) for exc in own.values())
-    return log_prob, err, flagged
+            return [exc]
+    return [_outcomes(log_rows, energies[i : i + 1])[0] for i in range(energies.size)]
 
 
 def _reflections(E, method: Method, log_rows):
@@ -396,24 +358,19 @@ def _reflections(E, method: Method, log_rows):
     raises; a sequence returns the Rows of its energies, in order, each a
     ReflectionResult or flagged with a SemirefError.
 
-    ``log_rows`` maps an array of positive energies to the columns
-    (log_prob, err, flagged) of ``_log_columns``; all the energies of a call
-    run in it together.
+    ``log_rows`` maps an array of positive energies to their outcomes, each
+    a (log_prob, err_estimate) pair or a SemirefError; all the energies of
+    a call run in it together.
     """
     energies = np.atleast_1d(np.asarray(E, dtype=float))
-    positive = energies > 0.0
-    log_prob, err = [math.nan] * energies.size, [math.nan] * energies.size
-    flagged = {
-        i: DomainError("E must be positive for above-barrier reflection")
-        for i in np.flatnonzero(~positive).tolist()
-    }
-    index = np.flatnonzero(positive).tolist()
+    positive = (energies > 0.0).tolist()
+    outcomes = [None if ok else DomainError("E must be positive for above-barrier reflection")
+                for ok in positive]
+    index = [i for i, ok in enumerate(positive) if ok]
     if index:
-        values, errs, own = _outcomes(log_rows, energies[index])
-        for i, value, e in zip(index, values, errs):
-            log_prob[i], err[i] = value, e
-        flagged.update((index[k], exc) for k, exc in own.items())
-    rows = Rows.from_logs(energies.tolist(), method, log_prob, err, flagged)
+        for i, r in zip(index, _outcomes(log_rows, energies[index])):
+            outcomes[i] = r
+    rows = Rows.from_outcomes(energies.tolist(), method, outcomes)
     if np.ndim(E) != 0:
         return rows
     if rows.flagged:
@@ -443,7 +400,7 @@ def reflection_momentum_space(
             p0 = np.sqrt(2.0 * consts.mass * energies)
         rows = forbidden_zone_integral(p0, 0.5 / consts.mass,
                                        lambda xi: im_v_inverse(model, xi), quad)
-        return _log_columns(rows, scale)
+        return _scaled(rows, scale)
 
     return _reflections(E, Method.MOMENTUM_QUADRATURE, log_rows)
 
@@ -482,9 +439,8 @@ def reflection_closed_form(model: PotentialModel, E, consts: PhysicalConstants):
     ``E`` may be a scalar, which returns a ReflectionResult or raises, or a
     sequence, which returns the Rows of its energies in order.
     """
-    return _reflections(E, Method.CLOSED_FORM, lambda energies: (
-        [_closed_form_log(model, e, consts) for e in energies.tolist()],
-        [0.0] * energies.size, {}))
+    return _reflections(E, Method.CLOSED_FORM, lambda energies: [
+        (_closed_form_log(model, e, consts), 0.0) for e in energies.tolist()])
 
 
 def reflection_contour_ll(
@@ -524,7 +480,7 @@ def reflection_contour_ll(
 
         rows = gauss_refined(f, 0.0, 0.5 * math.pi, quad,
                              rows=energies.size, select=select)
-        return _log_columns(rows, scale)
+        return _scaled(rows, scale)
 
     return _reflections(E, Method.CONTOUR_LL, log_rows)
 

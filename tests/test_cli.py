@@ -10,15 +10,19 @@ from pathlib import Path
 
 import pytest
 
+from semiref import Rows, SemirefError
+from semiref import landau_zener as lz
 from semiref.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    LZ_METHODS,
+    _build_lz_config,
     build_parser,
     main,
     parse_flat_config,
 )
-from test_wkb_reflection import _printed
+from test_wkb_reflection import _printed, _same_outcome
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -212,16 +216,18 @@ class TestFlaggedRows:
         # still come point by point, then by method name, as from one call
         # per row.  numerov flags E = 40; closed is made to fail at E = 14.
         import semiref.cli
-        from semiref import ConvergenceError, PhysicalConstants, PotentialModel, numerov_reflection
+        from semiref import (
+            ConvergenceError, PhysicalConstants, PotentialModel, Rows, numerov_reflection)
 
         closed = semiref.cli.reflection_closed_form
 
         def failing_at_14(model, energies, consts):
-            return [
+            rows = closed(model, energies, consts)
+            return Rows.from_outcomes(energies, rows.method, [
                 ConvergenceError("closed form made to fail", best=-30.0, err_estimate=1.0)
-                if E == 14.0 else res
-                for E, res in zip(energies, closed(model, energies, consts))
-            ]
+                if E == 14.0 else (res.log_prob, res.err_estimate)
+                for E, res in zip(energies, rows)
+            ])
 
         monkeypatch.setattr(semiref.cli, "reflection_closed_form", failing_at_14)
         energies = [1.0, 14.0, 27.0, 40.0]
@@ -1071,6 +1077,66 @@ class TestValidate:
         code, out, _ = run_cli(["validate", "--hbar", "0.5"], capsys)
         assert code == EXIT_OK
         assert "PASS hbar_scaling" in out
+
+
+def _lz_profile(args, scale):
+    if args.profile == "linear":
+        return lz.CrossingProfile.linear(scale)
+    return lz.CrossingProfile.tanh(scale, args.esat)
+
+
+# Each lz route called on one point, as a library user calls it.
+_LZ_SCALAR = {
+    "adiabatic": lambda args, scale, eps: lz.adiabatic_reflection(
+        _lz_profile(args, scale), lz.CouplingSpec(eps), args.constants, args.quadrature),
+    "closed": lambda args, scale, eps: lz.lz_closed_form(
+        scale, lz.CouplingSpec(eps), args.constants),
+    "tdse": lambda args, scale, eps: lz.evolve_tdse(
+        _lz_profile(args, scale), lz.CouplingSpec(eps), args.constants,
+        rel_tol=args.tdse_rtol),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # tdse flags both points; one quadrature level flags adiabatic.
+        ("lz --T 10 --scale-max 20 --n 2 --eps 1 --levels 1 --methods adiabatic,closed,tdse",
+         {("adiabatic", "ConvergenceError"), ("closed", "ReflectionResult"),
+          ("tdse", "ConvergenceError")}),
+        ("lz --T 1 --scale-max 2 --n 2 --eps 0.5,1 --methods adiabatic,closed,tdse",
+         {(m, "ReflectionResult") for m in _LZ_SCALAR}),
+        # Underflow and scales past double precision beside ordinary rows.
+        ("lz --eps 1e-300,1,1e300 --T 1e300 --hbar 1e-300 --methods adiabatic,closed,tdse",
+         {("adiabatic", "ReflectionResult"), ("adiabatic", "DomainError"),
+          ("adiabatic", "ConvergenceError"), ("closed", "ReflectionResult"),
+          ("closed", "DomainError"), ("tdse", "ReflectionResult"), ("tdse", "DomainError")}),
+        ("lz --profile tanh --tau 3 --esat 1 --eps 0.3,0.5 --levels 1 --methods adiabatic,tdse",
+         {("adiabatic", "ConvergenceError"), ("tdse", "ReflectionResult")}),
+    ],
+    ids=["flagged", "ok", "corners", "tanh-one-level"],
+)
+def test_lz_entries_match_the_scalar_calls(argv, expected):
+    # Each LZ_METHODS entry gives a Rows whose rows are the scalar calls'
+    # results or errors, and whose columns are what the CLI prints for them.
+    args = build_parser().parse_args(shlex.split(argv))
+    methods, points = _build_lz_config(args)
+    kinds = set()
+    for method in methods:
+        rows = LZ_METHODS[method](args, *zip(*points))
+        assert isinstance(rows, Rows) and len(rows) == len(points)
+        for i, point in enumerate(points):
+            try:
+                want = _LZ_SCALAR[method](args, *point)
+            except SemirefError as exc:
+                want = exc
+            _same_outcome(rows[i], want)
+            printed = (rows.log_prob[i], rows.prob[i], rows.err_estimate[i])
+            assert repr(printed) == repr(_printed(want))
+            kinds.add((method, type(want).__name__))
+        assert set(rows.flagged) == {
+            i for i, r in enumerate(rows) if isinstance(r, SemirefError)}
+    assert kinds == expected
 
 
 def test_routes_are_looked_up_when_called(monkeypatch, capsys):

@@ -470,6 +470,41 @@ def test_rows_match_the_scalar_calls(route, model, energies, expected):
         assert str(rows[3]).startswith("probability underflows double precision")
 
 
+class TestFromOutcomes:
+    def test_columns_flags_and_messages(self):
+        # One outcome of each kind; a pair that fails a check is flagged
+        # with the message ReflectionResult.from_log raises for it.
+        method = Method.MOMENTUM_QUADRATURE
+        pairs = {1: (-800.0, 0.0), 2: (0.5, 0.0), 3: (math.nan, 0.0), 4: (-1.0, -1.0)}
+        errors = {
+            5: ConvergenceError("below", best=-3.0, err_estimate=0.25),
+            6: ConvergenceError("above", best=0.5, err_estimate=2.0),
+            7: ConvergenceError("no best"),
+            8: DomainError("domain"),
+            9: ConvergenceError("underflows", best=-800.0, err_estimate=1.0),
+        }
+        outcomes = [(-2.0, 1e-12), *pairs.values(), *errors.values()]
+        energy = [float(i + 1) for i in range(len(outcomes))]
+        rows = Rows.from_outcomes(energy, method, outcomes)
+        nan = math.nan
+        assert repr(rows.log_prob) == repr(
+            [-2.0, nan, nan, nan, nan, -3.0, 0.5, nan, nan, -800.0])
+        assert repr(rows.prob) == repr(
+            [math.exp(-2.0), nan, nan, nan, nan, math.exp(-3.0), 1.0, nan, nan, nan])
+        assert repr(rows.err_estimate) == repr(
+            [1e-12, nan, nan, nan, nan, 0.25, 2.0, nan, nan, 1.0])
+        assert rows.energy == energy and rows.method is method
+        assert rows[0] == ReflectionResult.from_log(1.0, -2.0, method, 1e-12)
+        assert set(rows.flagged) == set(range(1, len(outcomes)))
+        for i, exc in errors.items():
+            assert rows.flagged[i] is exc
+        for i, (log_prob, err) in pairs.items():
+            with pytest.raises(DomainError) as excinfo:
+                ReflectionResult.from_log(energy[i], log_prob, method, err)
+            assert type(rows.flagged[i]) is DomainError
+            assert str(rows.flagged[i]) == str(excinfo.value)
+
+
 class TestGaussRefined:
     def test_rows_evaluated_are_the_rows_still_refining(self):
         # Row r integrates (r + 1) * x^(4r) over [-1, 1]; a row of higher
