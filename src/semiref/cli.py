@@ -143,6 +143,8 @@ def run_rows(
 ) -> tuple[list[list], int]:
     """The columns (*point, method, log_prob, prob, err_estimate) of one row
     per point and method, in the order of ``points``, then of ``methods``.
+    A point's coordinates stand once for its rows, so that the writers
+    format each once (``_widened``).
 
     Each method's route gets every point in one call, as one column per
     label.  A route that fails at a point gives a flagged row (its best
@@ -157,9 +159,7 @@ def run_rows(
         where = ", ".join(f"{k}={v:g}" for k, v in zip(labels, points[i]))
         print(f"warning: {methods[j]} failed at {where}: {records[j].flagged[i]}",
               file=sys.stderr)
-    k = len(methods)
-    cells = [_interleaved([c] * k) for c in columns]
-    cells.append(list(methods) * len(points))
+    cells = [*columns, list(methods) * len(points)]
     cells += [_interleaved([getattr(rec, name) for rec in records])
               for name in ("log_prob", "prob", "err_estimate")]
     return cells, len(failed)
@@ -170,11 +170,18 @@ def _is_text(column: list) -> bool:
     return bool(column) and isinstance(column[0], str)
 
 
+def _widened(text: list[list[str]]) -> list[list[str]]:
+    """Formatted columns, each as long as the longest: a column of n/k
+    cells stands for each of its cells k times in turn."""
+    n = max(map(len, text), default=0)
+    return [c if len(c) == n else _interleaved([c] * (n // len(c))) for c in text]
+
+
 def rows_to_csv(cells: list[list], columns: tuple[str, ...]) -> str:
     """The columns ``cells``, one list per name in ``columns``, as CSV rows;
-    floats at 12 significant digits."""
+    floats at 12 significant digits.  A short column is ``_widened``."""
     text = [c if _is_text(c) else list(map(format, c, repeat(".12g"))) for c in cells]
-    return "\n".join([",".join(columns), *map(",".join, zip(*text))]) + "\n"
+    return "\n".join([",".join(columns), *map(",".join, zip(*_widened(text)))]) + "\n"
 
 
 def _json_column(column: list) -> list[str]:
@@ -195,13 +202,14 @@ def rows_to_json(cells: list[list], columns: tuple[str, ...]) -> str:
     Written directly in the layout of ``json.dumps(..., indent=2)``, byte
     for byte, because with ``indent`` set ``json`` runs its pure-Python
     encoder, which takes about twice as long.  Each column is formatted
-    once, then each object fills one template.
+    once, then each object fills one template.  A short column is
+    ``_widened`` after it is formatted.
     """
     if not cells or not cells[0]:
         return "[]\n"
     keys = (encode_basestring_ascii(c).replace("%", "%%") for c in columns)
     template = "  {\n" + ",\n".join(f"    {k}: %s" for k in keys) + "\n  }"
-    objects = map(template.__mod__, zip(*map(_json_column, cells)))
+    objects = map(template.__mod__, zip(*_widened(list(map(_json_column, cells)))))
     return "[\n" + ",\n".join(objects) + "\n]\n"
 
 

@@ -16,9 +16,10 @@ fourth-order commutator-free Magnus scheme CF4 (Blanes & Moan, Appl.
 Numer. Math. 56, 1519 (2006)), each exponential a closed-form 2x2 matrix.
 It starts and ends in third-order superadiabatic states (Berry, Proc. R.
 Soc. A 429, 61 (1990)), so the finite span does not add the O(hbar)
-admixture of the plain eigenstates to the exponentially small result, and
-it takes its error estimate from step halving and span doubling.  It
-automatically includes the O(hbar) term that the semiclassical exponent
+admixture of the plain eigenstates to the exponentially small result.  Its
+value is Richardson-extrapolated from two runs a step halving apart, and
+its error estimate is that extrapolation's step term plus the move of the
+extrapolated value when the span doubles.  It automatically includes the O(hbar) term that the semiclassical exponent
 drops, which sets the expected size of any residual discrepancy.
 
 Both built-in profiles are odd and increasing; every observable here
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .potentials import PhysicalConstants, _positive_finite
-from .scattering_oracle import _PAIR, _ordered_product, _work_array
+from .scattering_oracle import _PAIR, _ordered_product, _richardson, _work_array
 from .wkb_reflection import (
     DEFAULT_QUADRATURE,
     Method,
@@ -190,7 +191,11 @@ def adiabatic_reflection(
     )
     (row,) = _scaled(rows, 2.0 * epsilon / consts.hbar)
     if isinstance(row, ConvergenceError):
-        raise row
+        # An exponent that overflows leaves every level at inf and their
+        # differences nan: the probability underflows, which from_log flags.
+        if row.best != -math.inf:
+            raise row
+        row = (row.best, row.err_estimate)
     log_prob, err = row
     return ReflectionResult.from_log(
         epsilon * epsilon, log_prob, Method.ADIABATIC, err
@@ -304,7 +309,7 @@ _C1, _C2 = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
 _A1, _A2 = 0.25 - math.sqrt(3.0) / 6.0, 0.25 + math.sqrt(3.0) / 6.0
 # Steps per radian of swept phase at rel_tol = 1; the work grows as
 # rel_tol**-1/4, the inverse of the scheme's order.
-_PER_RADIAN = 0.06
+_PER_RADIAN = 0.03
 _MIN_STEPS = 64
 _MAX_STEPS = 2**21  # in the finest run; ~1 s of work
 # Steps multiplied per array pass.  It sizes the per-thread rows of
@@ -493,7 +498,7 @@ def _log_flip(edges, u) -> float:
     return min(math.log(max(abs(amp) ** 2, np.finfo(float).tiny)), 0.0)
 
 
-def _span_move(
+def _wide_flip(
     profile: CrossingProfile,
     epsilon: float,
     hbar: float,
@@ -501,17 +506,15 @@ def _span_move(
     edges,
     density: float,
     inner_u,
-    inner: float,
 ) -> float:
-    """|Delta ln P| when the span doubles, at ``density`` steps per radian,
-    the density of the run ``inner_u`` (giving ``inner``), whose product it
-    reuses between the old ends.  ``sides`` are the phase tables of the two
-    added stretches, ``edges`` the edge states at the doubled span's ends."""
+    """ln P over the doubled span, at ``density`` steps per radian, the
+    density of the run ``inner_u``, whose product it reuses between the old
+    ends.  ``sides`` are the phase tables of the two added stretches,
+    ``edges`` the edge states at the doubled span's ends."""
     outer = [_propagator(profile, epsilon, hbar, side,
                          max(_MIN_STEPS, math.ceil(side[1][-1] * density)))
              for side in sides]
-    wide_u = _PAIR.mul(outer[1], _PAIR.mul(inner_u, outer[0]))
-    return abs(_log_flip(edges, wide_u) - inner)
+    return _log_flip(edges, _PAIR.mul(outer[1], _PAIR.mul(inner_u, outer[0])))
 
 
 @contextmanager
@@ -537,20 +540,26 @@ def evolve_tdse(
     Prepares the upper superadiabatic state at default_t_span's start,
     propagates it with the CF4 Magnus scheme, and projects onto the lower
     superadiabatic state at its end; the result is the probability of the
-    non-adiabatic flip, from the finer of two runs a step halving apart.
+    non-adiabatic flip, Richardson-extrapolated from two runs a step
+    halving apart (``_richardson``).
     The run takes time in units near the span and energy in units near
     hbar over it, both powers of two, so the answer does not depend on the
     units of the inputs.
-    ``err_estimate`` is |Delta ln P| between those runs plus |Delta ln P|
-    when the coarser run's span doubles, an absolute error on ``log_prob``.
+    ``err_estimate`` is an absolute error on ``log_prob``: the step term
+    |fine - coarse|/15 plus the span term, |Delta ln P| when the span
+    doubles.  The doubled span's value is extrapolated the same way, from
+    the two runs each carried out over the added stretches at its own
+    density.
     The steps per radian of swept phase start at a multiple of
     rel_tol**-1/4 and double until the estimate fits 100 * rel_tol.  If a
     doubling no longer halves the estimate (rounding, as on a sweep slow
     enough that ln P is below what double precision resolves), a
-    ConvergenceError carries the finer value and its estimate.  Scales that
-    double precision cannot hold, where the span overflows, a rescaled input
-    underflows, or placing the steps or forming the edge states overflows,
-    divides by zero or turns invalid, raise DomainError before any stepping.
+    ConvergenceError carries the finer run's value, not extrapolated, and
+    the larger of the estimate and |fine - coarse|: off the asymptotic
+    regime, the extrapolation is no value.  Scales that double precision
+    cannot hold, where the span overflows, a rescaled input underflows, or
+    placing the steps or forming the edge states overflows, divides by zero
+    or turns invalid, raise DomainError before any stepping.
     """
     _positive_finite("rel_tol", rel_tol)
     _check_tanh_coupling(profile, eps)
@@ -568,26 +577,34 @@ def evolve_tdse(
         steps = _steps(table, rel_tol)
     edges, wide_edges = states[:2], states[2:]
 
+    def wide(density, inner_u):
+        return _wide_flip(profile, epsilon, hbar, sides, wide_edges, density, inner_u)
+
     coarse_u = _propagator(profile, epsilon, hbar, table, steps)
     coarse = _log_flip(edges, coarse_u)
+    wide_coarse = None  # the doubled span at the coarse run's density
     last = math.inf
     while True:
         fine_u = _propagator(profile, epsilon, hbar, table, 2 * steps)
         fine = _log_flip(edges, fine_u)
-        d_step = abs(fine - coarse)
-        err = d_step
-        if d_step <= bound:
-            err += _span_move(profile, epsilon, hbar, sides, wide_edges,
-                              steps / table[1][-1], coarse_u, coarse)
+        value, err = _richardson(fine, coarse)
+        wide_fine = None
+        if err <= bound:
+            if wide_coarse is None:
+                wide_coarse = wide(steps / table[1][-1], coarse_u)
+            wide_fine = wide(2 * steps / table[1][-1], fine_u)
+            err += abs(_richardson(wide_fine, wide_coarse)[0] - value)
             if err <= bound:
                 return ReflectionResult.from_log(
-                    eps.epsilon * eps.epsilon, fine, Method.TDSE, err)
+                    eps.epsilon * eps.epsilon, value, Method.TDSE, err)
         # Refine while each level at least halves the estimate: a stall
         # means rounding (or the span) now sets the error.
         if err > 0.5 * last or 4 * steps > _MAX_STEPS:
+            d_step = abs(fine - coarse)
+            err = max(err, d_step)
             raise ConvergenceError(
                 f"TDSE error estimate {err:.3e} exceeds 100 * rel_tol "
                 f"(step halving moves ln P by {d_step:.1e})",
                 best=fine, err_estimate=err,
             )
-        last, steps, coarse_u, coarse = err, 2 * steps, fine_u, fine
+        last, steps, coarse_u, coarse, wide_coarse = err, 2 * steps, fine_u, fine, wide_fine

@@ -337,14 +337,21 @@ def _extrapolated(fine, narrow, wide):
     """(ln R, step term, window term) from a fine run, a run at twice its
     step over the same window (narrow) and over twice the window (wide).
 
-    The scheme is fourth order, so the fine run's error is about
-    (fine - narrow) / 15: the value is the fine run Richardson-extrapolated
-    by that amount, carried to the doubled window by the change the coarse
-    run sees there, and the step term is that amount's magnitude.
+    The value is the fine run Richardson-extrapolated (``_richardson``),
+    carried to the doubled window by the change the coarse run sees there.
     """
-    step = (fine.log_r - narrow.log_r) / 15.0
+    value, step = _richardson(fine.log_r, narrow.log_r)
     window = wide.log_r - narrow.log_r
-    return fine.log_r + step + window, np.abs(step), np.abs(window)
+    return value + window, step, np.abs(window)
+
+
+def _richardson(fine, coarse):
+    """(value, step term) from a fourth-order scheme's run and one at
+    twice its step, as floats or arrays: the fine run's error is about
+    (fine - coarse) / 15, so the value is the fine run extrapolated by that
+    amount, and the step term is that amount's magnitude."""
+    step = (fine - coarse) / 15.0
+    return fine + step, abs(step)
 
 
 @dataclass

@@ -1109,8 +1109,8 @@ _LZ_SCALAR = {
         # Underflow and scales past double precision beside ordinary rows.
         ("lz --eps 1e-300,1,1e300 --T 1e300 --hbar 1e-300 --methods adiabatic,closed,tdse",
          {("adiabatic", "ReflectionResult"), ("adiabatic", "DomainError"),
-          ("adiabatic", "ConvergenceError"), ("closed", "ReflectionResult"),
-          ("closed", "DomainError"), ("tdse", "ReflectionResult"), ("tdse", "DomainError")}),
+          ("closed", "ReflectionResult"), ("closed", "DomainError"),
+          ("tdse", "ReflectionResult"), ("tdse", "DomainError")}),
         ("lz --profile tanh --tau 3 --esat 1 --eps 0.3,0.5 --levels 1 --methods adiabatic,tdse",
          {("adiabatic", "ConvergenceError"), ("tdse", "ReflectionResult")}),
     ],
