@@ -19,8 +19,9 @@ Soc. A 429, 61 (1990)), so the finite span does not add the O(hbar)
 admixture of the plain eigenstates to the exponentially small result.  Its
 value is Richardson-extrapolated from two runs a step halving apart, and
 its error estimate is that extrapolation's step term plus the move of the
-extrapolated value when the span doubles.  It automatically includes the O(hbar) term that the semiclassical exponent
-drops, which sets the expected size of any residual discrepancy.
+extrapolated value when the span doubles.  It automatically includes the
+O(hbar) term that the semiclassical exponent drops, which sets the
+expected size of any residual discrepancy.
 
 Both built-in profiles are odd and increasing; every observable here
 depends on f only through f^2 and |f^{-1}|, so the overall sign of the
@@ -577,9 +578,6 @@ def evolve_tdse(
         steps = _steps(table, rel_tol)
     edges, wide_edges = states[:2], states[2:]
 
-    def wide(density, inner_u):
-        return _wide_flip(profile, epsilon, hbar, sides, wide_edges, density, inner_u)
-
     coarse_u = _propagator(profile, epsilon, hbar, table, steps)
     coarse = _log_flip(edges, coarse_u)
     wide_coarse = None  # the doubled span at the coarse run's density
@@ -591,8 +589,10 @@ def evolve_tdse(
         wide_fine = None
         if err <= bound:
             if wide_coarse is None:
-                wide_coarse = wide(steps / table[1][-1], coarse_u)
-            wide_fine = wide(2 * steps / table[1][-1], fine_u)
+                wide_coarse = _wide_flip(profile, epsilon, hbar, sides, wide_edges,
+                                         steps / table[1][-1], coarse_u)
+            wide_fine = _wide_flip(profile, epsilon, hbar, sides, wide_edges,
+                                   2 * steps / table[1][-1], fine_u)
             err += abs(_richardson(wide_fine, wide_coarse)[0] - value)
             if err <= bound:
                 return ReflectionResult.from_log(
