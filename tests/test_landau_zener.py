@@ -245,8 +245,8 @@ class TestTDSE:
             assert abs(res.log_prob - target) <= res.err_estimate <= 100.0 * 1e-10
             assert res.method is Method.TDSE
 
-    # ln P ~ -20 and -23: rows whose span term, taken at the coarse run's
-    # density alone, once fell 1.5-2x short of their error.
+    # ln P ~ -20 and -23, where a span term taken at the coarse run's
+    # density alone falls 1.5-2x short of the error.
     @pytest.mark.parametrize("T", [6.45, 7.275])
     def test_deep_linear_row_within_its_estimate(self, T):
         res = evolve_tdse(CrossingProfile.linear(T), CouplingSpec(1.0), UNIT)
