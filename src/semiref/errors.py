@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["SemirefError", "DomainError", "ConvergenceError"]
+
 
 class SemirefError(Exception):
     """Base class for all package-specific errors."""

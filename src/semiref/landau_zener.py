@@ -193,7 +193,8 @@ def adiabatic_reflection(
     (row,) = _scaled(rows, 2.0 * epsilon / consts.hbar)
     if isinstance(row, ConvergenceError):
         # An exponent that overflows leaves every level at inf and their
-        # differences nan: the probability underflows, which from_log flags.
+        # differences nan: the probability underflows, which the row's
+        # judge, ``Rows.from_outcomes``, flags.
         if row.best != -math.inf:
             raise row
         row = (row.best, row.err_estimate)

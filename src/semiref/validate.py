@@ -43,13 +43,21 @@ def _models() -> list[PotentialModel]:
     ]
 
 
+def _ratio(num: float, den: float) -> float:
+    """num / den, where den is a log_prob: one that underflows to 0 leaves
+    no ratio to judge, which raises DomainError naming the underflow."""
+    if den == 0.0:
+        raise DomainError("a log_prob underflows to 0, so no relative difference exists")
+    return num / den
+
+
 def _check_cross_method(consts, quad):
     worst = 0.0
     for model in _models():
         for E in (0.25, 1.0, 4.0):
             mom = reflection_momentum_space(model, E, consts, quad)
             con = reflection_contour_ll(model, E, consts, quad)
-            rel = abs(mom.log_prob - con.log_prob) / abs(mom.log_prob)
+            rel = _ratio(abs(mom.log_prob - con.log_prob), abs(mom.log_prob))
             worst = max(worst, rel)
     return worst <= 1e-6, f"max rel diff {worst:.3e} (bound 1e-06)"
 
@@ -61,7 +69,7 @@ def _check_closed_form(consts, quad):
         for E in np.geomspace(0.1, 5.0, 9):
             quad_res = reflection_momentum_space(model, E, consts, quad)
             closed = reflection_closed_form(model, E, consts)
-            rel = abs(quad_res.log_prob - closed.log_prob) / abs(closed.log_prob)
+            rel = _ratio(abs(quad_res.log_prob - closed.log_prob), abs(closed.log_prob))
             worst = max(worst, rel / bound)
     return worst <= 1.0, f"max rel diff / bound = {worst:.3e}"
 
@@ -87,7 +95,7 @@ def _check_hbar_scaling(consts, quad):
             scaled = PhysicalConstants(hbar=hbar, mass=consts.mass)
             res = reflection_momentum_space(model, 1.0, scaled, quad)
             actions.append(res.log_prob * hbar)
-        spread = (max(actions) - min(actions)) / abs(actions[0])
+        spread = _ratio(max(actions) - min(actions), abs(actions[0]))
         worst = max(worst, spread)
     return worst <= 1e-8, f"max spread of log_prob*hbar = {worst:.3e} (bound 1e-08)"
 
@@ -111,9 +119,9 @@ def _check_low_energy(consts, quad):
         res = reflection_closed_form(model, E, consts)
         omega = low_energy_effective_omega(model, consts)
         universal = -2.0 * math.pi * E / (consts.hbar * omega)
-        worst = max(worst, abs(res.log_prob / universal - 1.0))
+        worst = max(worst, abs(_ratio(res.log_prob, universal) - 1.0))
         logs[model.kind.value] = res.log_prob
-    pair = abs(logs["sech2"] / logs["lorentzian"] - 1.0)
+    pair = abs(_ratio(logs["sech2"], logs["lorentzian"]) - 1.0)
     ok = worst <= 0.01 and pair <= 0.005
     return ok, f"max deviation from universal {worst:.3e}, pair split {pair:.3e}"
 
@@ -166,9 +174,8 @@ def _check_lz_closed(consts, quad):
             lz.CrossingProfile.linear(T), eps, consts, quad
         )
         closed = lz.lz_closed_form(T, eps, consts)
-        worst = max(
-            worst, abs(adiab.log_prob - closed.log_prob) / abs(closed.log_prob)
-        )
+        worst = max(worst, _ratio(abs(adiab.log_prob - closed.log_prob),
+                                  abs(closed.log_prob)))
     return worst <= 1e-10, f"max rel diff vs closed form {worst:.3e} (bound 1e-10)"
 
 

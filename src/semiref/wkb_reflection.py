@@ -101,20 +101,10 @@ class ReflectionResult:
         method: Method,
         err_estimate: float = 0.0,
     ) -> "ReflectionResult":
-        # A log_prob above 0 or nan is flagged by __post_init__, also where
-        # exp(log_prob) would overflow.
-        prob = math.exp(log_prob) if log_prob <= 0.0 else 1.0
-        if prob == 0.0:
-            raise DomainError(
-                f"probability underflows double precision (log_prob={log_prob:.6g})"
-            )
-        return cls(
-            energy=float(energy),
-            log_prob=float(log_prob),
-            prob=prob,
-            method=Method(method),
-            err_estimate=float(err_estimate),
-        )
+        """The row (log_prob, err_estimate) at ``energy``, judged by
+        ``Rows.from_outcomes``; raises the DomainError that flags it."""
+        return _single(Rows.from_outcomes([energy], Method(method),
+                                          [(log_prob, err_estimate)]))
 
 
 @dataclass(eq=False, slots=True)
@@ -139,10 +129,11 @@ class Rows:
     @classmethod
     def from_outcomes(cls, energy, method: Method, outcomes) -> "Rows":
         """The rows of ``outcomes``, one per energy, each a (log_prob,
-        err_estimate) pair or the SemirefError that flags the row.  A pair
-        is checked as ``ReflectionResult.from_log`` checks it: a probability
-        that underflows, a log_prob above 0 or nan, or an estimate below 0
-        or nan flags the row with a DomainError, whose columns are nan."""
+        err_estimate) pair or the SemirefError that flags the row.  This is
+        where every row is judged, ``ReflectionResult.from_log``'s one
+        included: a probability that underflows, a log_prob above 0 or nan,
+        or an estimate below 0 or nan flags the row with a DomainError,
+        whose columns are nan."""
         log_prob, prob, err, flagged = [], [], [], {}
         for i, r in enumerate(outcomes):
             if not isinstance(r, SemirefError):
@@ -192,6 +183,14 @@ class Rows:
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
+
+
+def _single(rows: Rows) -> ReflectionResult:
+    """The one row of a scalar call: its ReflectionResult, or raise the
+    SemirefError that flags it."""
+    if rows.flagged:
+        raise rows.flagged[0]
+    return rows[0]
 
 
 @dataclass(frozen=True)
@@ -371,11 +370,7 @@ def _reflections(E, method: Method, log_rows):
         for i, r in zip(index, _outcomes(log_rows, energies[index])):
             outcomes[i] = r
     rows = Rows.from_outcomes(energies.tolist(), method, outcomes)
-    if np.ndim(E) != 0:
-        return rows
-    if rows.flagged:
-        raise rows.flagged[0]
-    return rows[0]
+    return rows if np.ndim(E) != 0 else _single(rows)
 
 
 def reflection_momentum_space(

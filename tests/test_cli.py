@@ -791,10 +791,20 @@ class TestConfigFile:
                 "v0 = 2.5",
                 "n = 4   # trailing comment",
                 "log = true",
+                "kind = sech2",
             ]
         )
         record = parse_flat_config(text)
-        assert record == {"model": "sech2", "v0": 2.5, "n": 4, "log": True}
+        assert record == {
+            "model": "sech2", "v0": 2.5, "n": 4, "log": True, "kind": "sech2"}
+
+    def test_line_without_equals_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.toml"
+        cfg.write_text('model = "sech2"\nv0 5\nemin = 1\nmethods = "closed"\n')
+        code, out, err = run_cli(["reflect", "--config", str(cfg)], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: config line 2: expected key = value\n"
 
     def test_config_file_drives_run(self, tmp_path, capsys):
         cfg = tmp_path / "run.toml"
@@ -1072,6 +1082,42 @@ class TestValidate:
         lines = proc.stdout.splitlines()
         assert len(lines) == 12 and lines[-1].endswith("/11 checks passed")
         assert all(line.split()[0] in ("PASS", "FAIL") for line in lines[:-1])
+
+    def test_underflowing_log_prob_fails_its_checks_with_the_reason(self, capsys):
+        # At hbar = 1e300, mass = 1e-300 every route's log_prob is -0, so
+        # the checks that divide by one have no ratio to judge.
+        checks = ("cross_method_equality", "closed_form_agreement",
+                  "hbar_scaling", "low_energy_universality")
+        code, out, _ = run_cli(["validate", "--hbar", "1e300", "--mass", "1e-300"], capsys)
+        assert code == EXIT_NUMERICAL
+        assert "ZeroDivisionError" not in out
+        for name in checks:
+            (line,) = [ln for ln in out.splitlines() if ln.startswith(f"FAIL {name}:")]
+            assert line.endswith(
+                "error: a log_prob underflows to 0, so no relative difference exists")
+
+    def test_rising_log_prob_fails_monotonicity(self, monkeypatch):
+        import semiref.validate as validate
+        from semiref import Method, ReflectionResult
+
+        def rising(model, E, consts, quad):
+            return ReflectionResult.from_log(E, -1.0 / E, Method.MOMENTUM_QUADRATURE)
+
+        monkeypatch.setattr(validate, "reflection_momentum_space", rising)
+        (res,) = [r for r in validate.run_all() if r.name == "monotonicity_in_energy"]
+        assert not res.passed
+        assert res.detail == "log_prob not strictly decreasing for inverse_ho"
+
+    def test_check_that_breaks_is_reported_not_raised(self, monkeypatch):
+        import semiref.validate as validate
+
+        def broken(m):
+            raise ArithmeticError("no elliptic integral today")
+
+        monkeypatch.setattr(validate, "elliptic_e", broken)
+        (res,) = [r for r in validate.run_all() if r.name == "legendre_relation"]
+        assert not res.passed
+        assert res.detail == "error: ArithmeticError: no elliptic integral today"
 
     def test_halved_hbar_still_passes_scaling(self, capsys):
         code, out, _ = run_cli(["validate", "--hbar", "0.5"], capsys)
