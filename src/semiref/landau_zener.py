@@ -45,7 +45,9 @@ from .wkb_reflection import (
     Method,
     QuadratureSpec,
     ReflectionResult,
+    Rows,
     _scaled,
+    _single,
     forbidden_zone_integral,
 )
 
@@ -183,25 +185,17 @@ def adiabatic_reflection(
     the integrand is Im f^{-1} evaluated on sqrt(eps^2 - p^2), and the
     analog energy eps^2 is reported in the result.  The integral runs in
     units of eps, p = eps q over the rim q0 = 1, so eps^2 is never formed
-    where it could underflow.
+    where it could underflow.  ``Rows.from_outcomes`` judges the row: a
+    quadrature that does not converge raises its ConvergenceError, and
+    one whose exponent overflows the DomainError of an underflow.
     """
     _check_tanh_coupling(profile, eps)
     epsilon = eps.epsilon
     rows = forbidden_zone_integral(
         np.array([1.0]), 1.0, lambda xi: profile.im_inverse(epsilon * np.sqrt(xi)), quad
     )
-    (row,) = _scaled(rows, 2.0 * epsilon / consts.hbar)
-    if isinstance(row, ConvergenceError):
-        # An exponent that overflows leaves every level at inf and their
-        # differences nan: the probability underflows, which the row's
-        # judge, ``Rows.from_outcomes``, flags.
-        if row.best != -math.inf:
-            raise row
-        row = (row.best, row.err_estimate)
-    log_prob, err = row
-    return ReflectionResult.from_log(
-        epsilon * epsilon, log_prob, Method.ADIABATIC, err
-    )
+    return _single(Rows.from_outcomes(
+        [epsilon * epsilon], Method.ADIABATIC, _scaled(rows, 2.0 * epsilon / consts.hbar)))
 
 
 def lz_closed_form(

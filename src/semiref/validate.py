@@ -43,12 +43,12 @@ def _models() -> list[PotentialModel]:
     ]
 
 
-def _ratio(num: float, den: float) -> float:
-    """num / den, where den is a log_prob: one that underflows to 0 leaves
-    no ratio to judge, which raises DomainError naming the underflow."""
-    if den == 0.0:
+def _judged(log_prob: float) -> float:
+    """log_prob, where one that underflows to 0 leaves nothing to judge,
+    which raises DomainError naming the underflow."""
+    if log_prob == 0.0:
         raise DomainError("a log_prob underflows to 0, so no relative difference exists")
-    return num / den
+    return log_prob
 
 
 def _check_cross_method(consts, quad):
@@ -57,7 +57,7 @@ def _check_cross_method(consts, quad):
         for E in (0.25, 1.0, 4.0):
             mom = reflection_momentum_space(model, E, consts, quad)
             con = reflection_contour_ll(model, E, consts, quad)
-            rel = _ratio(abs(mom.log_prob - con.log_prob), abs(mom.log_prob))
+            rel = abs(mom.log_prob - con.log_prob) / _judged(abs(mom.log_prob))
             worst = max(worst, rel)
     return worst <= 1e-6, f"max rel diff {worst:.3e} (bound 1e-06)"
 
@@ -69,7 +69,7 @@ def _check_closed_form(consts, quad):
         for E in np.geomspace(0.1, 5.0, 9):
             quad_res = reflection_momentum_space(model, E, consts, quad)
             closed = reflection_closed_form(model, E, consts)
-            rel = _ratio(abs(quad_res.log_prob - closed.log_prob), abs(closed.log_prob))
+            rel = abs(quad_res.log_prob - closed.log_prob) / _judged(abs(closed.log_prob))
             worst = max(worst, rel / bound)
     return worst <= 1.0, f"max rel diff / bound = {worst:.3e}"
 
@@ -95,7 +95,7 @@ def _check_hbar_scaling(consts, quad):
             scaled = PhysicalConstants(hbar=hbar, mass=consts.mass)
             res = reflection_momentum_space(model, 1.0, scaled, quad)
             actions.append(res.log_prob * hbar)
-        spread = _ratio(max(actions) - min(actions), abs(actions[0]))
+        spread = (max(actions) - min(actions)) / _judged(abs(actions[0]))
         worst = max(worst, spread)
     return worst <= 1e-8, f"max spread of log_prob*hbar = {worst:.3e} (bound 1e-08)"
 
@@ -103,7 +103,7 @@ def _check_hbar_scaling(consts, quad):
 def _check_monotonicity(consts, quad):
     for model in _models():
         logs = [
-            reflection_momentum_space(model, E, consts, quad).log_prob
+            _judged(reflection_momentum_space(model, E, consts, quad).log_prob)
             for E in np.geomspace(0.1, 5.0, 8)
         ]
         if not all(b < a for a, b in zip(logs, logs[1:])):
@@ -119,9 +119,9 @@ def _check_low_energy(consts, quad):
         res = reflection_closed_form(model, E, consts)
         omega = low_energy_effective_omega(model, consts)
         universal = -2.0 * math.pi * E / (consts.hbar * omega)
-        worst = max(worst, abs(_ratio(res.log_prob, universal) - 1.0))
+        worst = max(worst, abs(res.log_prob / _judged(universal) - 1.0))
         logs[model.kind.value] = res.log_prob
-    pair = abs(_ratio(logs["sech2"], logs["lorentzian"]) - 1.0)
+    pair = abs(logs["sech2"] / _judged(logs["lorentzian"]) - 1.0)
     ok = worst <= 0.01 and pair <= 0.005
     return ok, f"max deviation from universal {worst:.3e}, pair split {pair:.3e}"
 
@@ -137,17 +137,19 @@ def _check_tdse_norm(consts, quad, rel_tol=1e-10):
     # The CF4 propagator that ``lz`` runs, as partial products from the
     # start of the span to 9 equally spaced times, applied to the start state.
     # It is held as the SU(2) pair (a, b) of its upper row and its lower row
-    # is (-conj(b), conj(a)), so the drift is the rounding of the pair.  The
-    # setup raises DomainError where double precision cannot hold the sweep,
-    # as in ``evolve_tdse``, or where a stretch needs as many steps as the
-    # cap ``_steps`` puts on them (at hbar = 1e-300 each needs ~1e300), so
-    # nothing is stepped; a drift that is not finite fails.
+    # is (-conj(b), conj(a)), so the drift is the rounding of the pair.  It
+    # runs in the sweep's own units, as ``evolve_tdse`` does.  The setup
+    # raises DomainError where double precision cannot hold the sweep, as in
+    # ``evolve_tdse``, or where a stretch needs as many steps as the cap
+    # ``_steps`` puts on them (at hbar = 1e-20 each needs ~8e22), so nothing
+    # is stepped; a drift that is not finite fails.
     profile = lz.CrossingProfile.linear(2.0)
-    epsilon, hbar = 1.0, consts.hbar
     with lz._in_double_precision():
-        span = lz.default_t_span(profile, lz.CouplingSpec(epsilon), consts)
-        t_eval = np.linspace(span[0], span[1], 9)
-        psi, _ = lz._edge_states(profile, epsilon, hbar, span[0])
+        profile, epsilon, hbar, t1 = lz._in_sweep_units(
+            profile, 1.0, consts.hbar,
+            lz.default_t_span(profile, lz.CouplingSpec(1.0), consts)[1])
+        t_eval = np.linspace(-t1, t1, 9)
+        psi, _ = lz._edge_states(profile, epsilon, hbar, -t1)
         tables = [lz._phase_table(profile, epsilon, hbar, a, b)
                   for a, b in zip(t_eval, t_eval[1:])]
         need = max(lz._needed_steps(table, rel_tol) for table in tables)
@@ -174,8 +176,8 @@ def _check_lz_closed(consts, quad):
             lz.CrossingProfile.linear(T), eps, consts, quad
         )
         closed = lz.lz_closed_form(T, eps, consts)
-        worst = max(worst, _ratio(abs(adiab.log_prob - closed.log_prob),
-                                  abs(closed.log_prob)))
+        worst = max(worst, abs(adiab.log_prob - closed.log_prob)
+                    / _judged(abs(closed.log_prob)))
     return worst <= 1e-10, f"max rel diff vs closed form {worst:.3e} (bound 1e-10)"
 
 
@@ -198,6 +200,7 @@ def _check_quadrature_convergence(consts, quad):
     model = PotentialModel.lorentzian(1.0, 1.0)
     # The configured spec must actually certify its own tolerance.
     res = reflection_momentum_space(model, 1.0, consts, quad)
+    _judged(res.log_prob)  # the loose and tight specs take the same integral
     loose = QuadratureSpec(nodes=8, refinement_levels=2, rel_tol=1.0)
     tight = QuadratureSpec(nodes=32, refinement_levels=2, rel_tol=1.0)
     err_loose = reflection_momentum_space(model, 1.0, consts, loose).err_estimate

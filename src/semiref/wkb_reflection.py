@@ -133,9 +133,13 @@ class Rows:
         where every row is judged, ``ReflectionResult.from_log``'s one
         included: a probability that underflows, a log_prob above 0 or nan,
         or an estimate below 0 or nan flags the row with a DomainError,
-        whose columns are nan."""
+        whose columns are nan.  A ConvergenceError whose best is -inf is
+        judged as that value: an exponent that overflows leaves every level
+        at inf and their differences nan, and its probability underflows."""
         log_prob, prob, err, flagged = [], [], [], {}
         for i, r in enumerate(outcomes):
+            if isinstance(r, ConvergenceError) and r.best == -math.inf:
+                r = (r.best, r.err_estimate)
             if not isinstance(r, SemirefError):
                 lp, e = r
                 p = math.exp(lp) if lp <= 0.0 else 1.0

@@ -300,6 +300,26 @@ class TestFlaggedRows:
         assert code == EXIT_NUMERICAL
         assert out.strip().splitlines()[1].split(",")[2] == "nan"
 
+    def test_overflowing_quadrature_exponent_is_the_closed_form_underflow(self, capsys):
+        # The momentum integrand overflows at every level, so its best value
+        # is -inf: the row is judged as that value, the underflow that the
+        # closed form reports, not as a quadrature that did not converge.
+        code, out, err = run_cli(
+            [
+                "reflect", "--model", "inverse_ho", "--emin", "1e100",
+                "--methods", "closed,contour,momentum", "--alpha", "1e-300",
+                "--mass", "1e-300", "--hbar", "1e-300",
+            ],
+            capsys,
+        )
+        assert code == EXIT_NUMERICAL
+        lines = out.strip().splitlines()[1:]
+        for method in ("closed", "momentum"):
+            assert f"1e+100,{method},nan,nan,nan" in lines
+            assert (f"warning: {method} failed at E=1e+100: probability underflows "
+                    "double precision (log_prob=-inf)") in err.splitlines()
+        assert "did not reach rel_tol" not in err
+
     def test_unbisected_turning_point_is_not_a_log_prob(self, capsys):
         # The turning point is taken in closed form, not bisected, so this
         # row carries a log-probability: flagged because the quadrature did
@@ -1048,10 +1068,10 @@ class TestValidate:
         assert res.passed, res.detail
         assert len(calls) == 8
 
-    def test_tdse_norm_check_stops_at_the_step_cap_before_stepping(self, monkeypatch):
-        # At hbar = 1e-300 each stretch needs ~1e303 CF4 steps, past the
-        # cap: the check ends with a verdict naming the cap and steps nothing.
-        import semiref.landau_zener as lz
+    @staticmethod
+    def _norm_check_without_stepping(monkeypatch, hbar):
+        """The norm check's result at ``hbar`` and the ``_propagator`` calls
+        it made."""
         from semiref import PhysicalConstants
         from semiref.validate import run_all
 
@@ -1059,11 +1079,26 @@ class TestValidate:
         propagator = lz._propagator
         monkeypatch.setattr(
             lz, "_propagator", lambda *a: calls.append(a) or propagator(*a))
-        (res,) = [r for r in run_all(PhysicalConstants(hbar=1e-300))
+        (res,) = [r for r in run_all(PhysicalConstants(hbar=hbar))
                   if r.name == "tdse_norm_conservation"]
+        return res, calls
+
+    def test_tdse_norm_check_stops_at_the_step_cap_before_stepping(self, monkeypatch):
+        # At hbar = 1e-20 each stretch needs ~8e22 CF4 steps, past the
+        # cap: the check ends with a verdict naming the cap and steps nothing.
+        res, calls = self._norm_check_without_stepping(monkeypatch, 1e-20)
         assert not res.passed
         assert res.detail.startswith("error: a stretch of the sweep needs")
         assert res.detail.endswith(f"at or past the cap of {lz._MAX_STEPS // 2}")
+        assert calls == []
+
+    def test_tdse_norm_check_stops_where_the_sweep_overflows(self, monkeypatch):
+        # At hbar = 1e-300 the sweep's phase overflows in its own units, as
+        # in ``lz``: the check ends with that reason and steps nothing.
+        res, calls = self._norm_check_without_stepping(monkeypatch, 1e-300)
+        assert not res.passed
+        assert res.detail == ("error: the sweep's scales exceed double precision "
+                              "(overflow encountered in multiply)")
         assert calls == []
 
     @pytest.mark.parametrize("mass", ["1e-300", "1e300"])
@@ -1087,7 +1122,8 @@ class TestValidate:
         # At hbar = 1e300, mass = 1e-300 every route's log_prob is -0, so
         # the checks that divide by one have no ratio to judge.
         checks = ("cross_method_equality", "closed_form_agreement",
-                  "hbar_scaling", "low_energy_universality")
+                  "hbar_scaling", "monotonicity_in_energy",
+                  "low_energy_universality", "quadrature_convergence")
         code, out, _ = run_cli(["validate", "--hbar", "1e300", "--mass", "1e-300"], capsys)
         assert code == EXIT_NUMERICAL
         assert "ZeroDivisionError" not in out

@@ -473,7 +473,9 @@ def test_rows_match_the_scalar_calls(route, model, energies, expected):
 class TestFromOutcomes:
     def test_columns_flags_and_messages(self):
         # One outcome of each kind; a pair that fails a check is flagged
-        # with the message ReflectionResult.from_log raises for it.
+        # with the message ReflectionResult.from_log raises for it.  A
+        # ConvergenceError whose best is -inf (an exponent that overflowed at
+        # every level) is judged as that value: an underflow.
         method = Method.MOMENTUM_QUADRATURE
         pairs = {1: (-800.0, 0.0), 2: (0.5, 0.0), 3: (math.nan, 0.0), 4: (-1.0, -1.0)}
         errors = {
@@ -483,16 +485,17 @@ class TestFromOutcomes:
             8: DomainError("domain"),
             9: ConvergenceError("underflows", best=-800.0, err_estimate=1.0),
         }
-        outcomes = [(-2.0, 1e-12), *pairs.values(), *errors.values()]
+        overflowed = ConvergenceError("overflowed", best=-math.inf, err_estimate=math.nan)
+        outcomes = [(-2.0, 1e-12), *pairs.values(), *errors.values(), overflowed]
         energy = [float(i + 1) for i in range(len(outcomes))]
         rows = Rows.from_outcomes(energy, method, outcomes)
         nan = math.nan
         assert repr(rows.log_prob) == repr(
-            [-2.0, nan, nan, nan, nan, -3.0, 0.5, nan, nan, -800.0])
+            [-2.0, nan, nan, nan, nan, -3.0, 0.5, nan, nan, -800.0, nan])
         assert repr(rows.prob) == repr(
-            [math.exp(-2.0), nan, nan, nan, nan, math.exp(-3.0), 1.0, nan, nan, nan])
+            [math.exp(-2.0), nan, nan, nan, nan, math.exp(-3.0), 1.0, nan, nan, nan, nan])
         assert repr(rows.err_estimate) == repr(
-            [1e-12, nan, nan, nan, nan, 0.25, 2.0, nan, nan, 1.0])
+            [1e-12, nan, nan, nan, nan, 0.25, 2.0, nan, nan, 1.0, nan])
         assert rows.energy == energy and rows.method is method
         assert rows[0] == ReflectionResult.from_log(1.0, -2.0, method, 1e-12)
         assert set(rows.flagged) == set(range(1, len(outcomes)))
@@ -503,6 +506,9 @@ class TestFromOutcomes:
                 ReflectionResult.from_log(energy[i], log_prob, method, err)
             assert type(rows.flagged[i]) is DomainError
             assert str(rows.flagged[i]) == str(excinfo.value)
+        assert type(rows.flagged[10]) is DomainError
+        assert str(rows.flagged[10]) == (
+            "probability underflows double precision (log_prob=-inf)")
 
 
 class TestGaussRefined:
