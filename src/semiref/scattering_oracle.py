@@ -1,13 +1,14 @@
 """Exact reflection references for validating the semiclassical routes.
 
-Two oracles:  the known closed form for the inverse oscillator, and a
-direct integration of the stationary Schroedinger equation for the
-flat-tailed families with a fixed-step Numerov recurrence (fourth-order
-accurate).  The wave is launched as a pure outgoing discrete plane wave at
-the right edge and decomposed into incident and reflected discrete plane
-waves at the left edge.  The value is Richardson-extrapolated with a run
-at twice the step, the error estimate comes from that run and a wider
-window, and comparisons are made on ln of the probability.
+Three oracles:  the known closed forms for the inverse oscillator and the
+sech^2 barrier, and a direct integration of the stationary Schroedinger
+equation for the flat-tailed families with a fixed-step Numerov recurrence
+(fourth-order accurate).  The wave is launched as a pure outgoing discrete
+plane wave at the right edge and decomposed into incident and reflected
+discrete plane waves at the left edge.  The value is Richardson-extrapolated
+twice, over runs at steps h, 2h and 4h, the error estimate comes from
+those runs and wider windows, and comparisons are made on ln of the
+probability.
 """
 
 from __future__ import annotations
@@ -27,20 +28,27 @@ __all__ = [
     "ScatteringGrid",
     "default_grid",
     "exact_ho_reflection",
+    "exact_sech2_reflection",
     "numerov_reflection",
 ]
 
 _MAX_POINTS = 50_000_000
-# k * dx of the default grid.  _solve rejects a grid past twice this: the
-# extrapolated value keeps the sech^2 rows of oracle-check's ranges within
-# 3e-11 of the exact formula at 0.1.
-_K_DX = 0.1
+# k * dx of the default grid, the finest rung the ladder starts from; _solve
+# rejects a grid past it.  With its 2h and 4h rungs (k dx 0.4 and 0.8) the
+# ladder keeps the sech^2 rows of oracle-check's ranges within ~6e-11 of the
+# exact formula.
+_K_DX = 0.2
 # Starting half-window per family, in units of a.  The sech^2 tail is flat
 # to ~1e-10 at 12a; the Lorentzian's 1/x^2 tail leaves a window term of
 # at most ~1e-6 in ln R at 192a over v0 5-20, a 1-3, E 0.5-2, hbar 0.5-1.
 _WINDOW = {PotentialKind.SECH2: 12.0, PotentialKind.LORENTZIAN: 192.0}
-_WINDOW_TOL = 2.5e-7  # the window doubles until doubling moves ln R less
+_WINDOW_TOL = 2.5e-7  # the window doubles until its term is below this
 _MAX_DOUBLINGS = 4
+# The window term is the spread of the h run's ln R over the windows
+# W (1 + j / _SPREAD), j = 0 .. _SPREAD: the change from one doubling alone
+# can read small where the tail's oscillation takes the same phase at W and 2W.
+_SPREAD = 4
+_MAX_HALVINGS = 3  # the step halves at most this often, to k dx = 0.025
 _ERR_BOUND = 1e-6  # err_estimate above which a result is flagged
 _EPS = float(np.finfo(float).eps)
 _GROUP_RATIO = 2.0  # energies share a grid while k_max <= 2 k_min
@@ -54,9 +62,10 @@ class ScatteringGrid:
     """Uniform window [-x_max, x_max] cut into 4 * ``quarter`` equal steps
     of ``step`` <= dx.
 
-    The fine run steps by ``step`` across the window; the coarse run takes
-    every other of its points and goes on at 2 * step out to 2 * x_max, so
-    both runs have 4 * ``quarter`` transfer matrices.
+    The ladder's rungs step by ``step``, 2 * step and 4 * step across the
+    window, on the points of the finest; the finest also goes on out to
+    2 * x_max, for the window term.  Each rung's half window is a whole
+    number of product segments.
     """
 
     x_max: float
@@ -73,17 +82,18 @@ class ScatteringGrid:
 
     @property
     def segment(self) -> int:
-        """Steps per product segment: x_max / (2 dx) split evenly into
-        pieces of at most ``_SEG``."""
-        q = math.ceil(0.5 * self.x_max / self.dx)
-        return math.ceil(q / math.ceil(q / _SEG))
+        """Steps per product segment: x_max / (4 dx), the 4 * step rung's
+        half window, split evenly into pieces of at most ``_SEG``, rounded
+        up to even (an odd column costs the product a fold per level)."""
+        q = math.ceil(0.25 * self.x_max / self.dx)
+        return 2 * math.ceil(math.ceil(q / math.ceil(q / _SEG)) / 2)
 
     @property
     def quarter(self) -> int:
         """Steps per quarter of the window: x_max / (2 dx) rounded up to a
-        whole number of segments."""
+        whole number of segment pairs."""
         seg = self.segment
-        return seg * math.ceil(0.5 * self.x_max / self.dx / seg)
+        return 2 * seg * math.ceil(0.25 * self.x_max / self.dx / seg)
 
     @property
     def step(self) -> float:
@@ -99,8 +109,21 @@ def _check_flat_tailed(model: PotentialModel) -> None:
         raise DomainError("inverse_ho has no flat tail; use exact_ho_reflection")
 
 
-def _wavenumber(model: PotentialModel, E: float, consts: PhysicalConstants) -> float:
-    return math.sqrt(2.0 * consts.mass * (E + model.v0)) / consts.hbar
+def _wavenumber(model: PotentialModel, E, consts: PhysicalConstants):
+    """k = sqrt(2m (E + v0)) / hbar, for a float or elementwise."""
+    with np.errstate(over="ignore"):  # as Python floats do, past the range
+        return np.sqrt(2.0 * consts.mass * (E + model.v0)) / consts.hbar
+
+
+def _wave_check(model: PotentialModel, k) -> str | None:
+    """Why no default grid resolves a wavenumber k, or None."""
+    if not k > 0.0:
+        return "the wavenumber k underflows to 0"
+    x_max = _WINDOW[model.kind] * model.a
+    if not k * x_max > _K_DX:
+        return (f"the wave is longer than the window: k x_max = {k * x_max:.3g} "
+                f"is below one step (k dx = {_K_DX:g})")
+    return None
 
 
 def default_grid(
@@ -109,13 +132,14 @@ def default_grid(
     consts: PhysicalConstants,
 ) -> ScatteringGrid:
     """The family's starting window (12a for sech^2, 192a for the
-    Lorentzian), step set so k * dx <= 0.1."""
+    Lorentzian), step set so k * dx <= 0.2."""
     _check_flat_tailed(model)
     if not E > 0.0:
         raise DomainError("E must be positive")
-    k = _wavenumber(model, E, consts)
-    if not k > 0.0:
-        raise DomainError("the wavenumber k underflows to 0")
+    k = float(_wavenumber(model, E, consts))
+    why = _wave_check(model, k)
+    if why is not None:
+        raise DomainError(why)
     return ScatteringGrid(x_max=_WINDOW[model.kind] * model.a, dx=_K_DX / k)
 
 
@@ -144,6 +168,40 @@ def exact_ho_reflection(
     return ReflectionResult.from_log(E, log_prob, Method.EXACT_HO)
 
 
+def exact_sech2_reflection(
+    E: float, consts: PhysicalConstants, v0: float, a: float
+) -> ReflectionResult:
+    """Exact reflection probability of the barrier V = -v0 tanh^2(x/a)
+    (Landau & Lifshitz, QM section 25, problem 4), evaluated in logs.
+
+    |R|^2 = cosh^2 c / (sinh^2 b + cosh^2 c) with b = pi k a,
+    k = sqrt(2m (E + v0)) / hbar, and c = pi sqrt(l - 1/4) for
+    l = 2 m v0 a^2 / hbar^2; where l < 1/4, cosh c becomes
+    cos(pi sqrt(1/4 - l)).  Valid for every E > -v0, below the top too.
+    """
+    if not (v0 > 0.0 and math.isfinite(v0)):
+        raise DomainError("v0 must be positive and finite")
+    if not (a > 0.0 and math.isfinite(a)):
+        raise DomainError("a must be positive and finite")
+    if not E + v0 > 0.0:
+        raise DomainError("E must lie above the tails, E > -v0")
+    b = math.pi * a * (math.sqrt(2.0 * consts.mass * (E + v0)) / consts.hbar)
+    if b == 0.0:
+        raise DomainError("pi k a underflows to 0")
+    r = a / consts.hbar
+    ell = 2.0 * consts.mass * v0 * r * r
+    ln_sinh_b = b + math.log(-math.expm1(-2.0 * b)) - math.log(2.0)
+    if ell >= 0.25:
+        c = math.pi * math.sqrt(ell - 0.25)
+        ln_top = 2.0 * (c + math.log1p(math.exp(-2.0 * c)) - math.log(2.0))
+    else:
+        # cos(pi sqrt(1/4 - l)) = sin(pi l / (1/2 + sqrt(1/4 - l))), exact as l -> 0.
+        ln_top = 2.0 * math.log(math.sin(math.pi * ell / (0.5 + math.sqrt(0.25 - ell))))
+    d = ln_top - 2.0 * ln_sinh_b  # ln(cosh^2 c / sinh^2 b)
+    log_prob = d - math.log1p(math.exp(d)) if d < 0.0 else -math.log1p(math.exp(-d))
+    return ReflectionResult.from_log(E, log_prob, Method.EXACT_SECH2)
+
+
 def numerov_reflection(
     model: PotentialModel,
     E,
@@ -161,17 +219,25 @@ def numerov_reflection(
     cos(q dx) = (12 - 10 f) / (2 f), so a flat tail reflects nothing.
     V is even, so every run's window is symmetric about x = 0: only the
     left half of each product is multiplied, and the right half is its
-    mirror image, formed exactly from it (``_Chains.mirrored``).
+    mirror image, formed exactly from it (``_Chains.runs``).
 
-    The scheme is fourth order, so a fine run at k dx <= 0.1 and a coarse
-    one at twice the step give the value fine + (fine - coarse)/15
-    (Richardson extrapolation), plus the change the coarse run sees when its
-    window doubles.  ``err_estimate`` is the step term |fine - coarse|/15,
-    the fine run's own error, plus that window change, plus a rounding
-    term: a product of n steps moves the amplitudes by up to
-    rho = eps sqrt(n) |A|, which moves ln R by up to -2 ln(1 - rho/|B|)
-    (infinite once rho >= |B|).  While the window term exceeds 2.5e-7 both
-    windows double (up to 16x), each around its own product.
+    The scheme is fourth order.  Three runs over the window, at steps h
+    (k h <= 0.2), 2h and 4h, give two Richardson values R1(h) and R1(2h)
+    (each fine + (fine - coarse)/15), and the value is the second level
+    R1(h) + (R1(h) - R1(2h))/63, plus the change the h run sees when its
+    window doubles.  ``err_estimate`` is the step term |R1(h) - R1(2h)|,
+    the error of the coarser extrapolation, plus a window term, plus a
+    rounding term.  The window term is the spread of the h run's ln R over
+    five windows from the ladder's to the doubled one: the tail's effect
+    oscillates with the window's edge, so a single doubling can miss it.
+    A product of n steps moves the amplitudes by up to rho = eps sqrt(n)
+    |A|, which moves ln R by up to -2 ln(1 - rho/|B|) (infinite once
+    rho >= |B|).  While the window term exceeds 2.5e-7 the window doubles
+    (up to 16x), each run around its own product, and the step term is
+    measured again at the doubled window.  Where the estimate
+    still exceeds 1e-6 and the step term is its largest part, h halves (up
+    to 3 times): the old h and 2h runs become the 2h and 4h rungs, so each
+    halving adds one run.
 
     A result whose estimate exceeds 1e-6 raises ConvergenceError with the
     value and the estimate, unless R lies below the rounding floor R_f,
@@ -192,7 +258,7 @@ def numerov_reflection(
     """
     _check_flat_tailed(model)
     return _reflections(E, Method.NUMEROV_ORACLE, lambda energies: [
-        _result(run) for run in _solve_all(model, energies, consts, grid)])
+        out for out, _ in _solve_all(model, energies, consts, grid)])
 
 
 def _unitarity_defect(
@@ -205,144 +271,208 @@ def _unitarity_defect(
     product, not the discretisation or window error.
     """
     _check_flat_tailed(model)
-    (res,) = _solve_all(model, np.array([E], dtype=float), consts, None)
-    if isinstance(res, SemirefError):
-        raise res
-    return res[3]
-
-
-def _result(run):
-    """(ln R, err_estimate) of a run of ``_solve_all``, or the SemirefError
-    that flags it."""
-    if isinstance(run, SemirefError):
-        return run
-    log_r, d_step, d_window, _, n_steps = run
-    # Over 720 seeded sech^2 rows with E up to 30, the returned rows below
-    # ln R = -35 saw B move by at most 0.34 eps sqrt(n) |A| (median 0.03).
-    rho = _EPS * math.sqrt(n_steps)  # relative to |A|
-    x = rho * math.exp(-0.5 * log_r)  # rho / |B|
-    d_round = -2.0 * math.log1p(-x) if x < 1.0 else math.inf
-    err = d_step + d_window + d_round
-    # Below r_floor rounding alone puts more than the bound on ln R, so the
-    # bound is kept by the error on R itself.  An estimate of 1 or more
-    # no longer holds: the 2*dx difference is not asymptotic there.
-    r_floor = (2.0 * rho / _ERR_BOUND) ** 2
-    r_err = math.exp(log_r) * math.expm1(min(err, 700.0))
-    if err >= 1.0 or not (err <= _ERR_BOUND or r_err <= _ERR_BOUND * r_floor):
-        why = "is 1 or more" if err >= 1.0 else f"exceeds {_ERR_BOUND:g}"
-        return ConvergenceError(
-            f"Numerov error estimate {err:.2e} {why} (step term {d_step:.1e}, "
-            f"window doubling {d_window:.1e}, rounding {d_round:.1e})",
-            best=log_r, err_estimate=err,
-        )
-    return log_r, err
+    ((out, defect),) = _solve_all(model, np.array([E], dtype=float), consts, None)
+    if defect is None:
+        raise out
+    return defect
 
 
 def _solve_all(model, energies, consts, grid) -> list:
-    """Per energy, (extrapolated ln R, step term, window term, unitarity
-    defect, steps in the fine and the wide run) or the SemirefError that
-    stopped it."""
+    """Per energy, (outcome, unitarity defect of its runs): the outcome a
+    (ln R, err_estimate) pair or the SemirefError that flags it, the defect
+    None where no run was made."""
     out: list = [None] * energies.size
     own = []
-    for i, E in enumerate(energies.tolist()):
-        try:
-            own.append((default_grid(model, E, consts), i))
-        except DomainError as exc:
-            out[i] = exc
+    for i, (E, k) in enumerate(zip(energies.tolist(),
+                                   _wavenumber(model, energies, consts).tolist())):
+        why = _wave_check(model, k)
+        if why is None:
+            own.append((k, i, E))
+        else:
+            out[i] = (DomainError(why), None)
     if grid is not None:
-        groups = [(grid, [i for _, i in own])] if own else []
+        groups = [(grid, np.array([i for _, i, _ in own]))] if own else []
     else:
-        # Coarsest first; a group takes the grid of its finest member.
-        own.sort(key=lambda gi: -gi[0].dx)
-        groups, first_dx = [], math.inf
-        for g, i in own:
-            if g.dx * _GROUP_RATIO < first_dx:
-                groups.append([g, []])
-                first_dx = g.dx
-            groups[-1][0] = g
-            groups[-1][1].append(i)
+        # Smallest k first; a group runs on the grid of its largest k, the
+        # largest whose own grid is not too large.
+        own.sort()
+        runs, first_k = [], 0.0
+        for k, i, E in own:
+            if k > _GROUP_RATIO * first_k:
+                runs.append([])
+                first_k = k
+            runs[-1].append((i, E))
+        groups = []
+        for members in runs:
+            while members:
+                i, E = members[-1]
+                try:
+                    groups.append((default_grid(model, E, consts),
+                                   np.array([j for j, _ in members])))
+                    break
+                except DomainError as exc:
+                    out[i] = (exc, None)
+                    members.pop()
     for g, idx in groups:
         try:
-            runs = _solve(model, energies[idx], consts, g)
+            rows = _solve(model, energies[idx], consts, g)
         except SemirefError as exc:
-            runs = [exc] * len(idx)
-        for i, run in zip(idx, runs):
-            out[i] = run
+            rows = [(exc, None)] * idx.size
+        for i, row in zip(idx.tolist(), rows):
+            out[i] = row
     return out
 
 
 def _solve(model, energies, consts, grid) -> list:
-    """The runs of ``energies`` on ``grid``: a fine run on [-X, X], a coarse
-    one at twice the step on [-X, X] and on [-2X, 2X], and window doublings
-    while the window term exceeds ``_WINDOW_TOL``, each combined by
-    ``_extrapolated``.  A grid with k dx > 0.2 is rejected."""
-    L, h, X = grid.quarter, grid.step, grid.x_max
-    k_max = _wavenumber(model, float(energies.max()), consts)
-    if k_max * h > 2.0 * _K_DX:
-        raise DomainError(f"k*dx = {k_max * h:.3f} > {2.0 * _K_DX:g} under-resolves the wave")
+    """Per energy of ``grid``, (outcome, unitarity defect): the three-rung
+    ladder over [-X, X], the h run over [-2X, 2X] for the window term,
+    window doublings while that term exceeds ``_WINDOW_TOL``, then step
+    halvings while the judged estimate exceeds its bound with the step
+    term its largest part.  A grid with k dx > 0.2 is rejected."""
+    L, h, X, seg = grid.quarter, grid.step, grid.x_max, grid.segment
+    k_max = float(_wavenumber(model, float(energies.max()), consts))
+    if k_max * h > _K_DX * (1.0 + 1e-12):
+        raise DomainError(f"k*dx = {k_max * h:.3f} > {_K_DX:g} under-resolves the wave")
     if X < _WINDOW[model.kind] * model.a * (1.0 - 1e-12):
         raise DomainError(
             f"window x_max = {X:g} is shorter than {_WINDOW[model.kind]:g} a"
         )
     r = h / consts.hbar  # c = (2m/hbar^2) h^2 / 12, formed without overflow
     c = 2.0 * consts.mass * r * r / 12.0
-    if not 0.0 < c < math.inf:
+    if not (0.0 < c and 16.0 * c < math.inf):
         raise DomainError(f"the Numerov scale (2m/hbar^2) dx^2/12 = {c:g} is out of range")
 
-    # Each run is built from its left half.  Chain 0, the fine run's:
-    # matrices at -X + h .. 0.  Chain 1, the coarse run's on [-2X, 0]; its
-    # right half steps over the fine run's even points, whose V it reuses.
-    fine_v = v(model, -X + h * np.arange(2 * L + 1))
-    coarse_v = np.concatenate([v(model, -2.0 * X + 2.0 * h * np.arange(L)), fine_v[::2]])
+    # The h rung's chain runs over [-2X, 0]; its inner half, [-X, 0], holds
+    # the points of all three rungs.
+    fine_v = v(model, -2.0 * X + h * np.arange(4 * L + 1))
+    inner = fine_v[2 * L :]
+    rungs = [(fine_v, c), (inner[::2], 4.0 * c), (inner[::4], 16.0 * c)]
     # V of a scale past double precision (x^2 + a^2 underflowing to 0) is
     # NaN at the chains' ends too: their m stand for the whole grid.
     if not all(np.isfinite(_numerov_m(energies, v_k[[0, -1], None], c_k)).all()
-               for v_k, c_k in ((fine_v, c), (coarse_v, 4.0 * c))):
+               for v_k, c_k in rungs):
         raise DomainError("the Numerov coefficients are not finite")
-    chains = _Chains(energies, [(fine_v, c), (coarse_v, 4.0 * c)], grid)
-    fine = chains.mirrored(0, 0)
-    narrow = chains.mirrored(1, 1)
-    wide = chains.mirrored(1, 0)
-    log_r, d_step, d_window = _extrapolated(fine, narrow, wide)
-    defect = np.maximum(np.maximum(fine.defect, narrow.defect), wide.defect)
-    n_steps = np.full(energies.size, 8 * L)
+    chains = _Chains(energies, rungs, seg)
+    # The h run over the windows from [-2X, 2X] down to [-X, X] (segments
+    # q apart), then the 2h and the 4h run.
+    q = L // (2 * seg)
+    run = chains.runs([*((0, j * q) for j in range(_SPREAD + 1)), (1, 0), (2, 0)])
+    widths, mid_lr, coarse = run.log_r[: _SPREAD + 1], run.log_r[-2], run.log_r[-1]
+    fine_lr, wide = widths[-1].copy(), widths[0]
+    window = wide - fine_lr
+    d_window = widths.max(axis=0) - widths.min(axis=0)
+    log_r, d_step = _ladder(fine_lr, mid_lr, coarse)
+    log_r += window
+    defect = run.defect.max(axis=0)
+    half = np.full(energies.size, X)  # each row's ladder half-window
+    n_steps = np.full(energies.size, 15 * L)  # steps of the runs in its value
 
-    # Double the window of the fine and the coarse run alike, each around
-    # its own product, while the window term exceeds its tolerance and
-    # halves at each doubling.
+    # Double the window of every run, each around its own product, while
+    # the window term exceeds its tolerance and halves at each doubling.
+    # The h run goes on to twice the new window; its old wide run becomes
+    # the ladder's h rung.
     todo = np.flatnonzero(d_window > _WINDOW_TOL)
-    fine, wide = fine.take(todo), wide.take(todo)
-    half = X  # the fine run's half-window
+    n = 2 * L  # h steps in the half-window [-W, 0]
+    if todo.size:
+        p = np.stack(run.p)[:, [0, -2, -1]][:, :, todo]
+        wide = wide[todo]
     for _ in range(_MAX_DOUBLINGS):
-        if todo.size == 0 or 4.0 * half / h > _MAX_POINTS:
+        if todo.size == 0 or 8 * n > _MAX_POINTS:
             break
-        j = np.arange(round(half / h) + 1)
+        W = 2.0 * half[todo[0]]  # the new half-window
         ring = _Chains(energies[todo], [
-            (v(model, -2.0 * half + h * j), c),
-            (v(model, -4.0 * half + 2.0 * h * j), 4.0 * c),
-        ], grid)
-        fine, narrow, wide = ring.mirrored(0, 0, fine.p), wide, ring.mirrored(1, 0, wide.p)
+            (v(model, -2.0 * W + h * np.arange(2 * n + 1)), c),
+            (v(model, -W + 2.0 * h * np.arange(n // 2 + 1)), 4.0 * c),
+            (v(model, -W + 4.0 * h * np.arange(n // 4 + 1)), 16.0 * c),
+        ], seg)
+        q = n // (2 * seg)
+        grown = ring.runs([*((0, j * q) for j in range(_SPREAD)), (1, 0), (2, 0)],
+                          p[:, [0] * _SPREAD + [1, 2]])
+        widths = np.concatenate([grown.log_r[:_SPREAD], wide[None]])
         last = d_window[todo]
-        log_r[todo], d_step[todo], d_window[todo] = _extrapolated(fine, narrow, wide)
-        defect[todo] = np.maximum(defect[todo], np.maximum(fine.defect, wide.defect))
-        n_steps[todo] += 4 * (j.size - 1)
+        fine_lr[todo], wide = wide, widths[0]
+        mid_lr[todo] = grown.log_r[-2]
+        window[todo] = wide - fine_lr[todo]
+        d_window[todo] = widths.max(axis=0) - widths.min(axis=0)
+        log_r[todo], d_step[todo] = _ladder(fine_lr[todo], mid_lr[todo], grown.log_r[-1])
+        log_r[todo] += window[todo]
+        defect[todo] = np.maximum(defect[todo], grown.defect.max(axis=0))
+        n *= 2
+        half[todo], n_steps[todo] = W, 15 * n // 2
         keep = (d_window[todo] > _WINDOW_TOL) & (d_window[todo] <= 0.5 * last)
-        todo, fine, wide = todo[keep], fine.take(keep), wide.take(keep)
-        half *= 2.0
-    return list(zip(log_r.tolist(), d_step.tolist(), d_window.tolist(),
-                    defect.tolist(), n_steps.tolist()))
+        todo, wide = todo[keep], wide[keep]
+        p = np.stack(grown.p)[:, [0, -2, -1]][:, :, keep]
+
+    # Halve the step where the estimate exceeds its bound and the step term
+    # is its largest part: the h and 2h rungs become the 2h and 4h rungs.
+    todo = np.arange(energies.size)
+    for level in range(1, _MAX_HALVINGS + 1):
+        err, d_round, flagged = _judged(log_r, d_step, d_window, n_steps)
+        todo = todo[flagged[todo] & (d_step[todo] > d_window[todo] + d_round[todo])]
+        c /= 4.0
+        if todo.size == 0 or not c > 0.0:
+            break
+        ran = []
+        for W in np.unique(half[todo]).tolist():
+            rows = todo[half[todo] == W]
+            m = 2 * L * round(W / X) << level  # steps in [-W, 0] at h / 2^level
+            if 2 * m > _MAX_POINTS:
+                continue
+            chain = v(model, -W + (h / 2**level) * np.arange(m + 1))
+            new = _Chains(energies[rows], [(chain, c)], seg).runs([(0, 0)])
+            log_r[rows], d_step[rows] = _ladder(new.log_r[0], fine_lr[rows], mid_lr[rows])
+            log_r[rows] += window[rows]
+            mid_lr[rows], fine_lr[rows] = fine_lr[rows], new.log_r[0]
+            defect[rows] = np.maximum(defect[rows], new.defect[0])
+            n_steps[rows] += 2 * m
+            ran.append(rows)
+        todo = np.sort(np.concatenate(ran)) if ran else todo[:0]
+
+    err, d_round, flagged = _judged(log_r, d_step, d_window, n_steps)
+    out = []
+    for row in zip(*(x.tolist() for x in (
+            log_r, err, d_step, d_window, d_round, flagged, defect))):
+        lr, e, ds, dw, dr, bad, d = row
+        if bad:
+            why = "is 1 or more" if e >= 1.0 else f"exceeds {_ERR_BOUND:g}"
+            out.append((ConvergenceError(
+                f"Numerov error estimate {e:.2e} {why} (step term {ds:.1e}, "
+                f"window doubling {dw:.1e}, rounding {dr:.1e})",
+                best=lr, err_estimate=e), d))
+        else:
+            out.append(((lr, e), d))
+    return out
 
 
-def _extrapolated(fine, narrow, wide):
-    """(ln R, step term, window term) from a fine run, a run at twice its
-    step over the same window (narrow) and over twice the window (wide).
+def _judged(log_r, d_step, d_window, n_steps):
+    """(err_estimate, rounding term, flagged) of the rows, as arrays.
 
-    The value is the fine run Richardson-extrapolated (``_richardson``),
-    carried to the doubled window by the change the coarse run sees there.
+    Below the rounding floor r_floor rounding alone puts more than the bound
+    on ln R, so the bound is kept by the error on R itself.  An estimate of
+    1 or more no longer holds: the rungs are not asymptotic there.
     """
-    value, step = _richardson(fine.log_r, narrow.log_r)
-    window = wide.log_r - narrow.log_r
-    return value + window, step, np.abs(window)
+    # Over 720 seeded sech^2 rows with E up to 30, the returned rows below
+    # ln R = -35 saw B move by at most 0.34 eps sqrt(n) |A| (median 0.03).
+    rho = _EPS * np.sqrt(n_steps)  # relative to |A|
+    x = rho * np.exp(-0.5 * log_r)  # rho / |B|
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_round = np.where(x < 1.0, -2.0 * np.log1p(-x), math.inf)
+    err = d_step + d_window + d_round
+    r_floor = (2.0 * rho / _ERR_BOUND) ** 2
+    r_err = np.exp(log_r) * np.expm1(np.minimum(err, 700.0))
+    flagged = (err >= 1.0) | ~((err <= _ERR_BOUND) | (r_err <= _ERR_BOUND * r_floor))
+    return err, d_round, flagged
+
+
+def _ladder(fine, mid, coarse):
+    """(value, step term) from a fourth-order scheme's runs at steps h, 2h
+    and 4h: the second Richardson level R1(h) + (R1(h) - R1(2h)) / 63, with
+    R1 the ``_richardson`` value of each pair, and the step term
+    |R1(h) - R1(2h)|, the error of the coarser extrapolation."""
+    upper, _ = _richardson(fine, mid)
+    lower, _ = _richardson(mid, coarse)
+    step = upper - lower
+    return upper + step / 63.0, np.abs(step)
 
 
 def _richardson(fine, coarse):
@@ -356,10 +486,11 @@ def _richardson(fine, coarse):
 
 @dataclass
 class _Run:
-    """A run's product (p00, p01, p10, p11) and the m = -e of its left and
-    right edge points, per energy, and the ln R and |R + T - 1| they give.
+    """Runs' products (p00, p01, p10, p11) and the m = -e of their left and
+    right edge points, as arrays of one shape, and the ln R and |R + T - 1|
+    they give.
 
-    The product maps the state (y_N, y_N - y_{N+1}) at the right edge to
+    A product maps the state (y_N, y_N - y_{N+1}) at the right edge to
     (y_0, y_0 - y_1) at the left.  Each edge takes the discrete wavenumber
     theta = q dx that the recurrence carries there, 2 - e = 2 cos(theta),
     i.e. sin^2(theta/2) = e/4, and y_j = A r^j + B r^-j with r = e^{i theta}.
@@ -386,62 +517,75 @@ class _Run:
         trans = 4.0 * sin_l * sin_r / inc
         self.defect = np.abs(np.exp(log_r) + trans - 1.0)
 
-    def take(self, idx) -> "_Run":
-        return _Run(tuple(x[idx] for x in self.p), tuple(x[idx] for x in self.edges))
-
 
 class _Chains:
     """Numerov transfer-matrix products along chains of grid points, for
-    every energy at once.
+    every energy at once, in one stacked pass.
 
     A chain is V at points x_0 .. x_n of one step, with the scale
     c = (2m/hbar^2) step^2 / 12; its matrices sit at x_1 .. x_n.  Each
-    chain is cut into segments of ``grid.segment`` matrices, and the
-    segments of all chains and energies are the equal-length columns of one
-    product, taken along axis 0 in calls of at most ``_CHUNK`` matrices.
+    chain is cut into segments of ``seg`` matrices, and the segments of all
+    chains and energies are the equal-length columns of one product, taken
+    along axis 0 in calls of at most ``_CHUNK`` matrices.
     """
 
-    def __init__(self, energies, chains, grid: ScatteringGrid):
-        seg = grid.segment
-        self.energies, self.chains = energies, chains
-        self.L, self.per_quarter = grid.quarter, grid.quarter // seg
-        n_seg = (chains[0][0].size - 1) // seg
-        per_c = min(n_seg, max(1, _CHUNK // seg))
-        per_e = max(1, _CHUNK // (seg * n_seg))
-        prod = np.empty((4, energies.size, len(chains), n_seg))
-        for k, (v_k, c_k) in enumerate(chains):
-            cols = v_k[1:].reshape(n_seg, seg).T  # column s: segment s
-            for e0 in range(0, energies.size, per_e):
-                e = energies[e0 : e0 + per_e, None]
-                for c0 in range(0, n_seg, per_c):
-                    m = _numerov_m(e, cols[:, None, c0 : c0 + per_c], c_k)
-                    prod[:, e0 : e0 + per_e, k, c0 : c0 + per_c] = _companion_product(m)
+    def __init__(self, energies, chains, seg: int):
+        self.energies, self.chains, self.seg = energies, chains, seg
+        counts = [(v_k.size - 1) // seg for v_k, _ in chains]
+        self.first = np.cumsum([0, *counts]).tolist()  # each chain's first column
+        cols = np.concatenate([v_k[1:].reshape(n, seg) for (v_k, _), n in zip(chains, counts)]).T
+        scale = np.repeat([c_k for _, c_k in chains], counts)
+        n_cols = cols.shape[1]
+        per_c = min(n_cols, max(1, _CHUNK // seg))
+        per_e = max(1, _CHUNK // (seg * n_cols))
+        prod = np.empty((4, energies.size, n_cols))
+        for e0 in range(0, energies.size, per_e):
+            e = energies[e0 : e0 + per_e, None]
+            for c0 in range(0, n_cols, per_c):
+                m = _numerov_m(e, cols[:, None, c0 : c0 + per_c], scale[c0 : c0 + per_c])
+                prod[:, e0 : e0 + per_e, c0 : c0 + per_c] = _companion_product(m)
         self.prod = prod
 
-    def _edge(self, chain, point):
-        """m at ``point`` of ``chain``, per energy."""
-        v_k, c_k = self.chains[chain]
-        return _numerov_m(self.energies, v_k[point], c_k)
+    def runs(self, starts, inner=None) -> "_Run":
+        """The runs of ``starts``, (chain, segment) pairs, stacked: each
+        over its chain from the segment's first point x_0 to the chain's end
+        x_n, then its ``inner`` product (default: the identity), then the
+        steps at -x_{n-1} .. -x_0.
 
-    def mirrored(self, chain, lo, inner=_IDENTITY) -> _Run:
-        """The run over ``chain`` from quarter ``lo`` to its end x_n, then
-        ``inner``, then the steps at -x_{n-1} .. -x_0.
-
-        With H the product of the stretch x_0 = x_{lo L} .. x_n, those
-        mirrored steps multiply to M_n^-1 rev(H) M_0, so the run is
-        H inner M_n^-1 rev(H) M_0 and both its edges take m at x_0.  With
-        x_n = 0 and ``inner`` the identity this is the run over
-        [x_0, -x_0]; with ``inner`` the product of the run over
-        [x_n, -x_n] it is that run's window extended to [x_0, -x_0].
+        With H the product of the stretch x_0 .. x_n, those mirrored steps
+        multiply to M_n^-1 rev(H) M_0, so the run is H inner M_n^-1 rev(H)
+        M_0 and both its edges take m at x_0.  With x_n = 0 and ``inner``
+        the identity this is the run over [x_0, -x_0]; with ``inner`` the
+        product of the run over [x_n, -x_n] it is that run's window
+        extended to [x_0, -x_0].  The segments are multiplied in blocks
+        that every run spans whole, all in one product, and each run's H
+        is its blocks' product, formed from the chain's end.
         """
-        h = _ordered_product(*(self.prod[i, :, chain, lo * self.per_quarter :].T
-                               for i in range(4)))
-        m_0 = self._edge(chain, lo * self.L)
-        m_n = self._edge(chain, -1)
+        lo = [self.first[k] + j for k, j in starts]
+        hi = [self.first[k + 1] for k, _ in starts]
+        b = math.gcd(*lo, *hi)  # segments per block
+        size = self.energies.size
+        blocks = [x.reshape(size, -1) for x in _ordered_product(
+            *(x.reshape(size * (x.shape[1] // b), b).T for x in self.prod))]
+        h = [None] * len(starts)
+        for end in set(hi):
+            mine = {lo[r] // b: r for r in range(len(starts)) if hi[r] == end}
+            acc = None
+            for j in range(end // b - 1, min(mine) - 1, -1):
+                block = tuple(x[:, j] for x in blocks)
+                acc = block if acc is None else _mul2(block, acc)
+                if j in mine:
+                    h[mine[j]] = acc
+        h = tuple(np.stack(x) for x in zip(*h))
+        edge = np.array([(self.chains[k][0][j * self.seg], self.chains[k][0][-1], self.chains[k][1])
+                         for k, j in starts]).T[:, :, None]
+        m_0, m_n = (_numerov_m(self.energies, v_e, edge[2]) for v_e in edge[:2])
         # M^-1 = [[1, -1], [-m, 1 + m]] for the step M = [[1 + m, 1], [m, 1]].
         right = _mul2(_mul2((1.0, -1.0, -m_n, 1.0 + m_n), _reversed(h)),
                       (1.0 + m_0, 1.0, m_0, 1.0))
-        return _Run(_mul2(h, _mul2(inner, right)), (m_0, m_0))
+        if inner is not None:
+            right = _mul2(inner, right)
+        return _Run(_mul2(h, right), (m_0, m_0))
 
 
 def _numerov_m(E, V, c):

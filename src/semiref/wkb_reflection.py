@@ -56,6 +56,9 @@ __all__ = [
 
 # Floor for relative-convergence denominators, far below any physical scale.
 _TINY = 1e-300
+_SQRT_MAX = math.sqrt(np.finfo(float).max)
+# -ln of the smallest subnormal: a log_prob below -_LOG_FLOOR underflows.
+_LOG_FLOOR = -math.log(np.finfo(float).smallest_subnormal)
 
 
 class Method(str, Enum):
@@ -65,6 +68,7 @@ class Method(str, Enum):
     CLOSED_FORM = "closed"
     CONTOUR_LL = "contour"
     EXACT_HO = "exact_ho"
+    EXACT_SECH2 = "exact_sech2"
     NUMEROV_ORACLE = "numerov"
     ADIABATIC = "adiabatic"
     TDSE = "tdse"
@@ -463,6 +467,14 @@ def reflection_contour_ll(
 
     def log_rows(energies):
         y0_all = y0 = im_v_inverse(model, energies)[:, None]
+        if not np.isfinite(y0_all).all():
+            if energies.size > 1:  # ``_outcomes`` runs each energy alone
+                raise DomainError("a turning point overflows")
+            # V(iy) is convex on [0, y0], so the integral is at least
+            # (2/3) y0 sqrt(2mE), with y0 past sqrt(max float).
+            if scale * _SQRT_MAX * math.sqrt(two_m * float(energies[0])) * (2.0 / 3.0) > _LOG_FLOOR:
+                return [(-math.inf, math.inf)]  # judged as the underflow
+            raise DomainError("the turning point y0 = Im V^-1(E) overflows double precision")
         e_all = e = energies[:, None]
 
         def select(rows: np.ndarray) -> None:

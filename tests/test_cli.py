@@ -314,11 +314,30 @@ class TestFlaggedRows:
         )
         assert code == EXIT_NUMERICAL
         lines = out.strip().splitlines()[1:]
-        for method in ("closed", "momentum"):
+        # The contour's turning point overflows too; its action is past the
+        # float range with it, so its row is the same underflow.
+        for method in ("closed", "contour", "momentum"):
             assert f"1e+100,{method},nan,nan,nan" in lines
             assert (f"warning: {method} failed at E=1e+100: probability underflows "
                     "double precision (log_prob=-inf)") in err.splitlines()
         assert "did not reach rel_tol" not in err
+
+    def test_overflowing_turning_point_of_a_small_action_is_flagged(self, capsys):
+        # y0 = sqrt(2E/alpha) overflows, but sqrt(2mE)/hbar is so small that
+        # the action need not: the contour flags the row with that reason,
+        # and the other energy of the call keeps its row.
+        code, out, err = run_cli(
+            ["reflect", "--model", "inverse_ho", "--emin", "1", "--emax", "1e300", "--n", "2",
+             "--methods", "closed,contour", "--alpha", "1e-10", "--mass", "1e-300",
+             "--hbar", "1e300"],
+            capsys,
+        )
+        assert code == EXIT_NUMERICAL
+        assert err.splitlines() == ["warning: contour failed at E=1e+300: the turning point "
+                                    "y0 = Im V^-1(E) overflows double precision"]
+        assert "1e+300,contour,nan,nan,nan" in out.splitlines()
+        (row,) = [ln for ln in out.splitlines() if ln.startswith("1,contour,")]
+        assert row.split(",")[2] != "nan"
 
     def test_unbisected_turning_point_is_not_a_log_prob(self, capsys):
         # The turning point is taken in closed form, not bisected, so this
@@ -1131,6 +1150,16 @@ class TestValidate:
             (line,) = [ln for ln in out.splitlines() if ln.startswith(f"FAIL {name}:")]
             assert line.endswith(
                 "error: a log_prob underflows to 0, so no relative difference exists")
+
+    def test_wave_longer_than_the_window_fails_unitarity_with_the_reason(self, capsys):
+        # At hbar = 1e300 the wavenumber is ~1e-300: no step of the oracle's
+        # grid fits in its window.  The check fails with that reason, not a
+        # grid variable's.
+        code, out, _ = run_cli(["validate", "--hbar", "1e300"], capsys)
+        assert code == EXIT_NUMERICAL
+        (line,) = [ln for ln in out.splitlines() if ln.startswith("FAIL oracle_unitarity:")]
+        assert line.endswith("error: the wave is longer than the window: k x_max = 1.13e-298 "
+                             "is below one step (k dx = 0.2)")
 
     def test_rising_log_prob_fails_monotonicity(self, monkeypatch):
         import semiref.validate as validate

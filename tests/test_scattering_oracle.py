@@ -19,6 +19,7 @@ from semiref import (
     default_grid,
     evolve_tdse,
     exact_ho_reflection,
+    exact_sech2_reflection,
     numerov_reflection,
     reflection_closed_form,
     v,
@@ -73,21 +74,23 @@ def sequential_run(model, E, x_max, h, consts=UNIT):
     return math.log(abs(psi_mid * r - psi_hi) ** 2 / abs(psi_hi - psi_mid / r) ** 2)
 
 
-def sequential_extrapolated(model, E, X, h, consts=UNIT):
+def sequential_ladder(model, E, X, h, consts=UNIT):
     """The Numerov oracle's value on window X and step h, from sequential
-    runs: the fine run over [-X, X] plus (fine - narrow)/15, with narrow the
-    run at twice the step over [-X, X], plus the change of that run when its
-    window doubles to [-2X, 2X] (wide)."""
-    fine = sequential_run(model, E, X, h, consts)
-    narrow = sequential_run(model, E, X, 2.0 * h, consts)
-    wide = sequential_run(model, E, 2.0 * X, 2.0 * h, consts)
-    return fine + (fine - narrow) / 15.0 + (wide - narrow)
+    runs: the runs over [-X, X] at h, 2h and 4h, each pair extrapolated as
+    fine + (fine - coarse)/15, the two combined as R1(h) + (R1(h) -
+    R1(2h))/63, plus the change of the h run when its window doubles to
+    [-2X, 2X]."""
+    fine, mid, coarse = (sequential_run(model, E, X, s, consts) for s in (h, 2.0 * h, 4.0 * h))
+    upper = fine + (fine - mid) / 15.0
+    lower = mid + (mid - coarse) / 15.0
+    wide = sequential_run(model, E, 2.0 * X, h, consts)
+    return upper + (upper - lower) / 63.0 + (wide - fine)
 
 
 def sequential_numerov_ln_refl(model, E, consts=UNIT):
     """The Numerov oracle's value on the default grid, from sequential runs."""
     grid = default_grid(model, E, consts)
-    return sequential_extrapolated(model, E, grid.x_max, grid.step, consts)
+    return sequential_ladder(model, E, grid.x_max, grid.step, consts)
 
 
 PRODUCT_LENGTHS = sorted(
@@ -300,6 +303,40 @@ class TestExactHO:
         assert abs(exact.prob / wkb.prob - 1.0) <= 1e-12
 
 
+class TestExactSech2:
+    @pytest.mark.parametrize("E, v0, a, hbar", [
+        (1.0, 10.0, 2.0, 1.0), (0.5, 5.0, 1.0, 1.0), (30.0, 10.0, 2.0, 1.0),
+        (1.0, 10.0, 2.0, 0.5), (2.0, 1.0, 1.0, 1.0), (-0.5, 1.0, 1.0, 1.0),
+    ])
+    def test_matches_the_test_formula(self, E, v0, a, hbar):
+        res = exact_sech2_reflection(E, PhysicalConstants(hbar=hbar), v0, a)
+        assert res.method is Method.EXACT_SECH2
+        assert res.log_prob == pytest.approx(sech2_exact_ln_refl(E, v0, a, hbar=hbar), rel=1e-14)
+
+    @pytest.mark.parametrize("E, v0, a, hbar", [
+        (1.0, 10.0, 2.0, 1.0), (400.0, 10.0, 2.0, 1.0), (1e-3, 1.0, 1.0, 1.0),
+        (-0.9, 1.0, 1.0, 1.0), (1.0, 0.05, 1.0, 1.0), (1.0, 0.1249, 1.0, 1.0),
+        (1.0, 1e-20, 1.0, 1.0), (2.0, 1.0, 3.0, 0.1),
+    ])
+    def test_matches_mpmath(self, E, v0, a, hbar):
+        # Both branches (2 m v0 a^2 / hbar^2 above and below 1/4) against
+        # the formula in 50-digit arithmetic.
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            b = mp.pi * a * mp.sqrt(2 * (mp.mpf(E) + v0)) / hbar
+            ell = 2 * mp.mpf(v0) * a * a / hbar**2
+            top = (mp.cosh(mp.pi * mp.sqrt(ell - 0.25)) if ell >= 0.25
+                   else mp.cos(mp.pi * mp.sqrt(0.25 - ell)))
+            expected = float(mp.log(top**2 / (mp.sinh(b) ** 2 + top**2)))
+        res = exact_sech2_reflection(E, PhysicalConstants(hbar=hbar), v0, a)
+        assert res.log_prob == pytest.approx(expected, rel=1e-13)
+
+    def test_bad_input_is_a_domain_error(self):
+        for E, v0, a in ((1.0, 0.0, 1.0), (1.0, 1.0, -1.0), (-1.0, 1.0, 1.0)):
+            with pytest.raises(DomainError):
+                exact_sech2_reflection(E, UNIT, v0, a)
+
+
 class TestNumerov:
     @pytest.mark.parametrize("model", [SECH2, LOR], ids=["sech2", "lorentzian"])
     def test_matches_sequential_recurrence(self, model):
@@ -398,10 +435,14 @@ class TestNumerov:
         assert isinstance(out[3], ConvergenceError)
         assert out[3].err_estimate == math.inf
 
-    def test_window_doubles_until_its_term_fits(self):
-        # Lorentzian (10, 2) at E = 2 and hbar/2: doubling 192a moves ln R by
-        # ~8.5e-7, doubling 384a by ~1.4e-7.  The result must come from the
-        # wider window, with an estimate under the bound.
+    def test_window_doubles_until_its_term_fits(self, monkeypatch):
+        # Lorentzian (10, 2) at E = 2 and hbar/2: the h run's ln R spreads
+        # over ~9.3e-7 across the windows 192a-384a, and over ~1.9e-7
+        # across 384a-768a.  The result must come from the wider window,
+        # with an estimate under the bound; held at 192a, its window term
+        # alone passes the 2.5e-7 tolerance.
+        import semiref.scattering_oracle as so
+
         half = PhysicalConstants(hbar=0.5)
         res = numerov_reflection(LOR, 2.0, half)
         grid = default_grid(LOR, 2.0, half)
@@ -409,14 +450,17 @@ class TestNumerov:
         assert res.err_estimate <= 1e-6
         assert res.log_prob == pytest.approx(
             numerov_reflection(LOR, 2.0, half, wide).log_prob, abs=1e-10)
+        monkeypatch.setattr(so, "_MAX_DOUBLINGS", 0)
+        (held,) = numerov_reflection(LOR, [2.0], half)
+        assert held.err_estimate > res.err_estimate + 2.5e-7
 
     def test_window_doubling_matches_sequential_recurrence(self):
         # The row above, from one window doubling, against full-window
-        # sequential runs at 384a: the fine run over [-2X, 2X] and the
-        # coarse run over [-2X, 2X] and [-4X, 4X], extrapolated alike.
+        # sequential runs at 384a: the h, 2h and 4h runs over [-2X, 2X] and
+        # the h run over [-4X, 4X], combined alike.
         half = PhysicalConstants(hbar=0.5)
         grid = default_grid(LOR, 2.0, half)
-        reference = sequential_extrapolated(LOR, 2.0, 2.0 * grid.x_max, grid.step, half)
+        reference = sequential_ladder(LOR, 2.0, 2.0 * grid.x_max, grid.step, half)
         res = numerov_reflection(LOR, 2.0, half)
         assert res.log_prob == pytest.approx(reference, rel=1e-9)
 
@@ -424,15 +468,18 @@ class TestNumerov:
     @pytest.mark.parametrize("hbar", [1.0, 0.5])
     def test_potential_is_even_on_the_grid(self, model, hbar):
         # Each run is built from its left half and that half mirrored, which
-        # takes V(-x) = V(x) at every point, bit for bit: the fine and the
-        # coarse points and those of the first two window doublings.
+        # takes V(-x) = V(x) at every point, bit for bit: the points of the
+        # h chain (the 2h and 4h rungs take every other and every fourth of
+        # its inner half), those of the first two window doublings and those
+        # of the first two step halvings.
         grid = default_grid(model, 1.0, PhysicalConstants(hbar=hbar))
         X, h, L = grid.x_max, grid.step, grid.quarter
         x = np.concatenate([
-            -X + h * np.arange(2 * L + 1),
-            -2.0 * X + 2.0 * h * np.arange(L),
-            *(-2.0 * w + h * np.arange(2 * L * w / X + 1) for w in (X, 2.0 * X)),
-            *(-4.0 * w + 2.0 * h * np.arange(2 * L * w / X + 1) for w in (X, 2.0 * X)),
+            -2.0 * X + h * np.arange(4 * L + 1),
+            *(-4.0 * w + h * np.arange(4 * L * w / X + 1) for w in (X, 2.0 * X)),
+            *(-2.0 * w + s * h * np.arange(2 * L * w / (s * X) + 1)
+              for w in (X, 2.0 * X) for s in (2.0, 4.0)),
+            *(-X + h / s * np.arange(2 * L * s + 1) for s in (2.0, 4.0)),
         ])
         assert np.array_equal(v(model, -x), v(model, x))
 
@@ -464,17 +511,20 @@ class TestNumerov:
 
     def test_energies_group_by_wavenumber(self, monkeypatch):
         # k spans 2.4x, so the energies run on two grids, each no more than
-        # 2x finer than a member's own k needs.
+        # 2x finer than a member's own k needs, and only those two are built.
         import semiref.scattering_oracle as so
 
         model = PotentialModel.sech2(1.0, 0.5)
         energies = [0.5, 8.0, 1.0, 2.0, 4.0]
-        groups = []
-        solve = so._solve
+        groups, built = [], []
+        solve, grid_of = so._solve, so.default_grid
         monkeypatch.setattr(
             so, "_solve", lambda m, es, c, g: groups.append((list(es), g)) or solve(m, es, c, g))
+        monkeypatch.setattr(
+            so, "default_grid", lambda m, E, c: built.append(E) or grid_of(m, E, c))
         out = numerov_reflection(model, energies, UNIT)
         assert len(groups) == 2
+        assert sorted(built) == [4.0, 8.0]
         assert sorted(E for es, _ in groups for E in es) == sorted(energies)
         for es, grid in groups:
             for E in es:
@@ -484,6 +534,45 @@ class TestNumerov:
             single = numerov_reflection(model, E, UNIT)
             assert res.energy == E
             assert abs(res.log_prob - single.log_prob) <= res.err_estimate + single.err_estimate
+
+
+class TestHalving:
+    """sech^2 (1, 1) at E 0.5-3 share the grid of E = 3, where the first
+    ladder's step term exceeds the bound at E = 2.5 and 3."""
+
+    MODEL = PotentialModel.sech2(1.0, 1.0)
+    ENERGIES = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+
+    def test_step_halves_until_the_estimate_fits(self, monkeypatch):
+        import semiref.scattering_oracle as so
+
+        for E, res in zip(self.ENERGIES, numerov_reflection(self.MODEL, self.ENERGIES, UNIT)):
+            exact = exact_sech2_reflection(E, UNIT, 1.0, 1.0).log_prob
+            assert abs(res.log_prob - exact) <= res.err_estimate <= 1e-6
+        monkeypatch.setattr(so, "_MAX_HALVINGS", 0)
+        held = numerov_reflection(self.MODEL, self.ENERGIES, UNIT)
+        assert [isinstance(r, ConvergenceError) for r in held] == [False] * 4 + [True] * 2
+
+    def test_halved_row_matches_sequential_recurrence(self):
+        # One halving: the runs at h/2, h and 2h over [-X, X], with the
+        # window change the h run saw.
+        grid = default_grid(self.MODEL, 3.0, UNIT)
+        X, h = grid.x_max, grid.step
+        fine, mid, coarse = (sequential_run(self.MODEL, 3.0, X, s) for s in (0.5 * h, h, 2.0 * h))
+        upper = fine + (fine - mid) / 15.0
+        lower = mid + (mid - coarse) / 15.0
+        reference = upper + (upper - lower) / 63.0 + sequential_run(self.MODEL, 3.0, 2.0 * X, h) - mid
+        res = numerov_reflection(self.MODEL, 3.0, UNIT)
+        assert res.log_prob == pytest.approx(reference, rel=1e-9)
+
+    def test_readme_sweep_returns_every_numerov_row(self, capsys):
+        from semiref.cli import main
+
+        code = main(["reflect", "--model", "sech2", "--v0", "1", "--a", "1", "--emin", "0.5",
+                     "--emax", "3", "--n", "6", "--methods", "closed,numerov"])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        assert sum(",numerov," in line for line in out.splitlines()) == 6
 
 
 class TestErrorEstimate:
@@ -566,9 +655,11 @@ class TestGrid:
     def test_default_grid_resolves_wave_and_tail(self):
         grid = default_grid(LOR, 2.0, UNIT)
         k = math.sqrt(2.0 * (2.0 + LOR.v0))
-        assert k * grid.step <= 0.1 + 1e-12
+        assert k * grid.step <= 0.2 + 1e-12
         assert grid.n_points == 4 * grid.quarter + 1
-        assert grid.quarter % grid.segment == 0
+        # The 4h rung's half window, quarter / 2 of its steps, and so every
+        # rung's, is a whole number of product segments.
+        assert grid.quarter % (2 * grid.segment) == 0
         # The tail is long enough when a window four times as long moves
         # ln R by no more than the estimate, itself within the bound.
         res = numerov_reflection(LOR, 2.0, UNIT)
