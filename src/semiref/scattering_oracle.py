@@ -358,7 +358,7 @@ def _solve(model, energies, consts, grid) -> list:
     q = L // (2 * seg)
     run = chains.runs([*((0, j * q) for j in range(_SPREAD + 1)), (1, 0), (2, 0)])
     widths, mid_lr, coarse = run.log_r[: _SPREAD + 1], run.log_r[-2], run.log_r[-1]
-    fine_lr, wide = widths[-1].copy(), widths[0]
+    fine_lr, wide = widths[-1], widths[0]
     window = wide - fine_lr
     d_window = widths.max(axis=0) - widths.min(axis=0)
     log_r, d_step = _ladder(fine_lr, mid_lr, coarse)
@@ -373,9 +373,7 @@ def _solve(model, energies, consts, grid) -> list:
     # the ladder's h rung.
     todo = np.flatnonzero(d_window > _WINDOW_TOL)
     n = 2 * L  # h steps in the half-window [-W, 0]
-    if todo.size:
-        p = np.stack(run.p)[:, [0, -2, -1]][:, :, todo]
-        wide = wide[todo]
+    p, wide = np.stack(run.p)[:, [0, -2, -1]][:, :, todo], wide[todo]
     for _ in range(_MAX_DOUBLINGS):
         if todo.size == 0 or 8 * n > _MAX_POINTS:
             break

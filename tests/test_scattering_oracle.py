@@ -580,9 +580,9 @@ class TestErrorEstimate:
     the estimate is never below the actual error."""
 
     def test_sech2_against_exact_formula(self):
-        # The extrapolated value is far closer than its estimate, which is
-        # the unextrapolated fine run's error: ~3e-11 at worst over 1,000
-        # such rows, where the fine run alone is off by up to ~5e-9.
+        # The second-level value is far closer than its estimate, which is
+        # the error of the coarser extrapolation R1(2h): ~7e-11 at worst
+        # over 1,000 such rows, with the estimate at least ~30x the error.
         rng = random.Random(20091023)
         worst, worst_err = math.inf, 0.0
         for _ in range(12):
@@ -617,7 +617,7 @@ class TestErrorEstimate:
 
     def test_sech2_deep_rows_at_half_hbar(self):
         # At hbar/2 the deepest rows leave the asymptotic regime of the
-        # 2*dx difference, where an estimate of several units does not hold
+        # rungs, where an estimate of several units does not hold
         # (unflagged, E = 26.54 here can read -59.62 +- 7.1 against the
         # exact -137.89).  Every returned row has an estimate below 1 and
         # lies within it.
