@@ -296,14 +296,14 @@ def _solve_all(model, energies, consts, grid) -> list:
         # Smallest k first; a group runs on the grid of its largest k, the
         # largest whose own grid is not too large.
         own.sort()
-        runs, first_k = [], 0.0
+        bands, first_k = [], 0.0
         for k, i, E in own:
             if k > _GROUP_RATIO * first_k:
-                runs.append([])
+                bands.append([])
                 first_k = k
-            runs[-1].append((i, E))
+            bands[-1].append((i, E))
         groups = []
-        for members in runs:
+        for members in bands:
             while members:
                 i, E = members[-1]
                 try:
