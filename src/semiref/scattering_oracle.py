@@ -324,11 +324,16 @@ def _solve_all(model, energies, consts, grid) -> list:
 
 
 def _solve(model, energies, consts, grid) -> list:
-    """Per energy of ``grid``, (outcome, unitarity defect): the three-rung
-    ladder over [-X, X], the h run over [-2X, 2X] for the window term,
-    window doublings while that term exceeds ``_WINDOW_TOL``, then step
-    halvings while the judged estimate exceeds its bound with the step
-    term its largest part.  A grid with k dx > 0.2 is rejected."""
+    """Per energy of ``grid``, (outcome, unitarity defect).  A grid with
+    k dx > 0.2 is rejected.
+
+    One loop grows the window.  Its first pass runs the three-rung ladder
+    over [-X, X] and the h run over windows from X to 2X, for the window
+    term; each later pass doubles the window of every run, each around its
+    own product, for the rows whose term still exceeds ``_WINDOW_TOL`` and
+    halved at the last pass.  Then the step halves where the judged estimate
+    exceeds its bound with the step term its largest part.  Every row is
+    updated, in either loop, by ``update``."""
     L, h, X, seg = grid.quarter, grid.step, grid.x_max, grid.segment
     k_max = float(_wavenumber(model, float(energies.max()), consts))
     if k_max * h > _K_DX * (1.0 + 1e-12):
@@ -342,73 +347,69 @@ def _solve(model, energies, consts, grid) -> list:
     if not (0.0 < c and 16.0 * c < math.inf):
         raise DomainError(f"the Numerov scale (2m/hbar^2) dx^2/12 = {c:g} is out of range")
 
-    # The h rung's chain runs over [-2X, 0]; its inner half, [-X, 0], holds
-    # the points of all three rungs.
-    fine_v = v(model, -2.0 * X + h * np.arange(4 * L + 1))
-    inner = fine_v[2 * L :]
-    rungs = [(fine_v, c), (inner[::2], 4.0 * c), (inner[::4], 16.0 * c)]
-    # V of a scale past double precision (x^2 + a^2 underflowing to 0) is
-    # NaN at the chains' ends too: their m stand for the whole grid.
-    if not all(np.isfinite(_numerov_m(energies, v_k[[0, -1], None], c_k)).all()
-               for v_k, c_k in rungs):
-        raise DomainError("the Numerov coefficients are not finite")
-    chains = _Chains(energies, rungs, seg)
-    # The h run over the windows from [-2X, 2X] down to [-X, X] (segments
-    # q apart), then the 2h and the 4h run.
-    q = L // (2 * seg)
-    run = chains.runs([*((0, j * q) for j in range(_SPREAD + 1)), (1, 0), (2, 0)])
-    widths, mid_lr, coarse = run.log_r[: _SPREAD + 1], run.log_r[-2], run.log_r[-1]
-    fine_lr, wide = widths[-1], widths[0]
-    window = wide - fine_lr
-    d_window = widths.max(axis=0) - widths.min(axis=0)
-    log_r, d_step = _ladder(fine_lr, mid_lr, coarse)
-    log_r += window
-    defect = run.defect.max(axis=0)
-    half = np.full(energies.size, X)  # each row's ladder half-window
-    n_steps = np.full(energies.size, 15 * L)  # steps of the runs in its value
+    size = energies.size
+    # Per row: value, step and window terms, h and 2h rungs, half-window.
+    log_r, d_step, window, fine_lr, mid_lr, half = (np.empty(size) for _ in range(6))
+    d_window = np.full(size, math.inf)  # the first pass's term need not halve
+    defect, n_steps = np.zeros(size), np.empty(size, dtype=int)
 
-    # Double the window of every run, each around its own product, while
-    # the window term exceeds its tolerance and halves at each doubling.
-    # The h run goes on to twice the new window; its old wide run becomes
-    # the ladder's h rung.
-    todo = np.flatnonzero(d_window > _WINDOW_TOL)
-    n = 2 * L  # h steps in the half-window [-W, 0]
-    p, wide = np.stack(run.p)[:, [0, -2, -1]][:, :, todo], wide[todo]
-    for _ in range(_MAX_DOUBLINGS):
+    def update(rows, fine, mid, coarse, window_term, run, steps):
+        """Set ``rows``' rungs, value, step term, window term, defect and
+        steps (of the runs in the value) from the ladder's runs and ``run``."""
+        fine_lr[rows], mid_lr[rows], window[rows], n_steps[rows] = fine, mid, window_term, steps
+        value, d_step[rows] = _ladder(fine, mid, coarse)
+        log_r[rows] = value + window_term
+        defect[rows] = np.maximum(defect[rows], run.defect.max(axis=0))
+
+    todo, p = np.arange(size), None  # the rows that grow, their runs' products
+    W, n = X, 2 * L  # the ladder's half-window and the h steps in [-W, 0]
+    for _ in range(_MAX_DOUBLINGS + 1):
+        if p is None:
+            # The h chain runs over [-2W, 0]; its inner half, [-W, 0], holds
+            # the points of all three rungs.
+            fine_v = v(model, -2.0 * W + h * np.arange(2 * n + 1))
+            inner = fine_v[n:]
+            rungs = [(fine_v, c), (inner[::2], 4.0 * c), (inner[::4], 16.0 * c)]
+            # V of a scale past double precision (x^2 + a^2 underflowing to
+            # 0) is NaN at the chains' ends too: their m stand for the grid.
+            if not all(np.isfinite(_numerov_m(energies, v_k[[0, -1], None], c_k)).all()
+                       for v_k, c_k in rungs):
+                raise DomainError("the Numerov coefficients are not finite")
+            spread, around = _SPREAD + 1, None
+        else:
+            # Rings around the old runs: the h run's from [-W, W] to
+            # [-2W, 2W], the 2h and 4h runs' from [-W/2, W/2] to [-W, W].
+            rungs = [(v(model, -2.0 * W + h * np.arange(n + 1)), c),
+                     (v(model, -W + 2.0 * h * np.arange(n // 4 + 1)), 4.0 * c),
+                     (v(model, -W + 4.0 * h * np.arange(n // 8 + 1)), 16.0 * c)]
+            spread, around = _SPREAD, p[:, [0] * _SPREAD + [1, 2]]
+        # The h run over the windows from [-2W, 2W] down (segments q apart),
+        # then the 2h and the 4h run.
+        q = n // (4 * seg)
+        run = _Chains(energies[todo], rungs, seg).runs(
+            [*((0, j * q) for j in range(spread)), (1, 0), (2, 0)], around)
+        widths = run.log_r[:spread]
+        if p is not None:  # the narrowest width is the old wide run
+            widths = np.concatenate([widths, wide[None]])
+        last, wide = d_window[todo], widths[0]
+        update(todo, widths[-1], run.log_r[-2], run.log_r[-1], wide - widths[-1], run,
+               15 * n // 2)
+        d_window[todo], half[todo] = widths.max(axis=0) - widths.min(axis=0), W
+        keep = (d_window[todo] > _WINDOW_TOL) & (d_window[todo] <= 0.5 * last)
+        todo, wide, p = todo[keep], wide[keep], np.stack(run.p)[:, [0, -2, -1]][:, :, keep]
         if todo.size == 0 or 8 * n > _MAX_POINTS:
             break
-        W = 2.0 * half[todo[0]]  # the new half-window
-        ring = _Chains(energies[todo], [
-            (v(model, -2.0 * W + h * np.arange(2 * n + 1)), c),
-            (v(model, -W + 2.0 * h * np.arange(n // 2 + 1)), 4.0 * c),
-            (v(model, -W + 4.0 * h * np.arange(n // 4 + 1)), 16.0 * c),
-        ], seg)
-        q = n // (2 * seg)
-        grown = ring.runs([*((0, j * q) for j in range(_SPREAD)), (1, 0), (2, 0)],
-                          p[:, [0] * _SPREAD + [1, 2]])
-        widths = np.concatenate([grown.log_r[:_SPREAD], wide[None]])
-        last = d_window[todo]
-        fine_lr[todo], wide = wide, widths[0]
-        mid_lr[todo] = grown.log_r[-2]
-        window[todo] = wide - fine_lr[todo]
-        d_window[todo] = widths.max(axis=0) - widths.min(axis=0)
-        log_r[todo], d_step[todo] = _ladder(fine_lr[todo], mid_lr[todo], grown.log_r[-1])
-        log_r[todo] += window[todo]
-        defect[todo] = np.maximum(defect[todo], grown.defect.max(axis=0))
-        n *= 2
-        half[todo], n_steps[todo] = W, 15 * n // 2
-        keep = (d_window[todo] > _WINDOW_TOL) & (d_window[todo] <= 0.5 * last)
-        todo, wide = todo[keep], wide[keep]
-        p = np.stack(grown.p)[:, [0, -2, -1]][:, :, keep]
+        W, n = 2.0 * W, 2 * n
 
     # Halve the step where the estimate exceeds its bound and the step term
     # is its largest part: the h and 2h rungs become the 2h and 4h rungs.
-    todo = np.arange(energies.size)
-    for level in range(1, _MAX_HALVINGS + 1):
+    # Each level is judged once; the last judgement is the rows'.
+    todo = np.arange(size)
+    for level in range(1, _MAX_HALVINGS + 2):
         err, d_round, flagged = _judged(log_r, d_step, d_window, n_steps)
         todo = todo[flagged[todo] & (d_step[todo] > d_window[todo] + d_round[todo])]
         c /= 4.0
-        if todo.size == 0 or not c > 0.0:
+        if level > _MAX_HALVINGS or todo.size == 0 or not c > 0.0:
             break
         ran = []
         for W in np.unique(half[todo]).tolist():
@@ -418,15 +419,11 @@ def _solve(model, energies, consts, grid) -> list:
                 continue
             chain = v(model, -W + (h / 2**level) * np.arange(m + 1))
             new = _Chains(energies[rows], [(chain, c)], seg).runs([(0, 0)])
-            log_r[rows], d_step[rows] = _ladder(new.log_r[0], fine_lr[rows], mid_lr[rows])
-            log_r[rows] += window[rows]
-            mid_lr[rows], fine_lr[rows] = fine_lr[rows], new.log_r[0]
-            defect[rows] = np.maximum(defect[rows], new.defect[0])
-            n_steps[rows] += 2 * m
+            update(rows, new.log_r[0], fine_lr[rows], mid_lr[rows], window[rows], new,
+                   n_steps[rows] + 2 * m)
             ran.append(rows)
         todo = np.sort(np.concatenate(ran)) if ran else todo[:0]
 
-    err, d_round, flagged = _judged(log_r, d_step, d_window, n_steps)
     out = []
     for row in zip(*(x.tolist() for x in (
             log_r, err, d_step, d_window, d_round, flagged, defect))):

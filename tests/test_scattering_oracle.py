@@ -32,9 +32,11 @@ UNIT = PhysicalConstants()
 SECH2 = PotentialModel.sech2(10.0, 2.0)
 LOR = PotentialModel.lorentzian(10.0, 2.0)
 
-# Regression values from the oracle itself on the default grid.
-SECH2_E1_LN = -2.8881529511338284
-LOR_E1_LN = -2.9059757949548612
+# ln R at E = 1 (hbar = m = 1).  sech2: the exact formula,
+# exact_sech2_reflection(1, UNIT, 10, 2).  Lorentzian: the oracle converged in
+# the window; its runs at 8, 16 and 32 times the default window agree to 7e-12.
+SECH2_E1_LN = -2.888152906262777
+LOR_E1_LN = -2.905975191081798
 
 
 def sech2_exact_ln_refl(E, v0, a, mass=1.0, hbar=1.0):
@@ -74,17 +76,28 @@ def sequential_run(model, E, x_max, h, consts=UNIT):
     return math.log(abs(psi_mid * r - psi_hi) ** 2 / abs(psi_hi - psi_mid / r) ** 2)
 
 
-def sequential_ladder(model, E, X, h, consts=UNIT):
-    """The Numerov oracle's value on window X and step h, from sequential
-    runs: the runs over [-X, X] at h, 2h and 4h, each pair extrapolated as
-    fine + (fine - coarse)/15, the two combined as R1(h) + (R1(h) -
-    R1(2h))/63, plus the change of the h run when its window doubles to
+def sequential_ladder(model, E, X, h, consts=UNIT, halvings=0):
+    """The Numerov oracle's value on window X and step h, halved
+    ``halvings`` times (0 to 2), from sequential runs: the runs over
+    [-X, X] at s, 2s and 4s for s = h / 2^halvings, each pair extrapolated
+    as fine + (fine - coarse)/15, the two combined as R1(s) + (R1(s) -
+    R1(2s))/63, plus the change of the h run when its window doubles to
     [-2X, 2X]."""
-    fine, mid, coarse = (sequential_run(model, E, X, s, consts) for s in (h, 2.0 * h, 4.0 * h))
+    s = h / 2**halvings
+    runs = [sequential_run(model, E, X, t, consts) for t in (s, 2.0 * s, 4.0 * s)]
+    fine, mid, coarse = runs
     upper = fine + (fine - mid) / 15.0
     lower = mid + (mid - coarse) / 15.0
     wide = sequential_run(model, E, 2.0 * X, h, consts)
-    return upper + (upper - lower) / 63.0 + (wide - fine)
+    return upper + (upper - lower) / 63.0 + (wide - runs[halvings])
+
+
+def outcome(res):
+    """A row as a comparable value: a result as it is, a flagged row as its
+    type, message, value and estimate."""
+    if isinstance(res, ConvergenceError):
+        return type(res), str(res), res.best, res.err_estimate
+    return res
 
 
 def sequential_numerov_ln_refl(model, E, consts=UNIT):
@@ -557,13 +570,42 @@ class TestHalving:
         # One halving: the runs at h/2, h and 2h over [-X, X], with the
         # window change the h run saw.
         grid = default_grid(self.MODEL, 3.0, UNIT)
-        X, h = grid.x_max, grid.step
-        fine, mid, coarse = (sequential_run(self.MODEL, 3.0, X, s) for s in (0.5 * h, h, 2.0 * h))
-        upper = fine + (fine - mid) / 15.0
-        lower = mid + (mid - coarse) / 15.0
-        reference = upper + (upper - lower) / 63.0 + sequential_run(self.MODEL, 3.0, 2.0 * X, h) - mid
+        reference = sequential_ladder(self.MODEL, 3.0, grid.x_max, grid.step, halvings=1)
         res = numerov_reflection(self.MODEL, 3.0, UNIT)
         assert res.log_prob == pytest.approx(reference, rel=1e-9)
+
+    def test_row_halved_after_a_doubling_matches_sequential_recurrence(self):
+        # Lorentzian (1, 1) at E = 1 doubles its window once, then halves
+        # its step once: the runs at h/2, h and 2h over [-2X, 2X], with the
+        # change of the h run from [-2X, 2X] to [-4X, 4X].  Held at one
+        # window or at one step, the row moves by 3e-9 or 2e-8 relative.
+        model = PotentialModel.lorentzian(1.0, 1.0)
+        grid = default_grid(model, 1.0, UNIT)
+        reference = sequential_ladder(model, 1.0, 2.0 * grid.x_max, grid.step, halvings=1)
+        res = numerov_reflection(model, 1.0, UNIT)
+        assert res.log_prob == pytest.approx(reference, rel=1e-9)
+
+    def test_size_caps_hold_rows_as_the_count_caps_do(self, monkeypatch):
+        # With _MAX_POINTS at 6x the grid's quarter the grid fits, but a
+        # window doubling (16x) and a step halving (8x) do not: the rows
+        # come back as with no doubling or no halving allowed.
+        import semiref.scattering_oracle as so
+
+        def capped(model, energies, consts, cap):
+            quarter = default_grid(model, max(energies), consts).quarter
+            with monkeypatch.context() as m:
+                m.setattr(so, cap, 0)
+                held = numerov_reflection(model, energies, consts)
+            with monkeypatch.context() as m:
+                m.setattr(so, "_MAX_POINTS", 6 * quarter)
+                sized = numerov_reflection(model, energies, consts)
+            assert [outcome(r) for r in sized] == [outcome(r) for r in held]
+            return held
+
+        (held,) = capped(LOR, [2.0], PhysicalConstants(hbar=0.5), "_MAX_DOUBLINGS")
+        assert isinstance(held, ConvergenceError) and held.err_estimate > 1e-6
+        held = capped(self.MODEL, self.ENERGIES, UNIT, "_MAX_HALVINGS")
+        assert [isinstance(r, ConvergenceError) for r in held] == [False] * 4 + [True] * 2
 
     def test_readme_sweep_returns_every_numerov_row(self, capsys):
         from semiref.cli import main
