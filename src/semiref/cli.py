@@ -221,13 +221,14 @@ def _write_output(text: str, path: str | None) -> None:
             handle.write(text)
 
 
-def parse_flat_config(text: str) -> dict:
-    """Parse flat ``key = value`` records (a subset of TOML).
+def parse_flat_config(text: str) -> dict[str, str]:
+    """Parse flat ``key = value`` records (a subset of TOML) into text.
 
-    Values may be quoted strings, booleans, or numbers; ``#`` starts a
-    comment.  Nested tables are not supported.
+    A value is its text with the quotes of a quoted string or a trailing
+    ``#`` comment removed; the flag it feeds types it.  Nested tables are
+    not supported.
     """
-    record: dict = {}
+    record: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -235,23 +236,12 @@ def parse_flat_config(text: str) -> dict:
         if "=" not in line:
             raise UsageError(f"config line {lineno}: expected key = value")
         key, _, value = line.partition("=")
-        key = key.strip()
         value = value.strip()
         if value.startswith('"') and '"' in value[1:]:
-            record[key] = value[1 : value.index('"', 1)]
-            continue
-        if "#" in value:
+            value = value[1 : value.index('"', 1)]
+        elif "#" in value:
             value = value.split("#", 1)[0].strip()
-        if value.lower() in ("true", "false"):
-            record[key] = value.lower() == "true"
-            continue
-        try:
-            record[key] = int(value)
-        except ValueError:
-            try:
-                record[key] = float(value)
-            except ValueError:
-                record[key] = value
+        record[key.strip()] = value
     return record
 
 

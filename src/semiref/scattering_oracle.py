@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SemirefError
-from .potentials import PhysicalConstants, PotentialKind, PotentialModel, v
+from .potentials import PhysicalConstants, PotentialKind, PotentialModel, _positive_finite, v
 from .wkb_reflection import Method, ReflectionResult, _reflections
 
 __all__ = [
@@ -72,8 +72,7 @@ class ScatteringGrid:
     dx: float
 
     def __post_init__(self):
-        if not (self.x_max > 0.0 and math.isfinite(self.x_max)):
-            raise DomainError("x_max must be positive and finite")
+        _positive_finite("x_max", self.x_max)
         if not (0.0 < self.dx < self.x_max):
             raise DomainError("dx must satisfy 0 < dx < x_max")
         # x_max / dx may overflow; n_points would then take ceil(inf).
@@ -153,8 +152,7 @@ def exact_ho_reflection(
     below the semiclassical estimate e^{-s} and agrees with it to leading
     exponential order.
     """
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise DomainError("alpha must be positive and finite")
+    _positive_finite("alpha", alpha)
     omega = math.sqrt(alpha / consts.mass)
     if consts.hbar * omega == 0.0:
         # hbar omega underflows; E / omega = E sqrt(m) / sqrt(alpha) does not.
@@ -179,10 +177,8 @@ def exact_sech2_reflection(
     l = 2 m v0 a^2 / hbar^2; where l < 1/4, cosh c becomes
     cos(pi sqrt(1/4 - l)).  Valid for every E > -v0, below the top too.
     """
-    if not (v0 > 0.0 and math.isfinite(v0)):
-        raise DomainError("v0 must be positive and finite")
-    if not (a > 0.0 and math.isfinite(a)):
-        raise DomainError("a must be positive and finite")
+    _positive_finite("v0", v0)
+    _positive_finite("a", a)
     if not E + v0 > 0.0:
         raise DomainError("E must lie above the tails, E > -v0")
     b = math.pi * a * (math.sqrt(2.0 * consts.mass * (E + v0)) / consts.hbar)
@@ -257,30 +253,29 @@ def numerov_reflection(
     depends, within its estimate, on the other energies of the call.
     """
     _check_flat_tailed(model)
-    return _reflections(E, Method.NUMEROV_ORACLE, lambda energies: [
-        out for out, _ in _solve_all(model, energies, consts, grid)])
+    return _reflections(E, Method.NUMEROV_ORACLE,
+                        lambda energies: _solve_all(model, energies, consts, grid))
 
 
 def _unitarity_defect(
     model: PotentialModel, E: float, consts: PhysicalConstants
 ) -> float:
-    """max |R + T - 1| over the runs ``numerov_reflection`` makes at E.
+    """max |R + T - 1| over the runs ``numerov_reflection`` makes at E, on
+    its ``default_grid``; where that grid's checks flag the row, their
+    DomainError is raised.
 
     The recurrence conserves the flux Im(conj(y_i) y_{i+1}), y = f psi,
     exactly, so the defect measures the rounding of the transfer-matrix
     product, not the discretisation or window error.
     """
-    _check_flat_tailed(model)
-    ((out, defect),) = _solve_all(model, np.array([E], dtype=float), consts, None)
-    if defect is None:
-        raise out
+    ((_, defect),) = _solve(model, np.array([E], dtype=float), consts,
+                            default_grid(model, E, consts))
     return defect
 
 
 def _solve_all(model, energies, consts, grid) -> list:
-    """Per energy, (outcome, unitarity defect of its runs): the outcome a
-    (ln R, err_estimate) pair or the SemirefError that flags it, the defect
-    None where no run was made."""
+    """Per energy, its outcome: a (ln R, err_estimate) pair or the
+    SemirefError that flags it."""
     out: list = [None] * energies.size
     own = []
     for i, (E, k) in enumerate(zip(energies.tolist(),
@@ -289,7 +284,7 @@ def _solve_all(model, energies, consts, grid) -> list:
         if why is None:
             own.append((k, i, E))
         else:
-            out[i] = (DomainError(why), None)
+            out[i] = DomainError(why)
     if grid is not None:
         groups = [(grid, np.array([i for _, i, _ in own]))] if own else []
     else:
@@ -311,13 +306,13 @@ def _solve_all(model, energies, consts, grid) -> list:
                                    np.array([j for j, _ in members])))
                     break
                 except DomainError as exc:
-                    out[i] = (exc, None)
+                    out[i] = exc
                     members.pop()
     for g, idx in groups:
         try:
-            rows = _solve(model, energies[idx], consts, g)
+            rows = [row for row, _ in _solve(model, energies[idx], consts, g)]
         except SemirefError as exc:
-            rows = [(exc, None)] * idx.size
+            rows = [exc] * idx.size
         for i, row in zip(idx.tolist(), rows):
             out[i] = row
     return out
@@ -481,35 +476,35 @@ def _richardson(fine, coarse):
 
 @dataclass
 class _Run:
-    """Runs' products (p00, p01, p10, p11) and the m = -e of their left and
-    right edge points, as arrays of one shape, and the ln R and |R + T - 1|
-    they give.
+    """Runs' products (p00, p01, p10, p11) and the m = -e of their edge
+    points, as arrays of one shape, and the ln R and |R + T - 1| they give.
 
     A product maps the state (y_N, y_N - y_{N+1}) at the right edge to
-    (y_0, y_0 - y_1) at the left.  Each edge takes the discrete wavenumber
-    theta = q dx that the recurrence carries there, 2 - e = 2 cos(theta),
-    i.e. sin^2(theta/2) = e/4, and y_j = A r^j + B r^-j with r = e^{i theta}.
+    (y_0, y_0 - y_1) at the left.  Every run's window is symmetric, so both
+    edges take the one m, and the one discrete wavenumber theta = q dx that
+    the recurrence carries there, 2 - e = 2 cos(theta), i.e.
+    sin^2(theta/2) = e/4; y_j = A r^j + B r^-j with r = e^{i theta}.
     """
 
     p: tuple
-    edges: tuple
+    m: np.ndarray
 
     def __post_init__(self):
         p00, p01, p10, p11 = self.p
-        m_l, m_r = self.edges
-        sin_l, sin_r = np.sqrt(-m_l * (1.0 + 0.25 * m_l)), np.sqrt(-m_r * (1.0 + 0.25 * m_r))
-        # Launch y_N = 1, y_{N+1} = e^{i theta_R}: y_N - y_{N+1} = e/2 - i sin.
-        d_n = -0.5 * m_r - 1j * sin_r
+        m = self.m
+        sin = np.sqrt(-m * (1.0 + 0.25 * m))
+        # Launch y_N = 1, y_{N+1} = e^{i theta}: y_N - y_{N+1} = e/2 - i sin.
+        d_n = -0.5 * m - 1j * sin
         y0, d0 = p00 + p01 * d_n, p10 + p11 * d_n
         # (r - 1/r) A = y_1 - y_0/r = y_0 (1 - 1/r) - d_0, and
         # (r - 1/r) B = y_0 r - y_1 = d_0 - y_0 (1 - r).
-        inc = np.abs(y0 * (-0.5 * m_l + 1j * sin_l) - d0) ** 2
+        inc = np.abs(y0 * (-0.5 * m + 1j * sin) - d0) ** 2
         with np.errstate(divide="ignore"):
-            log_r = np.log(np.abs(d0 - y0 * (-0.5 * m_l - 1j * sin_l)) ** 2) - np.log(inc)
+            log_r = np.log(np.abs(d0 - y0 * d_n) ** 2) - np.log(inc)
         self.log_r = np.clip(log_r, math.log(np.finfo(float).tiny), 0.0)
-        # The recurrence conserves the flux Im(conj(y_j) y_{j+1}): sin theta_R
-        # at the right, (|A|^2 - |B|^2) sin theta_L at the left.
-        trans = 4.0 * sin_l * sin_r / inc
+        # The recurrence conserves the flux Im(conj(y_j) y_{j+1}): sin theta
+        # at the right, (|A|^2 - |B|^2) sin theta at the left.
+        trans = 4.0 * sin * sin / inc
         self.defect = np.abs(np.exp(log_r) + trans - 1.0)
 
 
@@ -580,7 +575,7 @@ class _Chains:
                       (1.0 + m_0, 1.0, m_0, 1.0))
         if inner is not None:
             right = _mul2(inner, right)
-        return _Run(_mul2(h, right), (m_0, m_0))
+        return _Run(_mul2(h, right), m_0)
 
 
 def _numerov_m(E, V, c):

@@ -15,7 +15,7 @@ from . import landau_zener as lz
 from . import scattering_oracle as oracle
 from .errors import DomainError, SemirefError
 from .potentials import PhysicalConstants, PotentialModel
-from .specfun import elliptic_e, elliptic_k
+from .specfun import elliptic_b, elliptic_e, elliptic_k
 from .wkb_reflection import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
@@ -75,14 +75,16 @@ def _check_closed_form(consts, quad):
 
 
 def _check_legendre(consts, quad):
+    # The relation in E and, through E(m) = (1 - m) K(m) + m B(m), in B,
+    # the integral the Lorentzian closed form calls.
     worst = 0.0
     for m in np.linspace(0.1, 0.9, 9):
-        lhs = (
-            elliptic_e(m) * elliptic_k(1.0 - m)
-            + elliptic_e(1.0 - m) * elliptic_k(m)
-            - elliptic_k(m) * elliptic_k(1.0 - m)
-        )
-        worst = max(worst, abs(lhs - 0.5 * math.pi))
+        k, k1 = elliptic_k(m), elliptic_k(1.0 - m)
+        for lhs in (
+            elliptic_e(m) * k1 + elliptic_e(1.0 - m) * k - k * k1,
+            m * elliptic_b(m) * k1 + (1.0 - m) * elliptic_b(1.0 - m) * k,
+        ):
+            worst = max(worst, abs(lhs - 0.5 * math.pi))
     return worst <= 1e-12, f"max |relation - pi/2| = {worst:.3e} (bound 1e-12)"
 
 
@@ -133,7 +135,7 @@ def _check_unitarity(consts, quad):
     return worst <= 1e-6, f"max unitarity defect {worst:.3e} (bound 1e-06)"
 
 
-def _check_tdse_norm(consts, quad, rel_tol=1e-10):
+def _check_tdse_norm(consts, quad):
     # The CF4 propagator that ``lz`` runs, as partial products from the
     # start of the span to 9 equally spaced times, applied to the start state.
     # It is held as the SU(2) pair (a, b) of its upper row and its lower row
@@ -143,6 +145,7 @@ def _check_tdse_norm(consts, quad, rel_tol=1e-10):
     # ``evolve_tdse``, or where a stretch needs as many steps as the cap
     # ``_steps`` puts on them (at hbar = 1e-20 each needs ~8e22), so nothing
     # is stepped; a drift that is not finite fails.
+    tdse_rtol = 1e-10  # the default of ``lz --tdse-rtol``
     profile = lz.CrossingProfile.linear(2.0)
     with lz._in_double_precision():
         profile, epsilon, hbar, t1 = lz._in_sweep_units(
@@ -152,19 +155,19 @@ def _check_tdse_norm(consts, quad, rel_tol=1e-10):
         psi, _ = lz._edge_states(profile, epsilon, hbar, -t1)
         tables = [lz._phase_table(profile, epsilon, hbar, a, b)
                   for a, b in zip(t_eval, t_eval[1:])]
-        need = max(lz._needed_steps(table, rel_tol) for table in tables)
+        need = max(lz._needed_steps(table, tdse_rtol) for table in tables)
     cap = lz._MAX_STEPS // 2
     if need > cap - 1:  # rounded up, the count reaches the cap
         raise DomainError(
             f"a stretch of the sweep needs {need:.3g} CF4 steps, at or past the cap of {cap}")
-    steps = [lz._steps(table, rel_tol) for table in tables]
+    steps = [lz._steps(table, tdse_rtol) for table in tables]
     drifts = [abs(np.vdot(psi, psi).real - 1.0)]
     for table, n in zip(tables, steps):
         u_a, u_b = lz._propagator(profile, epsilon, hbar, table, n)
         psi = np.array([u_a * psi[0] + u_b * psi[1],
                         -np.conj(u_b) * psi[0] + np.conj(u_a) * psi[1]])
         drifts.append(abs(np.vdot(psi, psi).real - 1.0))
-    worst, bound = np.max(drifts), 100.0 * rel_tol
+    worst, bound = np.max(drifts), 100.0 * tdse_rtol
     return worst <= bound, f"max norm drift {worst:.3e} (bound {bound:.1e})"
 
 

@@ -833,9 +833,28 @@ class TestConfigFile:
                 "kind = sech2",
             ]
         )
+        # Values stay text: the flag each one feeds types it.
         record = parse_flat_config(text)
         assert record == {
-            "model": "sech2", "v0": 2.5, "n": 4, "log": True, "kind": "sech2"}
+            "model": "sech2", "v0": "2.5", "n": "4", "log": "true", "kind": "sech2"}
+
+    @pytest.mark.parametrize("value", ["1e3", "007"])
+    def test_file_value_reaches_its_flag_as_written(self, value, tmp_path, monkeypatch,
+                                                     capsys):
+        # A number-like out value names the file as the flag's value does.
+        monkeypatch.chdir(tmp_path)
+        argv = ["reflect", "--model", "sech2", "--emin", "1", "--methods", "closed"]
+
+        def written(extra):
+            assert run_cli([*argv, *extra], capsys) == (EXIT_OK, "", "")
+            (path,) = tmp_path.glob("[0-9]*")
+            text = path.read_text()
+            path.unlink()
+            return path.name, text
+
+        (tmp_path / "run.toml").write_text(f"out = {value}\n")
+        assert written(["--config", "run.toml"]) == written(["--out", value])
+        assert written(["--out", value])[0] == value
 
     def test_line_without_equals_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.toml"
@@ -1183,6 +1202,16 @@ class TestValidate:
         (res,) = [r for r in validate.run_all() if r.name == "legendre_relation"]
         assert not res.passed
         assert res.detail == "error: ArithmeticError: no elliptic integral today"
+
+    def test_legendre_relation_checks_elliptic_b(self, monkeypatch):
+        # B is the elliptic integral the Lorentzian closed form calls.
+        import semiref.validate as validate
+
+        b = validate.elliptic_b
+        monkeypatch.setattr(validate, "elliptic_b", lambda m: b(m) * (1.0 + 1e-9))
+        (res,) = [r for r in validate.run_all() if r.name == "legendre_relation"]
+        assert not res.passed
+        assert res.detail.endswith("(bound 1e-12)")
 
     def test_halved_hbar_still_passes_scaling(self, capsys):
         code, out, _ = run_cli(["validate", "--hbar", "0.5"], capsys)

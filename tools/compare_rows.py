@@ -9,14 +9,18 @@ builds at each seed, then each line of FILE (shell words, an optional
 leading ``semiref``; blank lines and ``#`` comments are skipped).
 
 For each tree one child process imports ``semiref.cli`` from that tree
-and runs ``main`` in process on every command line, in order.  The exit
-code, stdout and stderr of each run are compared.  Prints how many command
-lines give identical output and, for each one that does not, the command
-line and its first differing line.  Where the two runs agree in exit code
-and stderr and print the same rows (CSV or JSON, the same in every column
-but log_prob, prob and err_estimate), it also prints how far log_prob
-moves at most, absolutely and relative to the row's err_estimate in A.
-Exits 1 if any differs, 2 if a tree cannot be read or run, else 0.
+and runs ``main`` in process on every command line, in order, in a
+working directory seeded with copies of the ``*.toml`` files beside FILE,
+so a line may name one with ``--config``.  The exit code, stdout, stderr
+and the files each run leaves in that directory (name and text; they are
+removed before the next line) are compared.  Prints how many command
+lines give identical results and, for each one that does not, the command
+line and its first differing line or file.  Where the two runs agree in
+exit code, stderr and files and print the same rows (CSV or JSON, the
+same in every column but log_prob, prob and err_estimate), it also prints
+how far log_prob moves at most, absolutely and relative to the row's
+err_estimate in A.  Exits 1 if any differs, 2 if a tree cannot be read or
+run, else 0.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import io
 import json
 import math
 import shlex
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -36,7 +41,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # Runs in the child: argv[1] is the tree's src/, argv[2] a JSON file of
-# command lines, argv[3] the file the (code, stdout, stderr) list goes to.
+# command lines, argv[3] the file the (code, stdout, stderr, files) list
+# goes to.  The files are the (name, text) pairs of the files a command
+# line leaves in the working directory beside the seeded ones.
 _CHILD = """
 import io, json, sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -49,12 +56,17 @@ import semiref.cli
 where = Path(semiref.cli.__file__).resolve().parent
 if where != (Path(src) / "semiref").resolve():
     sys.exit(f"imported semiref from {where}, not {src}")
+seeded = {path.name for path in Path.cwd().iterdir()}
 results = []
 for argv in json.loads(Path(argvs_path).read_text()):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = semiref.cli.main(argv)
-    results.append((code, out.getvalue(), err.getvalue()))
+    left = sorted(path for path in Path.cwd().iterdir() if path.name not in seeded)
+    files = [(path.name, path.read_text()) for path in left]
+    for path in left:
+        path.unlink()
+    results.append((code, out.getvalue(), err.getvalue(), files))
 Path(out_path).write_text(json.dumps(results))
 """
 
@@ -107,31 +119,48 @@ def tree_src(spec: str, scratch: Path) -> Path:
     return dest / "src"
 
 
-def run_tree(src: Path, argvs_file: Path, scratch: Path) -> list[tuple]:
-    """(exit code, stdout, stderr) of each command line, run under ``src``."""
+def run_tree(src: Path, argvs_file: Path, scratch: Path, configs: list[Path]) -> list[tuple]:
+    """(exit code, stdout, stderr, files written) of each command line, run
+    under ``src`` in a directory seeded with copies of ``configs``."""
     run = Path(tempfile.mkdtemp(prefix="run-", dir=scratch))
     out, workdir = run / "rows.json", run / "cwd"
     workdir.mkdir()
+    for config in configs:
+        shutil.copy(config, workdir)
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, str(src), str(argvs_file), str(out)],
         cwd=workdir, capture_output=True, text=True, check=False,
     )
     if proc.returncode != 0:
         fail(f"the run under {src} failed:\n{proc.stderr}")
-    return [tuple(r) for r in json.loads(out.read_text())]
+    return [(code, stdout, stderr, tuple(map(tuple, files)))
+            for code, stdout, stderr, files in json.loads(out.read_text())]
 
 
 def first_difference(a: tuple, b: tuple) -> str:
-    """Where two differing (exit code, stdout, stderr) triples first differ."""
+    """Where two differing (exit code, stdout, stderr, files) results first
+    differ: the exit code, a stream's line, or the first file by name."""
     if a[0] != b[0]:
         return f"exit code {a[0]} != {b[0]}"
-    stream, x, y = ("stdout", a[1], b[1]) if a[1] != b[1] else ("stderr", a[2], b[2])
+    if a[1] != b[1]:
+        return line_difference("stdout", a[1], b[1])
+    if a[2] != b[2]:
+        return line_difference("stderr", a[2], b[2])
+    files_a, files_b = dict(a[3]), dict(b[3])
+    name = min(n for n in files_a.keys() | files_b.keys() if files_a.get(n) != files_b.get(n))
+    if name not in files_b or name not in files_a:
+        return f"file {name!r} written by {'A' if name in files_a else 'B'} only"
+    return line_difference(f"file {name!r}", files_a[name], files_b[name])
+
+
+def line_difference(where: str, x: str, y: str) -> str:
+    """The first line at which two differing texts differ."""
     lines_a, lines_b = x.splitlines(keepends=True), y.splitlines(keepends=True)
     i = next((i for i, pair in enumerate(zip(lines_a, lines_b)) if pair[0] != pair[1]),
              min(len(lines_a), len(lines_b)))
     la = repr(lines_a[i]) if i < len(lines_a) else "<end>"
     lb = repr(lines_b[i]) if i < len(lines_b) else "<end>"
-    return f"{stream} line {i + 1}:\n    A: {la}\n    B: {lb}"
+    return f"{where} line {i + 1}:\n    A: {la}\n    B: {lb}"
 
 
 _VALUES = ("log_prob", "prob", "err_estimate")  # the columns a route computes
@@ -156,10 +185,11 @@ def _number(cell) -> float:
 
 def log_prob_moves(a: tuple, b: tuple) -> tuple[float, float] | None:
     """(largest |Delta log_prob|, largest |Delta log_prob| / err_estimate)
-    over the rows of two (exit code, stdout, stderr) triples that agree but
-    for the values of the same rows, else None.  A value that turns nan, or
-    any move of a row with no positive err_estimate, is infinitely far."""
-    if a[0] != b[0] or a[2] != b[2]:
+    over the rows of two (exit code, stdout, stderr, files) results that
+    agree but for the values of the same rows in stdout, else None.  A
+    value that turns nan, or any move of a row with no positive
+    err_estimate, is infinitely far."""
+    if a[0] != b[0] or a[2] != b[2] or a[3] != b[3]:
         return None
     rows_a, rows_b = parse_rows(a[1]), parse_rows(b[1])
     if rows_a is None or rows_b is None or len(rows_a) != len(rows_b):
@@ -188,15 +218,16 @@ def main(argv=None) -> int:
     parser.add_argument("--argvs", type=Path, help="file of extra command lines")
     args = parser.parse_args(argv)
 
-    argvs = workload_argvs(args.seeds)
+    argvs, configs = workload_argvs(args.seeds), []
     if args.argvs is not None:
         argvs += file_argvs(args.argvs)
+        configs = sorted(args.argvs.parent.glob("*.toml"))
     with tempfile.TemporaryDirectory(prefix="compare-rows-") as tmp:
         scratch = Path(tmp)
         argvs_file = scratch / "argvs.json"
         argvs_file.write_text(json.dumps(argvs))
-        a = run_tree(tree_src(args.a, scratch), argvs_file, scratch)
-        b = run_tree(tree_src(args.b, scratch), argvs_file, scratch)
+        a = run_tree(tree_src(args.a, scratch), argvs_file, scratch, configs)
+        b = run_tree(tree_src(args.b, scratch), argvs_file, scratch, configs)
     differ = [(argv, x, y) for argv, x, y in zip(argvs, a, b) if x != y]
     for argv, x, y in differ:
         print(f"differs: semiref {shlex.join(argv)}\n  {first_difference(x, y)}")
