@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import sys
 from itertools import repeat
@@ -224,9 +225,11 @@ def _write_output(text: str, path: str | None) -> None:
 def parse_flat_config(text: str) -> dict[str, str]:
     """Parse flat ``key = value`` records (a subset of TOML) into text.
 
-    A value is its text with the quotes of a quoted string or a trailing
-    ``#`` comment removed; the flag it feeds types it.  Nested tables are
-    not supported.
+    A value in single quotes is a literal string, its text up to the next
+    quote; one in double quotes is a basic string, its backslash escapes
+    decoded as JSON decodes them.  Any other value is its text up to a
+    ``#`` comment.  The flag a value feeds types it.  Nested tables are not
+    supported.
     """
     record: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -237,10 +240,15 @@ def parse_flat_config(text: str) -> dict[str, str]:
             raise UsageError(f"config line {lineno}: expected key = value")
         key, _, value = line.partition("=")
         value = value.strip()
-        if value.startswith('"') and '"' in value[1:]:
-            value = value[1 : value.index('"', 1)]
-        elif "#" in value:
-            value = value.split("#", 1)[0].strip()
+        try:
+            if value.startswith("'"):
+                value = value[1 : value.index("'", 1)]
+            elif value.startswith('"'):
+                value = json.JSONDecoder(strict=False).raw_decode(value)[0]
+            else:
+                value = value.split("#", 1)[0].strip()
+        except ValueError as exc:
+            raise UsageError(f"config line {lineno}: cannot read the string {value}") from exc
         record[key.strip()] = value
     return record
 

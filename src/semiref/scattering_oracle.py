@@ -215,7 +215,7 @@ def numerov_reflection(
     cos(q dx) = (12 - 10 f) / (2 f), so a flat tail reflects nothing.
     V is even, so every run's window is symmetric about x = 0: only the
     left half of each product is multiplied, and the right half is its
-    mirror image, formed exactly from it (``_Chains.runs``).
+    mirror image, formed exactly from it (``_runs``).
 
     The scheme is fourth order.  Three runs over the window, at steps h
     (k h <= 0.2), 2h and 4h, give two Richardson values R1(h) and R1(2h)
@@ -268,59 +268,55 @@ def _unitarity_defect(
     exactly, so the defect measures the rounding of the transfer-matrix
     product, not the discretisation or window error.
     """
-    ((_, defect),) = _solve(model, np.array([E], dtype=float), consts,
-                            default_grid(model, E, consts))
+    _, (defect,) = _solve(model, np.array([E], dtype=float), consts,
+                          default_grid(model, E, consts))
     return defect
 
 
 def _solve_all(model, energies, consts, grid) -> list:
     """Per energy, its outcome: a (ln R, err_estimate) pair or the
-    SemirefError that flags it."""
+    SemirefError that flags it.  The energies a grid resolves are solved
+    in bands of (k, index) pairs: with ``grid``, one band in input order;
+    else by k, split where k exceeds ``_GROUP_RATIO`` times the band's
+    first k, each band on the grid of its largest k whose own grid is not
+    too large (the members above it are flagged with their grid's error)."""
     out: list = [None] * energies.size
     own = []
-    for i, (E, k) in enumerate(zip(energies.tolist(),
-                                   _wavenumber(model, energies, consts).tolist())):
+    for i, k in enumerate(_wavenumber(model, energies, consts).tolist()):
         why = _wave_check(model, k)
         if why is None:
-            own.append((k, i, E))
+            own.append((k, i))
         else:
             out[i] = DomainError(why)
-    if grid is not None:
-        groups = [(grid, np.array([i for _, i, _ in own]))] if own else []
-    else:
-        # Smallest k first; a group runs on the grid of its largest k, the
-        # largest whose own grid is not too large.
+    if grid is None:
         own.sort()
-        bands, first_k = [], 0.0
-        for k, i, E in own:
-            if k > _GROUP_RATIO * first_k:
-                bands.append([])
-                first_k = k
-            bands[-1].append((i, E))
-        groups = []
-        for members in bands:
-            while members:
-                i, E = members[-1]
-                try:
-                    groups.append((default_grid(model, E, consts),
-                                   np.array([j for j, _ in members])))
-                    break
-                except DomainError as exc:
-                    out[i] = exc
-                    members.pop()
-    for g, idx in groups:
+    bands = []
+    for k, i in own:
+        if not bands or (grid is None and k > _GROUP_RATIO * bands[-1][0][0]):
+            bands.append([])
+        bands[-1].append((k, i))
+    for band in bands:
+        g = grid
+        while g is None and band:
+            try:
+                g = default_grid(model, float(energies[band[-1][1]]), consts)
+            except DomainError as exc:
+                out[band.pop()[1]] = exc
+        if not band:
+            continue
+        idx = [i for _, i in band]
         try:
-            rows = [row for row, _ in _solve(model, energies[idx], consts, g)]
+            rows, _ = _solve(model, energies[idx], consts, g)
         except SemirefError as exc:
-            rows = [exc] * idx.size
-        for i, row in zip(idx.tolist(), rows):
+            rows = [exc] * len(idx)
+        for i, row in zip(idx, rows):
             out[i] = row
     return out
 
 
-def _solve(model, energies, consts, grid) -> list:
-    """Per energy of ``grid``, (outcome, unitarity defect).  A grid with
-    k dx > 0.2 is rejected.
+def _solve(model, energies, consts, grid) -> tuple[list, list]:
+    """(outcomes, unitarity defects) of the energies on ``grid``, one of
+    each per energy.  A grid with k dx > 0.2 is rejected.
 
     One loop grows the window.  Its first pass runs the three-rung ladder
     over [-X, X] and the h run over windows from X to 2X, for the window
@@ -381,8 +377,8 @@ def _solve(model, energies, consts, grid) -> list:
         # The h run over the windows from [-2W, 2W] down (segments q apart),
         # then the 2h and the 4h run.
         q = n // (4 * seg)
-        run = _Chains(energies[todo], rungs, seg).runs(
-            [*((0, j * q) for j in range(spread)), (1, 0), (2, 0)], around)
+        run = _runs(energies[todo], rungs, seg,
+                    [*((0, j * q) for j in range(spread)), (1, 0), (2, 0)], around)
         widths = run.log_r[:spread]
         if p is not None:  # the narrowest width is the old wide run
             widths = np.concatenate([widths, wide[None]])
@@ -413,25 +409,24 @@ def _solve(model, energies, consts, grid) -> list:
             if 2 * m > _MAX_POINTS:
                 continue
             chain = v(model, -W + (h / 2**level) * np.arange(m + 1))
-            new = _Chains(energies[rows], [(chain, c)], seg).runs([(0, 0)])
+            new = _runs(energies[rows], [(chain, c)], seg, [(0, 0)])
             update(rows, new.log_r[0], fine_lr[rows], mid_lr[rows], window[rows], new,
                    n_steps[rows] + 2 * m)
             ran.append(rows)
         todo = np.sort(np.concatenate(ran)) if ran else todo[:0]
 
     out = []
-    for row in zip(*(x.tolist() for x in (
-            log_r, err, d_step, d_window, d_round, flagged, defect))):
-        lr, e, ds, dw, dr, bad, d = row
+    for lr, e, ds, dw, dr, bad in zip(*(x.tolist() for x in (
+            log_r, err, d_step, d_window, d_round, flagged))):
         if bad:
             why = "is 1 or more" if e >= 1.0 else f"exceeds {_ERR_BOUND:g}"
-            out.append((ConvergenceError(
+            out.append(ConvergenceError(
                 f"Numerov error estimate {e:.2e} {why} (step term {ds:.1e}, "
                 f"window doubling {dw:.1e}, rounding {dr:.1e})",
-                best=lr, err_estimate=e), d))
+                best=lr, err_estimate=e))
         else:
-            out.append(((lr, e), d))
-    return out
+            out.append((lr, e))
+    return out, defect.tolist()
 
 
 def _judged(log_r, d_step, d_window, n_steps):
@@ -508,74 +503,65 @@ class _Run:
         self.defect = np.abs(np.exp(log_r) + trans - 1.0)
 
 
-class _Chains:
-    """Numerov transfer-matrix products along chains of grid points, for
-    every energy at once, in one stacked pass.
+def _runs(energies, chains, seg: int, starts, inner=None) -> _Run:
+    """Numerov transfer-matrix products of the runs of ``starts`` along
+    chains of grid points, for every energy at once, in one stacked pass.
 
     A chain is V at points x_0 .. x_n of one step, with the scale
     c = (2m/hbar^2) step^2 / 12; its matrices sit at x_1 .. x_n.  Each
     chain is cut into segments of ``seg`` matrices, and the segments of all
     chains and energies are the equal-length columns of one product, taken
     along axis 0 in calls of at most ``_CHUNK`` matrices.
+
+    ``starts`` are (chain, segment) pairs.  Each run goes over its chain
+    from the segment's first point x_0 to the chain's end x_n, then its
+    ``inner`` product (default: the identity), then the steps at
+    -x_{n-1} .. -x_0.  With H the product of the stretch x_0 .. x_n, those
+    mirrored steps multiply to M_n^-1 rev(H) M_0, so the run is H inner
+    M_n^-1 rev(H) M_0 and both its edges take m at x_0.  With x_n = 0 and
+    ``inner`` the identity this is the run over [x_0, -x_0]; with ``inner``
+    the product of the run over [x_n, -x_n] it is that run's window
+    extended to [x_0, -x_0].  The segments are multiplied in blocks that
+    every run spans whole, all in one product, and each run's H is its
+    blocks' product, formed from the chain's end.
     """
-
-    def __init__(self, energies, chains, seg: int):
-        self.energies, self.chains, self.seg = energies, chains, seg
-        counts = [(v_k.size - 1) // seg for v_k, _ in chains]
-        self.first = np.cumsum([0, *counts]).tolist()  # each chain's first column
-        cols = np.concatenate([v_k[1:].reshape(n, seg) for (v_k, _), n in zip(chains, counts)]).T
-        scale = np.repeat([c_k for _, c_k in chains], counts)
-        n_cols = cols.shape[1]
-        per_c = min(n_cols, max(1, _CHUNK // seg))
-        per_e = max(1, _CHUNK // (seg * n_cols))
-        prod = np.empty((4, energies.size, n_cols))
-        for e0 in range(0, energies.size, per_e):
-            e = energies[e0 : e0 + per_e, None]
-            for c0 in range(0, n_cols, per_c):
-                m = _numerov_m(e, cols[:, None, c0 : c0 + per_c], scale[c0 : c0 + per_c])
-                prod[:, e0 : e0 + per_e, c0 : c0 + per_c] = _companion_product(m)
-        self.prod = prod
-
-    def runs(self, starts, inner=None) -> "_Run":
-        """The runs of ``starts``, (chain, segment) pairs, stacked: each
-        over its chain from the segment's first point x_0 to the chain's end
-        x_n, then its ``inner`` product (default: the identity), then the
-        steps at -x_{n-1} .. -x_0.
-
-        With H the product of the stretch x_0 .. x_n, those mirrored steps
-        multiply to M_n^-1 rev(H) M_0, so the run is H inner M_n^-1 rev(H)
-        M_0 and both its edges take m at x_0.  With x_n = 0 and ``inner``
-        the identity this is the run over [x_0, -x_0]; with ``inner`` the
-        product of the run over [x_n, -x_n] it is that run's window
-        extended to [x_0, -x_0].  The segments are multiplied in blocks
-        that every run spans whole, all in one product, and each run's H
-        is its blocks' product, formed from the chain's end.
-        """
-        lo = [self.first[k] + j for k, j in starts]
-        hi = [self.first[k + 1] for k, _ in starts]
-        b = math.gcd(*lo, *hi)  # segments per block
-        size = self.energies.size
-        blocks = [x.reshape(size, -1) for x in _ordered_product(
-            *(x.reshape(size * (x.shape[1] // b), b).T for x in self.prod))]
-        h = [None] * len(starts)
-        for end in set(hi):
-            mine = {lo[r] // b: r for r in range(len(starts)) if hi[r] == end}
-            acc = None
-            for j in range(end // b - 1, min(mine) - 1, -1):
-                block = tuple(x[:, j] for x in blocks)
-                acc = block if acc is None else _mul2(block, acc)
-                if j in mine:
-                    h[mine[j]] = acc
-        h = tuple(np.stack(x) for x in zip(*h))
-        edge = np.array([(self.chains[k][0][j * self.seg], self.chains[k][0][-1], self.chains[k][1])
-                         for k, j in starts]).T[:, :, None]
-        m_0, m_n = (_numerov_m(self.energies, v_e, edge[2]) for v_e in edge[:2])
-        # M^-1 = [[1, -1], [-m, 1 + m]] for the step M = [[1 + m, 1], [m, 1]].
-        right = _mul2(_mul2((1.0, -1.0, -m_n, 1.0 + m_n), _reversed(h)),
-                      (1.0 + m_0, 1.0, m_0, 1.0))
-        if inner is not None:
-            right = _mul2(inner, right)
-        return _Run(_mul2(h, right), m_0)
+    counts = [(v_k.size - 1) // seg for v_k, _ in chains]
+    first = np.cumsum([0, *counts]).tolist()  # each chain's first column
+    cols = np.concatenate([v_k[1:].reshape(n, seg) for (v_k, _), n in zip(chains, counts)]).T
+    scale = np.repeat([c_k for _, c_k in chains], counts)
+    size, n_cols = energies.size, cols.shape[1]
+    per_c = min(n_cols, max(1, _CHUNK // seg))
+    per_e = max(1, _CHUNK // (seg * n_cols))
+    prod = np.empty((4, size, n_cols))
+    for e0 in range(0, size, per_e):
+        e = energies[e0 : e0 + per_e, None]
+        for c0 in range(0, n_cols, per_c):
+            m = _numerov_m(e, cols[:, None, c0 : c0 + per_c], scale[c0 : c0 + per_c])
+            prod[:, e0 : e0 + per_e, c0 : c0 + per_c] = _companion_product(m)
+    lo = [first[k] + j for k, j in starts]
+    hi = [first[k + 1] for k, _ in starts]
+    b = math.gcd(*lo, *hi)  # segments per block
+    blocks = [x.reshape(size, -1) for x in _ordered_product(
+        *(x.reshape(size * (x.shape[1] // b), b).T for x in prod))]
+    h = [None] * len(starts)
+    for end in set(hi):
+        mine = {lo[r] // b: r for r in range(len(starts)) if hi[r] == end}
+        acc = None
+        for j in range(end // b - 1, min(mine) - 1, -1):
+            block = tuple(x[:, j] for x in blocks)
+            acc = block if acc is None else _mul2(block, acc)
+            if j in mine:
+                h[mine[j]] = acc
+    h = tuple(np.stack(x) for x in zip(*h))
+    edge = np.array([(chains[k][0][j * seg], chains[k][0][-1], chains[k][1])
+                     for k, j in starts]).T[:, :, None]
+    m_0, m_n = (_numerov_m(energies, v_e, edge[2]) for v_e in edge[:2])
+    # M^-1 = [[1, -1], [-m, 1 + m]] for the step M = [[1 + m, 1], [m, 1]].
+    right = _mul2(_mul2((1.0, -1.0, -m_n, 1.0 + m_n), _reversed(h)),
+                  (1.0 + m_0, 1.0, m_0, 1.0))
+    if inner is not None:
+        right = _mul2(inner, right)
+    return _Run(_mul2(h, right), m_0)
 
 
 def _numerov_m(E, V, c):

@@ -838,6 +838,39 @@ class TestConfigFile:
         assert record == {
             "model": "sech2", "v0": "2.5", "n": "4", "log": "true", "kind": "sech2"}
 
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            ("'sech2'", "sech2"),
+            ("'a#b'", "a#b"),
+            ("'C:\\runs'", "C:\\runs"),
+            ('"a\\"b"', 'a"b'),
+            ('"C:\\\\runs"', "C:\\runs"),
+            ('"a\tb"', "a\tb"),  # a tab may stand in a basic string as it is
+        ],
+    )
+    def test_quoted_value_reads_as_toml_reads_it(self, value, text):
+        # A literal string keeps its text up to the next quote, escapes and
+        # all; a basic string's escapes are decoded.
+        assert parse_flat_config(f"out = {value}\n") == {"out": text}
+
+    @pytest.mark.parametrize("value", ['"rows.csv', "'rows.csv", '"C:\\runs\\q"'])
+    def test_unreadable_string_is_usage_error(self, value, tmp_path, capsys):
+        # A missing closing quote, or an escape that TOML does not define.
+        cfg = tmp_path / "run.toml"
+        cfg.write_text(f"model = 'sech2'\nout = {value}\n")
+        code, out, err = run_cli(["reflect", "--config", str(cfg)], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: config line 2: cannot read the string {value}\n"
+
+    def test_literal_string_values_drive_run(self, tmp_path, capsys):
+        cfg = tmp_path / "run.toml"
+        cfg.write_text("model = 'sech2'\nemin = 1\nmethods = 'closed,momentum'\n")
+        argv = ["reflect", "--emin", "1", "--methods", "closed,momentum"]
+        by_file = run_cli(["reflect", "--config", str(cfg)], capsys)
+        assert by_file[0] == EXIT_OK
+        assert by_file == run_cli([*argv, "--model", "sech2"], capsys)
+
     @pytest.mark.parametrize("value", ["1e3", "007"])
     def test_file_value_reaches_its_flag_as_written(self, value, tmp_path, monkeypatch,
                                                      capsys):
