@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
+import re
 import sys
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
@@ -223,13 +223,9 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def parse_flat_config(text: str) -> dict[str, str]:
-    """Parse flat ``key = value`` records (a subset of TOML) into text.
-
-    A value in single quotes is a literal string, its text up to the next
-    quote; one in double quotes is a basic string, its backslash escapes
-    decoded as JSON decodes them.  Any other value is its text up to a
-    ``#`` comment.  The flag a value feeds types it.  Nested tables are not
-    supported.
+    """Parse flat ``key = value`` records (a subset of TOML) into text: a
+    quoted value as TOML reads a string, then at most a comment; any other
+    up to a ``#`` comment.  The flag a value feeds types it; no nesting.
     """
     record: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -240,15 +236,23 @@ def parse_flat_config(text: str) -> dict[str, str]:
             raise UsageError(f"config line {lineno}: expected key = value")
         key, _, value = line.partition("=")
         value = value.strip()
-        try:
-            if value.startswith("'"):
-                value = value[1 : value.index("'", 1)]
-            elif value.startswith('"'):
-                value = json.JSONDecoder(strict=False).raw_decode(value)[0]
-            else:
-                value = value.split("#", 1)[0].strip()
-        except ValueError as exc:
-            raise UsageError(f"config line {lineno}: cannot read the string {value}") from exc
+        # A literal string (group 1) or a basic string (group 2), then a comment.
+        quoted = re.fullmatch(
+            r"""(?:'([^'\0-\x08\n-\x1f\x7f]*)'|"((?:[^"\\\0-\x08\n-\x1f\x7f]"""
+            r"""|\\[btnfr"\\]|\\u(?![dD][89a-fA-F])[\da-fA-F]{4}"""
+            r"""|\\U(?!0000[dD][89a-fA-F])(?:000[\da-fA-F]|0010)[\da-fA-F]{4})*)")"""
+            r"""\s*(?:#[^\0-\x08\n-\x1f\x7f]*)?""",
+            value,
+        )
+        if quoted and quoted[2] is not None:
+            # Python reads TOML's escapes; non-Latin-1 text passes as \u escapes.
+            value = quoted[2].encode("latin-1", "backslashreplace").decode("unicode_escape")
+        elif quoted:
+            value = quoted[1]
+        elif value[:1] in ("'", '"'):
+            raise UsageError(f"config line {lineno}: cannot read the string {value}")
+        else:
+            value = value.split("#", 1)[0].strip()
         record[key.strip()] = value
     return record
 

@@ -17,6 +17,7 @@ from semiref.cli import (
     EXIT_OK,
     EXIT_USAGE,
     LZ_METHODS,
+    UsageError,
     _build_lz_config,
     build_parser,
     main,
@@ -847,6 +848,8 @@ class TestConfigFile:
             ('"a\\"b"', 'a"b'),
             ('"C:\\\\runs"', "C:\\runs"),
             ('"a\tb"', "a\tb"),  # a tab may stand in a basic string as it is
+            ('"\\U0001F600 \\u00e9"', "\U0001F600 \u00e9"),
+            ("'a' # note", "a"),
         ],
     )
     def test_quoted_value_reads_as_toml_reads_it(self, value, text):
@@ -854,14 +857,35 @@ class TestConfigFile:
         # all; a basic string's escapes are decoded.
         assert parse_flat_config(f"out = {value}\n") == {"out": text}
 
-    @pytest.mark.parametrize("value", ['"rows.csv', "'rows.csv", '"C:\\runs\\q"'])
+    @pytest.mark.parametrize(
+        "value",
+        ['"rows.csv', "'rows.csv", '"C:\\runs\\q"', '"a\\/b"', '"\\ud800"',
+         '"\\U00110000"', "'sech2' x", '"a\x01"'],
+    )
     def test_unreadable_string_is_usage_error(self, value, tmp_path, capsys):
-        # A missing closing quote, or an escape that TOML does not define.
+        # A missing closing quote, an escape or character that TOML does not
+        # allow, or text after the closing quote.
         cfg = tmp_path / "run.toml"
         cfg.write_text(f"model = 'sech2'\nout = {value}\n")
         code, out, err = run_cli(["reflect", "--config", str(cfg)], capsys)
         assert (code, out) == (EXIT_USAGE, "")
         assert err == f"error: config line 2: cannot read the string {value}\n"
+
+    @pytest.mark.parametrize(
+        "value",
+        ["'a\\b'", '"a\\tb"', '"\\u00e9\\U0001F600"', '"\\uD800"', '"\\U0000DFFF"',
+         '"\\U0010FFFF"', '"\\/"', '"\\x41"', '"é😀"', "'a' #c", '"a"b', "'a'#\x7f"],
+    )
+    def test_quoted_value_matches_tomllib(self, value):
+        tomllib = pytest.importorskip("tomllib")
+        line = f"out = {value}\n"
+        try:
+            expected = tomllib.loads(line)
+        except tomllib.TOMLDecodeError:
+            with pytest.raises(UsageError):
+                parse_flat_config(line)
+        else:
+            assert parse_flat_config(line) == expected
 
     def test_literal_string_values_drive_run(self, tmp_path, capsys):
         cfg = tmp_path / "run.toml"

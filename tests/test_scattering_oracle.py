@@ -548,7 +548,6 @@ class TestNumerov:
             assert res.energy == E
             assert abs(res.log_prob - single.log_prob) <= res.err_estimate + single.err_estimate
 
-
     def test_band_flags_a_member_whose_grid_is_too_large(self, monkeypatch):
         # Under a cap of 1,440 points the grid of E = 8 (1,441 points) is too
         # large and that of E = 2 (1,185) fits: E = 8 is flagged, and the
@@ -561,6 +560,7 @@ class TestNumerov:
         assert str(rows[1]) == "grid of 1.44e+03 points is too large"
         alone = numerov_reflection(SECH2, [2.0, 1.0], UNIT, default_grid(SECH2, 2.0, UNIT))
         assert [outcome(rows[0]), outcome(rows[2])] == [outcome(r) for r in alone]
+
 
 class TestHalving:
     """sech^2 (1, 1) at E 0.5-3 share the grid of E = 3, where the first

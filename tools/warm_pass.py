@@ -1,7 +1,6 @@
 """Time warm in-process passes of the benchmark's workloads, with their page faults.
 
-    python3 tools/warm_pass.py [TREE] [--workloads W ...] [--seeds 83 7 11]
-        [--passes 15] [--size full]
+    python3 tools/warm_pass.py [TREE] [--seeds 83 7 11] [--passes 15] [--size full]
 
 TREE is a directory that holds ``src/semiref`` or a git revision of this
 repository (``compare_rows.tree_src``); the default is this checkout.  Per
@@ -81,8 +80,6 @@ def main(argv=None) -> int:
     parser.add_argument("tree", nargs="?", default=str(ROOT),
                         help="directory holding src/semiref, or a git revision "
                              "(default: this checkout)")
-    parser.add_argument("--workloads", nargs="+", choices=workloads.WORKLOADS,
-                        default=list(workloads.WORKLOADS))
     parser.add_argument("--seeds", type=int, nargs="+", default=[83, 7, 11])
     parser.add_argument("--passes", type=int, default=15,
                         help="timed passes after the warm-up (default %(default)s)")
@@ -94,7 +91,7 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="warm-pass-") as tmp:
         src = tree_src(args.tree, Path(tmp))
-        for name in args.workloads:
+        for name in workloads.WORKLOADS:
             for seed in args.seeds:
                 argvs = [list(inv.argv) for inv in workloads.make(name, seed, args.size)]
                 times, faults = zip(*warm_passes(src, argvs, args.passes))
