@@ -235,7 +235,9 @@ def parse_flat_config(text: str) -> dict[str, str]:
         if "=" not in line:
             raise UsageError(f"config line {lineno}: expected key = value")
         key, _, value = line.partition("=")
-        value = value.strip()
+        key, value = key.strip(), value.strip()
+        if key in record:
+            raise UsageError(f"config line {lineno}: {key} is set twice")
         # A literal string (group 1) or a basic string (group 2), then a comment.
         quoted = re.fullmatch(
             r"""(?:'([^'\0-\x08\n-\x1f\x7f]*)'|"((?:[^"\\\0-\x08\n-\x1f\x7f]"""
@@ -253,7 +255,7 @@ def parse_flat_config(text: str) -> dict[str, str]:
             raise UsageError(f"config line {lineno}: cannot read the string {value}")
         else:
             value = value.split("#", 1)[0].strip()
-        record[key.strip()] = value
+        record[key] = value
     return record
 
 
@@ -269,6 +271,8 @@ def _config_tokens(path: str, command: str) -> list[str]:
             record = parse_flat_config(handle.read())
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
+    if "config" in record:
+        raise UsageError("config key config: a config file cannot name another")
     sub = next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )

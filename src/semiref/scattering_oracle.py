@@ -1,14 +1,14 @@
 """Exact reflection references for validating the semiclassical routes.
 
-Three oracles:  the known closed forms for the inverse oscillator and the
-sech^2 barrier, and a direct integration of the stationary Schroedinger
-equation for the flat-tailed families with a fixed-step Numerov recurrence
-(fourth-order accurate).  The wave is launched as a pure outgoing discrete
-plane wave at the right edge and decomposed into incident and reflected
-discrete plane waves at the left edge.  The value is Richardson-extrapolated
-twice, over runs at steps h, 2h and 4h, the error estimate comes from
-those runs and wider windows, and comparisons are made on ln of the
-probability.
+Two oracles:  ``exact_reflection``, the known closed forms for the inverse
+oscillator and the sech^2 barrier, and ``numerov_reflection``, a direct
+integration of the stationary Schroedinger equation for the flat-tailed
+families with a fixed-step Numerov recurrence (fourth-order accurate).
+The wave is launched as a pure outgoing discrete plane wave at the right
+edge and decomposed into incident and reflected discrete plane waves at
+the left edge.  The value is Richardson-extrapolated twice, over runs at
+steps h, 2h and 4h, the error estimate comes from those runs and wider
+windows, and comparisons are made on ln of the probability.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from .wkb_reflection import Method, ReflectionResult, _reflections
 __all__ = [
     "ScatteringGrid",
     "default_grid",
-    "exact_ho_reflection",
-    "exact_sech2_reflection",
+    "exact_reflection",
     "numerov_reflection",
 ]
 
@@ -105,7 +104,7 @@ class ScatteringGrid:
 
 def _check_flat_tailed(model: PotentialModel) -> None:
     if model.kind is PotentialKind.INVERSE_HO:
-        raise DomainError("inverse_ho has no flat tail; use exact_ho_reflection")
+        raise DomainError("inverse_ho has no flat tail; use exact_reflection")
 
 
 def _wavenumber(model: PotentialModel, E, consts: PhysicalConstants):
@@ -142,43 +141,38 @@ def default_grid(
     return ScatteringGrid(x_max=_WINDOW[model.kind] * model.a, dx=_K_DX / k)
 
 
-def exact_ho_reflection(
-    E: float, consts: PhysicalConstants, alpha: float
+def exact_reflection(
+    model: PotentialModel, E: float, consts: PhysicalConstants
 ) -> ReflectionResult:
-    """Exact inverse-oscillator reflection probability.
+    """Exact reflection probability from the family's closed form, in logs.
 
-    |R|^2 = e^{-s} / (1 + e^{-s}) with s = 2 pi E / (hbar omega) and
-    omega = sqrt(alpha/m).  Valid for any real E; for E > 0 it is strictly
-    below the semiclassical estimate e^{-s} and agrees with it to leading
-    exponential order.
-    """
-    _positive_finite("alpha", alpha)
-    omega = math.sqrt(alpha / consts.mass)
-    if consts.hbar * omega == 0.0:
-        # hbar omega underflows; E / omega = E sqrt(m) / sqrt(alpha) does not.
-        s = 2.0 * math.pi * E * math.sqrt(consts.mass) / math.sqrt(alpha) / consts.hbar
-    else:
-        s = 2.0 * math.pi * E / (consts.hbar * omega)
-    if s >= 0.0:
-        log_prob = -(s + math.log1p(math.exp(-s)))
-    else:
-        log_prob = -math.log1p(math.exp(s))
-    return ReflectionResult.from_log(E, log_prob, Method.EXACT_HO)
+    inverse_ho: |R|^2 = e^{-s} / (1 + e^{-s}) with s = 2 pi E / (hbar omega)
+    and omega = sqrt(alpha/m).  Valid for any real E; for E > 0 it is
+    strictly below the semiclassical estimate e^{-s} and agrees with it to
+    leading exponential order.
 
-
-def exact_sech2_reflection(
-    E: float, consts: PhysicalConstants, v0: float, a: float
-) -> ReflectionResult:
-    """Exact reflection probability of the barrier V = -v0 tanh^2(x/a)
-    (Landau & Lifshitz, QM section 25, problem 4), evaluated in logs.
-
+    sech2, V = -v0 tanh^2(x/a) (Landau & Lifshitz, QM section 25, problem 4):
     |R|^2 = cosh^2 c / (sinh^2 b + cosh^2 c) with b = pi k a,
     k = sqrt(2m (E + v0)) / hbar, and c = pi sqrt(l - 1/4) for
     l = 2 m v0 a^2 / hbar^2; where l < 1/4, cosh c becomes
     cos(pi sqrt(1/4 - l)).  Valid for every E > -v0, below the top too.
     """
-    _positive_finite("v0", v0)
-    _positive_finite("a", a)
+    if model.kind is PotentialKind.INVERSE_HO:
+        omega = math.sqrt(model.alpha / consts.mass)
+        if consts.hbar * omega == 0.0:
+            # hbar omega underflows; E / omega = E sqrt(m) / sqrt(alpha) does not.
+            s = 2.0 * math.pi * E * math.sqrt(consts.mass) / math.sqrt(model.alpha) / consts.hbar
+        else:
+            s = 2.0 * math.pi * E / (consts.hbar * omega)
+        if s >= 0.0:
+            log_prob = -(s + math.log1p(math.exp(-s)))
+        else:
+            log_prob = -math.log1p(math.exp(s))
+        return ReflectionResult.from_log(E, log_prob, Method.EXACT)
+    if model.kind is PotentialKind.LORENTZIAN:
+        raise DomainError("the Lorentzian has no closed-form reflection; "
+                          "numerov_reflection is its exact reference")
+    v0, a = model.v0, model.a
     if not E + v0 > 0.0:
         raise DomainError("E must lie above the tails, E > -v0")
     b = math.pi * a * (math.sqrt(2.0 * consts.mass * (E + v0)) / consts.hbar)
@@ -195,7 +189,7 @@ def exact_sech2_reflection(
         ln_top = 2.0 * math.log(math.sin(math.pi * ell / (0.5 + math.sqrt(0.25 - ell))))
     d = ln_top - 2.0 * ln_sinh_b  # ln(cosh^2 c / sinh^2 b)
     log_prob = d - math.log1p(math.exp(d)) if d < 0.0 else -math.log1p(math.exp(-d))
-    return ReflectionResult.from_log(E, log_prob, Method.EXACT_SECH2)
+    return ReflectionResult.from_log(E, log_prob, Method.EXACT)
 
 
 def numerov_reflection(

@@ -67,8 +67,7 @@ class Method(str, Enum):
     MOMENTUM_QUADRATURE = "momentum"
     CLOSED_FORM = "closed"
     CONTOUR_LL = "contour"
-    EXACT_HO = "exact_ho"
-    EXACT_SECH2 = "exact_sech2"
+    EXACT = "exact"
     NUMEROV_ORACLE = "numerov"
     ADIABATIC = "adiabatic"
     TDSE = "tdse"

@@ -20,7 +20,7 @@ from semiref import (
     elliptic_e,
     elliptic_k,
     evolve_tdse,
-    exact_ho_reflection,
+    exact_reflection,
     low_energy_effective_omega,
     lz_closed_form,
     numerov_reflection,
@@ -124,11 +124,11 @@ def test_criterion_05_exact_ho_consistency():
     model = PotentialModel.inverse_ho(1.0)
     worst = 0.0
     for E in E_GRID_50:
-        exact = exact_ho_reflection(E, UNIT, 1.0)
+        exact = exact_reflection(model, E, UNIT)
         wkb = reflection_closed_form(model, E, UNIT)
         s = 2.0 * math.pi * E
         worst = max(worst, abs(exact.prob / wkb.prob - 1.0 / (1.0 + math.exp(-s))))
-    point = exact_ho_reflection(1.0, UNIT, 1.0).prob
+    point = exact_reflection(model, 1.0, UNIT).prob
     point_err = abs(point - 1.8639e-3) / 1.8639e-3
     ok = worst <= 1e-12 and point_err <= 1e-4
     report(

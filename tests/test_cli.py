@@ -921,6 +921,24 @@ class TestConfigFile:
         assert out == ""
         assert err == "error: config line 2: expected key = value\n"
 
+    def test_key_set_twice_is_usage_error(self, tmp_path, capsys):
+        # TOML refuses a second value for a key; neither value is taken.
+        cfg = tmp_path / "run.toml"
+        cfg.write_text('model = "sech2"\nemin = 1\nemin = 2\nmethods = "closed"\n')
+        code, out, err = run_cli(["reflect", "--config", str(cfg)], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: config line 3: emin is set twice\n"
+
+    def test_config_key_in_a_file_is_usage_error(self, tmp_path, capsys):
+        # The file it names would never be read.
+        (tmp_path / "nested.toml").write_text("emin = 2\n")
+        cfg = tmp_path / "run.toml"
+        cfg.write_text('model = "sech2"\nemin = 1\nmethods = "closed"\n'
+                       f'config = "{tmp_path / "nested.toml"}"\n')
+        code, out, err = run_cli(["reflect", "--config", str(cfg)], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: config key config: a config file cannot name another\n"
+
     def test_config_file_drives_run(self, tmp_path, capsys):
         cfg = tmp_path / "run.toml"
         cfg.write_text(

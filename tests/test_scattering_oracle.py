@@ -18,8 +18,7 @@ from semiref import (
     ScatteringGrid,
     default_grid,
     evolve_tdse,
-    exact_ho_reflection,
-    exact_sech2_reflection,
+    exact_reflection,
     numerov_reflection,
     reflection_closed_form,
     v,
@@ -31,9 +30,10 @@ UNIT = PhysicalConstants()
 
 SECH2 = PotentialModel.sech2(10.0, 2.0)
 LOR = PotentialModel.lorentzian(10.0, 2.0)
+HO = PotentialModel.inverse_ho(1.0)
 
 # ln R at E = 1 (hbar = m = 1).  sech2: the exact formula,
-# exact_sech2_reflection(1, UNIT, 10, 2).  Lorentzian: the oracle converged in
+# exact_reflection(SECH2, 1, UNIT).  Lorentzian: the oracle converged in
 # the window; its runs at 8, 16 and 32 times the default window agree to 7e-12.
 SECH2_E1_LN = -2.888152906262777
 LOR_E1_LN = -2.905975191081798
@@ -282,20 +282,20 @@ def test_oracles_in_two_threads_match_serial_runs():
 
 class TestExactHO:
     def test_half_at_zero_energy(self):
-        assert exact_ho_reflection(0.0, UNIT, 1.0).prob == pytest.approx(0.5)
+        assert exact_reflection(HO, 0.0, UNIT).prob == pytest.approx(0.5)
 
     def test_unit_energy_value(self):
-        res = exact_ho_reflection(1.0, UNIT, 1.0)
+        res = exact_reflection(HO, 1.0, UNIT)
         assert res.prob == pytest.approx(1.8639e-3, rel=1e-4)
-        assert res.method is Method.EXACT_HO
+        assert res.method is Method.EXACT
 
     def test_below_barrier_energy_allowed(self):
-        res = exact_ho_reflection(-1.0, UNIT, 1.0)
+        res = exact_reflection(HO, -1.0, UNIT)
         assert 0.5 < res.prob < 1.0
 
     @pytest.mark.parametrize("E", [0.1, 0.5, 1.0, 2.0, 5.0])
     def test_ratio_identity_to_closed_form(self, E):
-        exact = exact_ho_reflection(E, UNIT, 1.0)
+        exact = exact_reflection(HO, E, UNIT)
         wkb = reflection_closed_form(PotentialModel.inverse_ho(1.0), E, UNIT)
         s = 2.0 * math.pi * E
         ratio = exact.prob / wkb.prob
@@ -305,13 +305,13 @@ class TestExactHO:
     def test_omega_underflow_is_a_domain_error(self):
         # omega = sqrt(alpha/m) underflows to 0; s = 2 pi E / (hbar omega)
         # is still formed, and exp(-s) underflows.
-        consts = PhysicalConstants(mass=1e300)
+        consts, model = PhysicalConstants(mass=1e300), PotentialModel.inverse_ho(1e-300)
         with pytest.raises(DomainError, match=r"\(log_prob=-6.28319e\+300\)"):
-            exact_ho_reflection(1.0, consts, 1e-300)
-        assert exact_ho_reflection(0.0, consts, 1e-300).prob == pytest.approx(0.5)
+            exact_reflection(model, 1.0, consts)
+        assert exact_reflection(model, 0.0, consts).prob == pytest.approx(0.5)
 
     def test_high_energy_ratio_tends_to_one(self):
-        exact = exact_ho_reflection(5.0, UNIT, 1.0)
+        exact = exact_reflection(HO, 5.0, UNIT)
         wkb = reflection_closed_form(PotentialModel.inverse_ho(1.0), 5.0, UNIT)
         assert abs(exact.prob / wkb.prob - 1.0) <= 1e-12
 
@@ -322,8 +322,8 @@ class TestExactSech2:
         (1.0, 10.0, 2.0, 0.5), (2.0, 1.0, 1.0, 1.0), (-0.5, 1.0, 1.0, 1.0),
     ])
     def test_matches_the_test_formula(self, E, v0, a, hbar):
-        res = exact_sech2_reflection(E, PhysicalConstants(hbar=hbar), v0, a)
-        assert res.method is Method.EXACT_SECH2
+        res = exact_reflection(PotentialModel.sech2(v0, a), E, PhysicalConstants(hbar=hbar))
+        assert res.method is Method.EXACT
         assert res.log_prob == pytest.approx(sech2_exact_ln_refl(E, v0, a, hbar=hbar), rel=1e-14)
 
     @pytest.mark.parametrize("E, v0, a, hbar", [
@@ -334,20 +334,35 @@ class TestExactSech2:
     def test_matches_mpmath(self, E, v0, a, hbar):
         # Both branches (2 m v0 a^2 / hbar^2 above and below 1/4) against
         # the formula in 50-digit arithmetic.
-        mp = pytest.importorskip("mpmath")
+        import mpmath as mp
         with mp.workdps(50):
             b = mp.pi * a * mp.sqrt(2 * (mp.mpf(E) + v0)) / hbar
             ell = 2 * mp.mpf(v0) * a * a / hbar**2
             top = (mp.cosh(mp.pi * mp.sqrt(ell - 0.25)) if ell >= 0.25
                    else mp.cos(mp.pi * mp.sqrt(0.25 - ell)))
             expected = float(mp.log(top**2 / (mp.sinh(b) ** 2 + top**2)))
-        res = exact_sech2_reflection(E, PhysicalConstants(hbar=hbar), v0, a)
+        res = exact_reflection(PotentialModel.sech2(v0, a), E, PhysicalConstants(hbar=hbar))
         assert res.log_prob == pytest.approx(expected, rel=1e-13)
 
     def test_bad_input_is_a_domain_error(self):
-        for E, v0, a in ((1.0, 0.0, 1.0), (1.0, 1.0, -1.0), (-1.0, 1.0, 1.0)):
-            with pytest.raises(DomainError):
-                exact_sech2_reflection(E, UNIT, v0, a)
+        # Bad parameters fail where the model is built; E at or below the
+        # tails fails in the formula.
+        for v0, a in ((0.0, 1.0), (1.0, -1.0)):
+            with pytest.raises(DomainError, match="must be positive and finite"):
+                PotentialModel.sech2(v0, a)
+        with pytest.raises(DomainError, match=r"E > -v0"):
+            exact_reflection(PotentialModel.sech2(1.0, 1.0), -1.0, UNIT)
+
+
+class TestExactReflection:
+    @pytest.mark.parametrize("model", [HO, SECH2], ids=["inverse_ho", "sech2"])
+    def test_tags_both_families_exact(self, model):
+        assert exact_reflection(model, 1.0, UNIT).method is Method.EXACT
+        assert [m for m in Method if m.value.startswith("exact")] == [Method.EXACT]
+
+    def test_lorentzian_points_to_the_numerov_oracle(self):
+        with pytest.raises(DomainError, match="numerov_reflection"):
+            exact_reflection(LOR, 1.0, UNIT)
 
 
 class TestNumerov:
@@ -407,8 +422,8 @@ class TestNumerov:
         assert discrepancies[0] > discrepancies[1] > discrepancies[2]
 
     def test_rejects_inverse_ho(self):
-        with pytest.raises(DomainError):
-            numerov_reflection(PotentialModel.inverse_ho(1.0), 1.0, UNIT)
+        with pytest.raises(DomainError, match="use exact_reflection"):
+            numerov_reflection(HO, 1.0, UNIT)
 
     @pytest.mark.parametrize("E", [0.0, -1.0])
     def test_scalar_nonpositive_energy_raises(self, E):
@@ -573,7 +588,7 @@ class TestHalving:
         import semiref.scattering_oracle as so
 
         for E, res in zip(self.ENERGIES, numerov_reflection(self.MODEL, self.ENERGIES, UNIT)):
-            exact = exact_sech2_reflection(E, UNIT, 1.0, 1.0).log_prob
+            exact = exact_reflection(self.MODEL, E, UNIT).log_prob
             assert abs(res.log_prob - exact) <= res.err_estimate <= 1e-6
         monkeypatch.setattr(so, "_MAX_HALVINGS", 0)
         held = numerov_reflection(self.MODEL, self.ENERGIES, UNIT)
