@@ -50,6 +50,7 @@ _SPREAD = 4
 _MAX_HALVINGS = 3  # the step halves at most this often, to k dx = 0.025
 _ERR_BOUND = 1e-6  # err_estimate above which a result is flagged
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 _GROUP_RATIO = 2.0  # energies share a grid while k_max <= 2 k_min
 _CHUNK = 2**16  # transfer matrices per product call, to bound memory
 _SEG = 512  # transfer matrices per segment, the length of a product column
@@ -156,6 +157,12 @@ def exact_reflection(
     k = sqrt(2m (E + v0)) / hbar, and c = pi sqrt(l - 1/4) for
     l = 2 m v0 a^2 / hbar^2; where l < 1/4, cosh c becomes
     cos(pi sqrt(1/4 - l)).  Valid for every E > -v0, below the top too.
+    b and l are formed from the logs of their factors, so no product of
+    the factors leaves the double range; where l underflows, cos c is
+    pi l, where it overflows, c is pi sqrt(l), and where c and b are
+    close, c - b is -(b^2 - c^2) / (b + c) with b^2 - c^2 =
+    pi^2 (1/4 + 2 m E a^2 / hbar^2), not their difference.  A probability
+    that underflows raises DomainError.
     """
     if model.kind is PotentialKind.INVERSE_HO:
         omega = math.sqrt(model.alpha / consts.mass)
@@ -175,21 +182,66 @@ def exact_reflection(
     v0, a = model.v0, model.a
     if not E + v0 > 0.0:
         raise DomainError("E must lie above the tails, E > -v0")
-    b = math.pi * a * (math.sqrt(2.0 * consts.mass * (E + v0)) / consts.hbar)
-    if b == 0.0:
-        raise DomainError("pi k a underflows to 0")
-    r = a / consts.hbar
-    ell = 2.0 * consts.mass * v0 * r * r
-    ln_sinh_b = b + math.log(-math.expm1(-2.0 * b)) - math.log(2.0)
-    if ell >= 0.25:
+    # b = pi k a and l from the logs of their factors: a product of the
+    # factors themselves can under- or overflow where b and l do not.
+    ln_r = math.log(a) - math.log(consts.hbar)
+    ln_2m = math.log(2.0) + math.log(consts.mass)
+    e_v0 = E + v0  # at most 2 * 2^1024, so halved where it overflows
+    ln_e_v0 = (math.log(e_v0) if e_v0 < math.inf
+               else math.log(0.5 * E + 0.5 * v0) + math.log(2.0))
+    ln_b = math.log(math.pi) + ln_r + 0.5 * (ln_2m + ln_e_v0)
+    ln_ell = ln_2m + math.log(v0) + 2.0 * ln_r
+    b, ell = _exp(ln_b), _exp(ln_ell)
+    # ln(1 - e^{-2b}), which is ln(2b) where b is subnormal or 0
+    ln_1m = math.log(-math.expm1(-2.0 * b)) if b >= _TINY else math.log(2.0) + ln_b
+    if ell == math.inf:
+        # c = pi sqrt(l) to relative 1/(8 l), and b = c sqrt(1 + x) for
+        # x = E / v0, so c - b = -c g(x) with g(x) = x / (1 + sqrt(1 + x)),
+        # formed from ln c and ln |x| where c or b is not finite.
+        d = 2.0 * (_c_minus_b(E, v0, math.log(math.pi) + 0.5 * ln_ell) - ln_1m)
+    elif ell >= 0.25:
         c = math.pi * math.sqrt(ell - 0.25)
-        ln_top = 2.0 * (c + math.log1p(math.exp(-2.0 * c)) - math.log(2.0))
+        if 0.5 * b <= c <= 2.0 * b:
+            # c - b = -pi^2 (1/4 + l x) / (b + c) for x = E / v0, free of
+            # the cancellation of c - b where both are large and close.
+            lx = math.copysign(_exp(ln_2m + math.log(abs(E)) + 2.0 * ln_r), E) if E else 0.0
+            c_minus_b = -math.pi**2 * (0.25 + lx) / (b + c)
+        else:
+            c_minus_b = c - b
+        d = 2.0 * (c_minus_b + math.log1p(math.exp(-2.0 * c)) - ln_1m)  # ln(cosh^2 c / sinh^2 b)
     else:
-        # cos(pi sqrt(1/4 - l)) = sin(pi l / (1/2 + sqrt(1/4 - l))), exact as l -> 0.
-        ln_top = 2.0 * math.log(math.sin(math.pi * ell / (0.5 + math.sqrt(0.25 - ell))))
-    d = ln_top - 2.0 * ln_sinh_b  # ln(cosh^2 c / sinh^2 b)
+        ln_sinh_b = b + ln_1m - math.log(2.0)
+        if ell < _TINY:
+            # cos(pi sqrt(1/4 - l)) = pi l to relative O(l).
+            ln_cos = math.log(math.pi) + ln_ell
+        else:
+            # cos(pi sqrt(1/4 - l)) = sin(pi l / (1/2 + sqrt(1/4 - l))), exact as l -> 0.
+            ln_cos = math.log(math.sin(math.pi * ell / (0.5 + math.sqrt(0.25 - ell))))
+        d = 2.0 * (ln_cos - ln_sinh_b)
     log_prob = d - math.log1p(math.exp(d)) if d < 0.0 else -math.log1p(math.exp(-d))
     return ReflectionResult.from_log(E, log_prob, Method.EXACT)
+
+
+def _exp(x: float) -> float:
+    """e^x, inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _c_minus_b(E: float, v0: float, ln_c: float) -> float:
+    """c - b = -c g(x) for x = E / v0 and g(x) = x / (1 + sqrt(1 + x)),
+    from ln c; ln g(x) is formed from ln |x|, so x need not be finite."""
+    if E == 0.0:
+        return 0.0
+    ln_x = math.log(abs(E)) - math.log(v0)
+    if E > 0.0 and ln_x > 0.0:
+        y = math.exp(-ln_x)  # 1 / x
+        ln_g = 0.5 * ln_x - math.log(math.sqrt(y) + math.sqrt(1.0 + y))
+    else:  # -1 < x <= 1, kept there where ln_x rounds up
+        ln_g = ln_x - math.log1p(math.sqrt(1.0 + math.copysign(min(math.exp(ln_x), 1.0), E)))
+    return -math.copysign(_exp(ln_c + ln_g), E)
 
 
 def numerov_reflection(
@@ -490,7 +542,7 @@ class _Run:
         inc = np.abs(y0 * (-0.5 * m + 1j * sin) - d0) ** 2
         with np.errstate(divide="ignore"):
             log_r = np.log(np.abs(d0 - y0 * d_n) ** 2) - np.log(inc)
-        self.log_r = np.clip(log_r, math.log(np.finfo(float).tiny), 0.0)
+        self.log_r = np.clip(log_r, math.log(_TINY), 0.0)
         # The recurrence conserves the flux Im(conj(y_j) y_{j+1}): sin theta
         # at the right, (|A|^2 - |B|^2) sin theta at the left.
         trans = 4.0 * sin * sin / inc
@@ -530,8 +582,11 @@ def _runs(energies, chains, seg: int, starts, inner=None) -> _Run:
     for e0 in range(0, size, per_e):
         e = energies[e0 : e0 + per_e, None]
         for c0 in range(0, n_cols, per_c):
-            m = _numerov_m(e, cols[:, None, c0 : c0 + per_c], scale[c0 : c0 + per_c])
-            prod[:, e0 : e0 + per_e, c0 : c0 + per_c] = _companion_product(m)
+            v_c = cols[:, None, c0 : c0 + per_c]
+            n_rows = 2 * seg * e.size * v_c.shape[2]  # m and its denominator
+            rows = _work_array(float, n_rows, "steps")[:n_rows].reshape(2, seg, e.size, -1)
+            _numerov_m(e, v_c, scale[c0 : c0 + per_c], out=rows)
+            prod[:, e0 : e0 + per_e, c0 : c0 + per_c] = _companion_product(*rows)
     lo = [first[k] + j for k, j in starts]
     hi = [first[k + 1] for k, _ in starts]
     b = math.gcd(*lo, *hi)  # segments per block
@@ -558,16 +613,18 @@ def _runs(energies, chains, seg: int, starts, inner=None) -> _Run:
     return _Run(_mul2(h, right), m_0)
 
 
-def _numerov_m(E, V, c):
+def _numerov_m(E, V, c, out=(None, None)):
     """m = -e = -12 g / (1 + g) with g = c (E - V), elementwise.
 
     With y = f psi, f = 1 + g, the Numerov recurrence is y_{i-1} + y_{i+1}
     = (2 - e_i) y_i.  e is formed from g, not from f near 1, so the
     rounding of f does not enter, and the edges use the very values the
-    product does.
+    product does.  ``out``, a pair of arrays of the broadcast shape, takes
+    m in ``out[0]`` and its denominator in ``out[1]``, bit for bit as in
+    fresh arrays.
     """
-    t = np.subtract(V, E)  # -g / c
-    den = t * (-1.0 / 12.0)
+    t = np.subtract(V, E, out=out[0])  # -g / c
+    den = np.multiply(t, -1.0 / 12.0, out=out[1])
     den += 1.0 / (12.0 * c)  # (1 + g) / (12 c)
     t /= den
     return t
@@ -585,7 +642,7 @@ def _reversed(p):
     return (d + c, a + b - c - d, c, a - c)
 
 
-def _companion_product(m: np.ndarray):
+def _companion_product(m: np.ndarray, a: np.ndarray):
     """Ordered product along axis 0 of the Numerov steps
     M_i = [[1 + m_i, 1], [m_i, 1]] = [[1, 1], [1, 0]] [[m_i, 1], [1, 0]],
     each a pair of companion matrices.
@@ -593,12 +650,30 @@ def _companion_product(m: np.ndarray):
     M_i maps (y_i, y_i - y_{i+1}) to (y_{i-1}, y_{i-1} - y_i).  In these
     differences the product's entries stay well scaled, where products of
     the plain companion steps [[2 - e_i, -1], [1, 0]] lose ~1/theta^2 to
-    rounding.  The steps go to ``_ordered_product`` as they are, their unit
-    entries as broadcast views; multiplying by an exact 1 rounds nothing.
-    Returns the four entries (p00, p01, p10, p11).
+    rounding.  Returns the four entries (p00, p01, p10, p11), bit for bit
+    those of ``_ordered_product`` on the stack (1 + m, 1, m, 1).
+
+    ``a``, an array of m's shape, takes a = 1 + m, and the first level is
+    formed in closed form over the rows of m and a in place (both are
+    overwritten): M_i M_j = [[a_i a_j + m_j, a_i + 1], [m_i a_j + m_j, a_i]]
+    for each pair i = 2p, j = 2p + 1, each entry the very sum of two
+    rounded products the general rule forms, since a product by an exact 1
+    rounds nothing and m_i + 1 is a_i.  The half-length stack goes on to
+    ``_ordered_product``; an odd last step is folded into its tail first,
+    as that rule folds it.
     """
-    one = np.broadcast_to(1.0, m.shape)
-    return _ordered_product(m + 1.0, one, m, one)
+    np.add(m, 1.0, out=a)
+    n = len(m)
+    tail = _mul2((a[-1], 1.0, m[-1], 1.0), _IDENTITY) if n % 2 else None
+    if n == 1:
+        return tail
+    m_i, m_j, a_i, a_j = m[0 : n - 1 : 2], m[1::2], a[0 : n - 1 : 2], a[1::2]
+    m_i *= a_j
+    m_i += m_j
+    a_j *= a_i
+    a_j += m_j
+    np.add(a_i, 1.0, out=m_j)
+    return _ordered_product(a_j, m_j, m_i, a_i, tail=tail)
 
 
 def _mul2(left, right):

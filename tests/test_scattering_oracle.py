@@ -1,8 +1,10 @@
 import functools
+import itertools
 import math
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +26,8 @@ from semiref import (
     v,
 )
 from semiref.scattering_oracle import (
-    _PAIR, _companion_product, _mul2, _ordered_product, _reversed, _unitarity_defect)
+    _PAIR, _companion_product, _mul2, _numerov_m, _ordered_product, _reversed,
+    _unitarity_defect)
 
 UNIT = PhysicalConstants()
 
@@ -153,7 +156,7 @@ class TestOrderedProduct:
         mats[0::2, 0, 0] = 1.0
         mats[1::2, 0, 0] = coef
         expected = functools.reduce(np.matmul, mats)
-        got = np.array(_companion_product(coef), dtype=float).reshape(2, 2)
+        got = np.array(_companion(coef), dtype=float).reshape(2, 2)
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(got - expected)) <= 1e-12 * scale
 
@@ -165,7 +168,7 @@ class TestOrderedProduct:
         coef = 2.0 * np.cos(rng.uniform(0.9, 1.1, m)) - 2.0
         expected = functools.reduce(
             np.matmul, [np.array([[1.0 + x, 1.0], [x, 1.0]]) for x in coef[::-1]])
-        got = np.array(_reversed(_companion_product(coef)), dtype=float).reshape(2, 2)
+        got = np.array(_reversed(_companion(coef)), dtype=float).reshape(2, 2)
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(got - expected)) <= 1e-13 * scale
 
@@ -173,9 +176,9 @@ class TestOrderedProduct:
         # A stack of columns gives one product per column.
         rng = np.random.default_rng(3000)
         coef = 2.0 * np.cos(rng.uniform(0.9, 1.1, (37, 5))) - 2.0
-        got = np.array(_companion_product(coef))
+        got = np.array(_companion(coef))
         for j in range(5):
-            assert np.array_equal(got[:, j], np.array(_companion_product(coef[:, j].copy())))
+            assert np.array_equal(got[:, j], np.array(_companion(coef[:, j])))
 
     @pytest.mark.parametrize("m", [1, 2, 37])
     def test_results_outlive_the_work_arrays(self, m):
@@ -221,6 +224,80 @@ class TestOrderedProduct:
         _ordered_product(*_random_pairs(rng, 64 * m + 3), rule=_PAIR)
         _ordered_product(*_entries(_random_stack(rng, 2 * m + 1, complex)))
         assert all(np.array_equal(x, y) for x, y in zip(first, kept))
+
+
+# Step coefficients the kernel must carry bit for bit besides typical ones:
+# signed zeros, the band edge m = -4 (theta = pi) and its neighbours, and
+# |m| large enough that the products overflow.
+KERNEL_M = {
+    "typical": [],
+    "zeros": [0.0, -0.0],
+    "band_edge": [-4.0, np.nextafter(-4.0, 0.0), np.nextafter(-4.0, -5.0), -3.9999999],
+    "large": [1e150, -1e150, 1e300, -1e300],
+}
+
+
+def _bits(x):
+    """The IEEE bits of a float array, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
+class TestCompanionKernel:
+    @pytest.mark.parametrize("kind", sorted(KERNEL_M))
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 4)], ids=["1", "3", "2x4"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 33, 512, 513])
+    def test_matches_the_general_product_bit_for_bit(self, n, shape, kind):
+        # The closed-form first level over the rows of m and 1 + m gives the
+        # entries of _ordered_product on the explicit stack (1 + m, 1, m, 1).
+        rng = np.random.default_rng(8000 + n)
+        m = 2.0 * np.cos(rng.uniform(0.9, 1.1, (n, *shape))) - 2.0
+        special = KERNEL_M[kind]
+        if special:
+            pick = rng.random(m.shape) < 0.5
+            m[pick] = rng.choice(special, size=int(pick.sum()))
+        ones = np.ones_like(m)
+        with np.errstate(over="ignore", invalid="ignore"):  # the large m overflow
+            expected = _ordered_product(m + 1.0, ones, m, ones)
+            got = _companion_product(m.copy(), np.empty_like(m))
+        assert all(np.array_equal(_bits(x), _bits(y)) for x, y in zip(got, expected))
+
+    def test_numerov_m_into_work_rows_is_the_fresh_form(self):
+        # m and its denominator written into the rows of one array are the
+        # fresh arrays' values bit for bit, V = E (m = 0) included.
+        rng = np.random.default_rng(8100)
+        E = rng.uniform(0.5, 2.0, (4, 1))
+        V = rng.uniform(-20.0, 0.0, (6, 1, 3))
+        V[0, 0, 0] = E[1, 0]
+        c = rng.uniform(1e-4, 1e-2, 3)
+        rows = np.empty((2, 6, 4, 3))
+        got = _numerov_m(E, V, c, out=rows)
+        assert np.shares_memory(got, rows[0])
+        assert np.array_equal(_bits(rows[0]), _bits(_numerov_m(E, V, c)))
+
+    def test_warm_call_allocates_no_chunk_sized_arrays(self):
+        # A warm call over 25 energies: the steps' rows sit in a per-thread
+        # work array, so the call's tracemalloc peak is ~0.23 MB, less than
+        # one chunk-sized array (up to 0.5 MB) would add.
+        energies = np.geomspace(0.5, 2.0, 25).tolist()
+        numerov_reflection(SECH2, energies, UNIT)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            numerov_reflection(SECH2, energies, UNIT)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 0.4e6
+
+
+def _companion(coef):
+    """``_companion_product`` of the steps with m = ``coef``, on a copy:
+    the kernel overwrites its rows."""
+    return _companion_product(coef.copy(), np.empty_like(coef))
 
 
 def _random_pairs(rng, m):
@@ -330,10 +407,13 @@ class TestExactSech2:
         (1.0, 10.0, 2.0, 1.0), (400.0, 10.0, 2.0, 1.0), (1e-3, 1.0, 1.0, 1.0),
         (-0.9, 1.0, 1.0, 1.0), (1.0, 0.05, 1.0, 1.0), (1.0, 0.1249, 1.0, 1.0),
         (1.0, 1e-20, 1.0, 1.0), (2.0, 1.0, 3.0, 0.1),
+        (2.2e15, 1e30, 1.0, 1.0), (3e20, 1e40, 1.0, 1.0),
     ])
     def test_matches_mpmath(self, E, v0, a, hbar):
         # Both branches (2 m v0 a^2 / hbar^2 above and below 1/4) against
-        # the formula in 50-digit arithmetic.
+        # the formula in 50-digit arithmetic.  In the last two, c and b are
+        # ~4e15 and ~4e20 but c - b only ~-5 and ~-7, more than their
+        # rounding moves a difference of the two.
         import mpmath as mp
         with mp.workdps(50):
             b = mp.pi * a * mp.sqrt(2 * (mp.mpf(E) + v0)) / hbar
@@ -343,6 +423,51 @@ class TestExactSech2:
             expected = float(mp.log(top**2 / (mp.sinh(b) ** 2 + top**2)))
         res = exact_reflection(PotentialModel.sech2(v0, a), E, PhysicalConstants(hbar=hbar))
         assert res.log_prob == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("E, v0, a, mass, hbar, expected", [
+        # l = 2 m v0 a^2 / hbar^2 ~ 1e70, but 2 m v0 overflows
+        (1.9672717857124783e-51, 1.2187527985725689e235, 3.1426824031258697e-234,
+         6.1419701791087e280, 3.954761115237981e-11, -0.6931471805599453),
+        # l ~ 4e-212 and b ~ 6e-106, but 2 m (E + v0) overflows
+        (-1.876457412818082e-121, 4.9921353344671055e106, 7.374094863844535e-178,
+         3.8512406131862596e264, 2.427530326521832e114, -486.8816061448936),
+        # l ~ e^1468 overflows; so do b and c
+        (3.528990647110962e-86, 1.5336711454085955e234, 1.561682756514739e235,
+         6.4554249491594965e103, 2.9093226126668712e85, -1.0029736878783109),
+        # l = 1e-310 underflows, R ~ l v0 / (E + v0) does not
+        (-1.0 + 2.0**-53, 1.0, 7e-156, 1.0, 1.0, -677.0847809657946),
+    ])
+    def test_extreme_scales_match_the_formula_in_800_digits(self, E, v0, a, mass, hbar, expected):
+        # Values where a product or quotient of the factors of b or l
+        # leaves the double range; expected from the formula in logs in
+        # 800-digit arithmetic.
+        res = exact_reflection(PotentialModel.sech2(v0, a), E,
+                               PhysicalConstants(mass=mass, hbar=hbar))
+        assert res.log_prob == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("v0, a, expected", [
+        (1.0, 1e-170, r"\(log_prob=-782\.879\)"),  # l underflows to 0
+        (1e300, 1e300, r"\(log_prob=-4\.44288e\+150\)"),  # b and l overflow
+    ])
+    def test_out_of_range_l_gives_the_underflow(self, v0, a, expected):
+        with pytest.raises(DomainError, match="underflows double precision " + expected):
+            exact_reflection(PotentialModel.sech2(v0, a), 1.0, UNIT)
+
+    def test_scale_corners_give_values_or_underflows(self):
+        # v0, a, m, hbar and E at 1e-300, 1 and 1e300: each call returns a
+        # value or raises the DomainError for a probability that underflows;
+        # none raises ValueError or reports nan.
+        values = 0
+        for v0, a, mass, hbar, E in itertools.product((1e-300, 1.0, 1e300), repeat=5):
+            consts = PhysicalConstants(mass=mass, hbar=hbar)
+            try:
+                res = exact_reflection(PotentialModel.sech2(v0, a), E, consts)
+            except DomainError as exc:
+                assert "probability underflows double precision" in str(exc)
+            else:
+                assert -math.inf < res.log_prob <= 0.0
+                values += 1
+        assert values > 0
 
     def test_bad_input_is_a_domain_error(self):
         # Bad parameters fail where the model is built; E at or below the
