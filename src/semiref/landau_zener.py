@@ -25,7 +25,8 @@ expected size of any residual discrepancy.
 
 Both built-in profiles are odd and increasing; every observable here
 depends on f only through f^2 and |f^{-1}|, so the overall sign of the
-sweep is irrelevant.
+sweep is irrelevant.  The oracle relies on the oddness: on its symmetric
+span it steps only t >= 0 and takes the rest as that half's mirror image.
 """
 
 from __future__ import annotations
@@ -355,9 +356,12 @@ def _propagator(
     hbar: float,
     table: tuple[np.ndarray, np.ndarray],
     steps: int,
+    first: int = 0,
 ):
     """Pair (a, b) of the CF4 propagator [[a, b], [-conj(b), conj(a)]] over
-    ``table``'s span, in ``steps`` steps equally spaced in its phase.
+    ``table``'s span, in ``steps`` steps equally spaced in its phase, or
+    over the steps from ``first`` on, the first of them from t = 0 exactly
+    (the right half of a symmetric span, ``_mirrored_propagator``).
 
     Every factor is an SU(2) matrix, so the steps are multiplied as pairs
     by ``_ordered_product`` with the pair rule, ``_CHUNK`` steps at a time
@@ -366,16 +370,48 @@ def _propagator(
     t_tab, phase = table
     per_step = phase[-1] / steps
     total = _PAIR.identity
-    for start in range(0, steps, _CHUNK):
+    for start in range(first, steps, _CHUNK):
         stop = min(start + _CHUNK, steps)
         # The phases of np.linspace(0, phase[-1], steps + 1), bit for bit.
         x = np.arange(start, stop + 1, dtype=float)
         x *= per_step
         if stop == steps:
             x[-1] = phase[-1]
-        a, b = _step_pairs(profile, epsilon, hbar, np.interp(x, phase, t_tab))
+        t = np.interp(x, phase, t_tab)
+        if start == first > 0:
+            t[0] = 0.0
+        a, b = _step_pairs(profile, epsilon, hbar, t)
         total = _ordered_product(a[::-1], b[::-1], tail=total, rule=_PAIR)
     return total
+
+
+def _mirror(u):
+    """The pair of sigma_x u^T sigma_x: for an odd profile, the propagator
+    over the mirror image t -> -t of the stretch that u spans.
+
+    H(-t) = sigma_x H(t) sigma_x when f is odd.  A CF4 step over the
+    mirrored stretch sees its Gauss nodes swapped (c_1 = 1 - c_2), so it is
+    sigma_x S^T sigma_x with S the step it mirrors, its two factors in the
+    other order; each is exp(-i (real symmetric)), a symmetric matrix.  The
+    mirrored steps come in the reverse time order, so their product is
+    sigma_x U^T sigma_x, which for [[a, b], [-conj(b), conj(a)]] is the
+    pair (conj(a), b).
+    """
+    a, b = u
+    return np.conj(a), b
+
+
+def _mirrored_propagator(
+    profile: CrossingProfile,
+    epsilon: float,
+    hbar: float,
+    table: tuple[np.ndarray, np.ndarray],
+    steps: int,
+):
+    """``_propagator`` over a symmetric span in an even number of steps,
+    from the right half's steps only: the left half is its ``_mirror``."""
+    right = _propagator(profile, epsilon, hbar, table, steps, steps // 2)
+    return _PAIR.mul(right, _mirror(right))
 
 
 def _step_pairs(profile: CrossingProfile, epsilon: float, hbar: float, t: np.ndarray):
@@ -498,19 +534,19 @@ def _wide_flip(
     profile: CrossingProfile,
     epsilon: float,
     hbar: float,
-    sides,
+    side,
     edges,
     density: float,
     inner_u,
 ) -> float:
     """ln P over the doubled span, at ``density`` steps per radian, the
     density of the run ``inner_u``, whose product it reuses between the old
-    ends.  ``sides`` are the phase tables of the two added stretches,
-    ``edges`` the edge states at the doubled span's ends."""
-    outer = [_propagator(profile, epsilon, hbar, side,
-                         max(_MIN_STEPS, math.ceil(side[1][-1] * density)))
-             for side in sides]
-    return _log_flip(edges, _PAIR.mul(outer[1], _PAIR.mul(inner_u, outer[0])))
+    ends.  ``side`` is the phase table of the added stretch (t1, 2 t1), and
+    the one before -t1 is its ``_mirror``; ``edges`` are the edge states at
+    the doubled span's ends."""
+    outer = _propagator(profile, epsilon, hbar, side,
+                        max(_MIN_STEPS, math.ceil(side[1][-1] * density)))
+    return _log_flip(edges, _PAIR.mul(outer, _PAIR.mul(inner_u, _mirror(outer))))
 
 
 @contextmanager
@@ -538,6 +574,9 @@ def evolve_tdse(
     superadiabatic state at its end; the result is the probability of the
     non-adiabatic flip, Richardson-extrapolated from two runs a step
     halving apart (``_richardson``).
+    Both profiles are odd and the span is symmetric, so each run steps
+    only [0, t1] and takes the left half as that half's ``_mirror``; its
+    step count is rounded up to even for that.
     The run takes time in units near the span and energy in units near
     hbar over it, both powers of two, so the answer does not depend on the
     units of the inputs.
@@ -566,27 +605,28 @@ def evolve_tdse(
         profile, epsilon, hbar, t1 = _in_sweep_units(
             profile, eps.epsilon, consts.hbar, default_t_span(profile, eps, consts)[1])
         t0 = -t1
-        table, *sides = (_phase_table(profile, epsilon, hbar, a, b)
-                         for a, b in ((t0, t1), (2.0 * t0, t0), (t1, 2.0 * t1)))
+        table, side = (_phase_table(profile, epsilon, hbar, a, b)
+                       for a, b in ((t0, t1), (t1, 2.0 * t1)))
         states = [_edge_states(profile, epsilon, hbar, t)
                   for t in (t0, t1, 2.0 * t0, 2.0 * t1)]
         steps = _steps(table, rel_tol)
+    steps += steps % 2  # the runs multiply only their right halves
     edges, wide_edges = states[:2], states[2:]
 
-    coarse_u = _propagator(profile, epsilon, hbar, table, steps)
+    coarse_u = _mirrored_propagator(profile, epsilon, hbar, table, steps)
     coarse = _log_flip(edges, coarse_u)
     wide_coarse = None  # the doubled span at the coarse run's density
     last = math.inf
     while True:
-        fine_u = _propagator(profile, epsilon, hbar, table, 2 * steps)
+        fine_u = _mirrored_propagator(profile, epsilon, hbar, table, 2 * steps)
         fine = _log_flip(edges, fine_u)
         value, err = _richardson(fine, coarse)
         wide_fine = None
         if err <= bound:
             if wide_coarse is None:
-                wide_coarse = _wide_flip(profile, epsilon, hbar, sides, wide_edges,
+                wide_coarse = _wide_flip(profile, epsilon, hbar, side, wide_edges,
                                          steps / table[1][-1], coarse_u)
-            wide_fine = _wide_flip(profile, epsilon, hbar, sides, wide_edges,
+            wide_fine = _wide_flip(profile, epsilon, hbar, side, wide_edges,
                                    2 * steps / table[1][-1], fine_u)
             err += abs(_richardson(wide_fine, wide_coarse)[0] - value)
             if err <= bound:

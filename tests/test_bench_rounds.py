@@ -36,6 +36,22 @@ def test_one_round_writes_runs_quartiles_wins_control_and_traces(tmp_path):
     assert f"wins {stats['wins']}/1" in proc.stdout
     assert arms["control"]["sweep_s"]["layout_shift"] == control / after - 1
     assert "layout_shift" not in arms["after"]["sweep_s"]
+    bounds = {m["name"]: m["bound"]
+              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    lines = proc.stdout.splitlines()
+    for name, bound in bounds.items():
+        # One line per metric: every tree's median, the later trees' wins,
+        # holds and change beside the bound, and the control's layout shift.
+        line, = (x for x in lines if x.split()[:4] == ["lz-sweep", "seed", "1", name])
+        base = arms["before"][name]["median"]
+        for label in ("after", "control"):
+            stats = arms[label][name]
+            assert stats["bound"] == bound
+            assert stats["change"] == (stats["median"] / base - 1 if base else None)
+            assert f"{label} {stats['median']:.4g} " in line
+            assert f"holds {stats['holds']}" in line
+        assert f"before {base:.4g} " in line
+        assert "layout_shift" in line
     assert [(t["arm"], t["workload"], t["seed"]) for t in result["traced"]] == [
         (label, "lz-sweep", 1) for label in labels]
     for traced in result["traced"]:

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 
 import numpy as np
@@ -76,6 +77,23 @@ class TestProfiles:
         assert CrossingProfile.linear(3.0).im_inverse(0.5) == pytest.approx(1.5)
         tanh = CrossingProfile.tanh(2.0, 1.0)
         assert tanh.im_inverse(1.0) == pytest.approx(2.0 * math.pi / 4)
+
+    @pytest.mark.parametrize("profile, epsilon", [
+        (CrossingProfile.linear(3.0), 1.0), (CrossingProfile.tanh(3.0, 1.0), 0.3)])
+    def test_odd_bit_for_bit_at_the_step_times(self, profile, epsilon):
+        # The TDSE runs take their left halves as the mirror of their right
+        # halves (lz._mirror), which needs f(-t) = -f(t) exactly where they
+        # evaluate f: the right half's step times and their Gauss nodes.
+        table = lz._phase_table(profile, epsilon, 1.0,
+                                *default_t_span(profile, CouplingSpec(epsilon), UNIT))
+        steps = 2 * lz._steps(table, 1e-10)
+        x = np.arange(steps // 2, steps + 1) * (table[1][-1] / steps)
+        t = np.interp(x, table[1], table[0])
+        t[0] = 0.0
+        h = np.diff(t)
+        for times in (t, t[:-1] + lz._C1 * h, t[:-1] + lz._C2 * h):
+            left, right = profile.value(-times), -profile.value(times)
+            assert np.array_equal(left.view(np.int64), right.view(np.int64))
 
 
 class TestMixingAngle:
@@ -252,6 +270,19 @@ class TestTDSE:
         res = evolve_tdse(CrossingProfile.linear(T), CouplingSpec(1.0), UNIT)
         assert abs(res.log_prob + math.pi * T) <= res.err_estimate
 
+    def test_seeded_linear_rows_within_their_estimates(self):
+        # 60 draws of x = T eps^2 / hbar uniform in 0.5-6, hbar and eps
+        # log-uniform over 0.1-10: every row is returned, within its
+        # estimate of -pi x.
+        rng = random.Random(20261022)
+        for _ in range(60):
+            x = rng.uniform(0.5, 6.0)
+            hbar, epsilon = (10.0 ** rng.uniform(-1.0, 1.0) for _ in range(2))
+            T, eps, consts = x * hbar / epsilon**2, CouplingSpec(epsilon), PhysicalConstants(hbar=hbar)
+            res = evolve_tdse(CrossingProfile.linear(T), eps, consts)
+            target = lz_closed_form(T, eps, consts).log_prob
+            assert abs(res.log_prob - target) <= res.err_estimate, (x, hbar, epsilon)
+
     def test_reflection_decreases_with_sweep_time(self, linear_tdse_runs):
         refls = [linear_tdse_runs[T].prob for T in (1.0, 2.0, 3.0)]
         assert refls[0] > refls[1] > refls[2]
@@ -334,6 +365,57 @@ class TestTDSE:
         monkeypatch.setattr(lz, "_CHUNK", steps)
         whole = lz._propagator(profile, epsilon, 1.0, table, steps)
         assert max(abs(x - y) for x, y in zip(chunked, whole)) <= 1e-13
+
+    @pytest.mark.parametrize("profile, epsilon, steps", [
+        # 1,419 coarse steps, rounded up to even as evolve_tdse does
+        (CrossingProfile.tanh(3.0, 1.0), 0.3, 1420),
+        (CrossingProfile.linear(3.0), 1.0, 6904),  # an even coarse count
+        # a fine run whose right half starts 3,024 steps into a chunk
+        (CrossingProfile.tanh(20.0, 1.0), 0.5, 22432),
+        # the right half starts 5 steps into the plain run's fourth chunk
+        (CrossingProfile.tanh(5.0, 1.0), 0.4, 2 * (3 * lz._CHUNK + 5)),
+        (CrossingProfile.linear(2.0), 1.0, 2 * (3 * lz._CHUNK + 5)),
+    ])
+    def test_mirrored_propagator_matches_the_plain_one(self, profile, epsilon, steps):
+        table = lz._phase_table(profile, epsilon, 1.0,
+                                *default_t_span(profile, CouplingSpec(epsilon), UNIT))
+        mirrored = lz._mirrored_propagator(profile, epsilon, 1.0, table, steps)
+        # The identity: the left half stepped at the mirror images of the
+        # right half's times, later steps to the left.
+        x = np.arange(steps // 2, steps + 1) * (table[1][-1] / steps)
+        t = np.interp(x, table[1], table[0])
+        t[0], t[-1] = 0.0, table[0][-1]
+        stepped = lz._PAIR.identity
+        for times in (-t[::-1], t):
+            a, b = lz._step_pairs(profile, epsilon, 1.0, times)
+            stepped = lz._ordered_product(a[::-1], b[::-1], tail=stepped, rule=lz._PAIR)
+        assert max(abs(x - y) for x, y in zip(mirrored, stepped)) <= 1e-13
+        # The plain run places its left half's times from the phase table,
+        # whose rounding puts them up to ~4e-13 off the mirror images.  No
+        # run resolves the entries that finely: at tanh(20, 1), eps 0.5, a
+        # and b move by ~2e-12 from 89,728 to 179,456 steps, and at
+        # tanh(5, 1), eps 0.4, b by 2.5e-11 from 179,456 to 2^19.  So the
+        # two runs differ by up to 1.2e-13 in a and 3.3e-13 in b.
+        plain = lz._propagator(profile, epsilon, 1.0, table, steps)
+        assert max(abs(x - y) for x, y in zip(mirrored, plain)) <= 1e-12
+
+    @pytest.mark.parametrize("profile, epsilon", [
+        (CrossingProfile.linear(2.0), 1.0), (CrossingProfile.tanh(5.0, 1.0), 0.3)])
+    def test_mirrored_outer_stretch_matches_the_left_one_stepped(self, profile, epsilon):
+        # The doubled span is outer . inner . mirror(outer) (lz._wide_flip):
+        # the stretch before -t1 is the mirror of the one after t1.
+        t1 = default_t_span(profile, CouplingSpec(epsilon), UNIT)[1]
+        right, left = (lz._phase_table(profile, epsilon, 1.0, a, b)
+                       for a, b in ((t1, 2.0 * t1), (-2.0 * t1, -t1)))
+        steps = math.ceil(right[1][-1] * 2.0)
+        outer = lz._propagator(profile, epsilon, 1.0, right, steps)
+        stepped = lz._propagator(profile, epsilon, 1.0, left, steps)
+        assert max(abs(x - y) for x, y in zip(lz._mirror(outer), stepped)) <= 1e-13
+        inner = lz._propagator(profile, epsilon, 1.0, lz._phase_table(
+            profile, epsilon, 1.0, -t1, t1), 512)
+        whole = lz._PAIR.mul(outer, lz._PAIR.mul(inner, stepped))
+        wide = lz._PAIR.mul(outer, lz._PAIR.mul(inner, lz._mirror(outer)))
+        assert max(abs(x - y) for x, y in zip(wide, whole)) <= 1e-13
 
     @pytest.mark.parametrize("hbar", [1.0, 0.7])
     @pytest.mark.parametrize("profile, epsilon", [

@@ -24,12 +24,15 @@ The output file holds every run's end-to-end metrics; per workload, seed,
 tree and metric the median and quartiles; and for each tree after the
 first, per metric, in how many rounds it did better than the first tree
 (``wins``), whether the medians lie further apart, in its favour, than
-the first tree's interquartile range (``clear``), and whether both make a
-gain: at least nine tenths of the rounds won and ``clear`` (``holds``); and
-for the control, per metric, its median over the last tree's, less one
-(``layout_shift``).
-"Better" is each metric's direction in ``BENCHMARK.json``.  Exits 2 if a
-tree cannot be read or a run fails.
+the first tree's interquartile range (``clear``), whether both make a
+gain: at least nine tenths of the rounds won and ``clear`` (``holds``),
+and its median over the first tree's, less one (``change``), beside the
+metric's ``bound`` in ``BENCHMARK.json``; and for the control, per metric,
+its median over the last tree's, less one (``layout_shift``).
+"Better" is each metric's direction in ``BENCHMARK.json``.  Prints one line
+per workload, seed and metric: each tree's median, and the wins, ``holds``
+and ``change`` of the trees after the first, and the control's
+``layout_shift``.  Exits 2 if a tree cannot be read or a run fails.
 """
 
 from __future__ import annotations
@@ -97,10 +100,14 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(runs: list[dict], labels: list[str], metrics: dict) -> dict:
+def summarize(runs: list[dict], labels: list[str], metrics: dict,
+              bounds: dict | None = None) -> dict:
     """Per workload, seed, tree and metric: median, quartiles and, against
-    the first tree, wins, whether the gap clears its quartile range, and
-    whether the two together make a gain (wins in 9/10 of the rounds)."""
+    the first tree, wins, whether the gap clears its quartile range,
+    whether the two together make a gain (wins in 9/10 of the rounds), and
+    the relative change of the median beside the metric's bound in
+    ``bounds`` (None where it has none)."""
+    bounds = bounds or {}
     summary: dict = {}
     for run in runs:
         summary.setdefault(run["workload"], {}).setdefault(str(run["seed"]), {})
@@ -124,8 +131,23 @@ def summarize(runs: list[dict], labels: list[str], metrics: dict) -> dict:
                     stats[name]["clear"] = sign * (b_median - median) > b_q3 - b_q1
                     stats[name]["holds"] = (stats[name]["wins"] >= 0.9 * min(len(base), len(values))
                                             and stats[name]["clear"])
+                    stats[name]["change"] = median / b_median - 1 if b_median else None
+                    stats[name]["bound"] = bounds.get(name)
                 seeds[seed][label] = stats
     return summary
+
+
+def arm_summary(label: str, stats: dict, pairs: int) -> str:
+    """One tree's part of a metric's summary line."""
+    part = f"  {label} {stats['median']:.4g} [{stats['q1']:.4g}, {stats['q3']:.4g}]"
+    if "wins" in stats:
+        part += f" wins {stats['wins']}/{pairs} holds {stats['holds']}"
+        if stats["change"] is not None:
+            bound = "" if stats["bound"] is None else f", bound {stats['bound']:.0%}"
+            part += f" ({stats['change']:+.1%}{bound})"
+    if stats.get("layout_shift") is not None:
+        part += f" layout_shift {stats['layout_shift']:+.1%}"
+    return part
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -158,6 +180,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     runs, traced = [], []
     with tempfile.TemporaryDirectory(prefix="bench-rounds-") as tmp:
         scratch = Path(tmp)
@@ -201,7 +224,7 @@ def main(argv=None) -> int:
                      "of semiref/wkb_reflection.py",
         },
         "runs": runs,
-        "summary": summarize(runs, args.labels + [CONTROL], metrics),
+        "summary": summarize(runs, args.labels + [CONTROL], metrics, bounds),
         "traced": traced,
     }
     for seeds in out["summary"].values():
@@ -212,14 +235,10 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     for workload, seeds in out["summary"].items():
         for seed, by_label in seeds.items():
-            for label, stats in by_label.items():
-                s = stats["sweep_s"]
-                extra = (f"  wins {s['wins']}/{args.pairs} clear {s['clear']} holds {s['holds']}"
-                         if "wins" in s else "")
-                if label == CONTROL and s["layout_shift"] is not None:
-                    extra += f"  layout_shift {s['layout_shift']:+.1%}"
-                print(f"{workload:<14} seed {seed:<4} {label:<10} sweep_s median "
-                      f"{s['median']:.4g} [{s['q1']:.4g}, {s['q3']:.4g}]{extra}")
+            for name in metrics:
+                print(f"{workload:<14} seed {seed:<4} {name:<12}"
+                      + "".join(arm_summary(label, stats[name], args.pairs)
+                                for label, stats in by_label.items()))
     return 0
 
 
