@@ -278,7 +278,8 @@ class TestTDSE:
         for _ in range(60):
             x = rng.uniform(0.5, 6.0)
             hbar, epsilon = (10.0 ** rng.uniform(-1.0, 1.0) for _ in range(2))
-            T, eps, consts = x * hbar / epsilon**2, CouplingSpec(epsilon), PhysicalConstants(hbar=hbar)
+            T, eps = x * hbar / epsilon**2, CouplingSpec(epsilon)
+            consts = PhysicalConstants(hbar=hbar)
             res = evolve_tdse(CrossingProfile.linear(T), eps, consts)
             target = lz_closed_form(T, eps, consts).log_prob
             assert abs(res.log_prob - target) <= res.err_estimate, (x, hbar, epsilon)
@@ -405,17 +406,18 @@ class TestTDSE:
         # The doubled span is outer . inner . mirror(outer) (lz._wide_flip):
         # the stretch before -t1 is the mirror of the one after t1.
         t1 = default_t_span(profile, CouplingSpec(epsilon), UNIT)[1]
-        right, left = (lz._phase_table(profile, epsilon, 1.0, a, b)
-                       for a, b in ((t1, 2.0 * t1), (-2.0 * t1, -t1)))
-        steps = math.ceil(right[1][-1] * 2.0)
+        right, left, span = (lz._phase_table(profile, epsilon, 1.0, a, b)
+                             for a, b in ((t1, 2.0 * t1), (-2.0 * t1, -t1), (-t1, t1)))
+        density = 2.0  # steps per radian
+        steps = math.ceil(right[1][-1] * density)
         outer = lz._propagator(profile, epsilon, 1.0, right, steps)
         stepped = lz._propagator(profile, epsilon, 1.0, left, steps)
         assert max(abs(x - y) for x, y in zip(lz._mirror(outer), stepped)) <= 1e-13
-        inner = lz._propagator(profile, epsilon, 1.0, lz._phase_table(
-            profile, epsilon, 1.0, -t1, t1), 512)
-        whole = lz._PAIR.mul(outer, lz._PAIR.mul(inner, stepped))
-        wide = lz._PAIR.mul(outer, lz._PAIR.mul(inner, lz._mirror(outer)))
-        assert max(abs(x - y) for x, y in zip(wide, whole)) <= 1e-13
+        inner = lz._propagator(profile, epsilon, 1.0, span, 512)
+        edges = [lz._edge_states(profile, epsilon, 1.0, t) for t in (-2.0 * t1, 2.0 * t1)]
+        direct = lz._log_flip(edges, lz._PAIR.mul(outer, lz._PAIR.mul(inner, stepped)))
+        wide = lz._wide_flip(profile, epsilon, 1.0, right, edges, density, inner)
+        assert abs(wide - direct) <= 1e-12
 
     @pytest.mark.parametrize("hbar", [1.0, 0.7])
     @pytest.mark.parametrize("profile, epsilon", [
